@@ -62,7 +62,6 @@ from .ber_analytic import (
     analytic_ber,
     ber_lower_bound,
     effective_rho,
-    hyp2f1,
     sinr_gamma_params,
     stieltjes_moments,
 )

@@ -3,32 +3,27 @@
 The post-combining SINR is approximated by a Gamma law whose two moments
 come from a deterministic-equivalent (Stieltjes-transform) fixed point over
 the interferers' effective gains.  The resulting BER is a Gamma-weighted
-Gaussian tail integral with a hypergeometric closed form, plus a Jensen
+Gaussian tail integral with an incomplete-beta closed form, plus a Jensen
 lower bound.
 """
 
 from __future__ import annotations
 
-import logging
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-log = logging.getLogger(__name__)
+from .estimators import mmse_error_stats
 
-_MAX_SERIES_TERMS = 10 ** 6
 _MAX_FIXED_POINT_ITERS = 10 ** 4
 _DAMPING = 0.5
 
 
 class FixedPointError(RuntimeError):
     """Raised when the moment fixed point fails to converge."""
-
-
-class SeriesDivergenceError(RuntimeError):
-    """Raised when the hypergeometric series hits the term cap."""
 
 
 def q_function(x):
@@ -53,15 +48,13 @@ class SinrGammaModel:
 def effective_rho(betas, p_t: float, tau_t: int, noise_power: float, p_d: float) -> float:
     """Inverse of the residual noise level seen by the MMSE detector:
     channel-estimation leakage of every UE plus thermal noise over P_D."""
-    betas = np.asarray(betas, dtype=float)
-    resid = np.sum(noise_power * betas / (noise_power + betas * p_t * tau_t))
+    resid = np.sum(mmse_error_stats(betas, p_t, tau_t, noise_power).error_var)
     return 1.0 / (resid + noise_power / p_d)
 
 
 def beta_hat(betas, p_t: float, tau_t: int, noise_power: float):
     """Per-element variance of the MMSE channel estimate for each gain."""
-    betas = np.asarray(betas, dtype=float)
-    return betas ** 2 * p_t * tau_t / (noise_power + betas * p_t * tau_t)
+    return mmse_error_stats(betas, p_t, tau_t, noise_power).estimate_var
 
 
 def _fixed_point_map(m: float, n_antennas: int, gains: np.ndarray) -> float:
@@ -121,97 +114,19 @@ def sinr_gamma_params(
     )
 
 
-def _gamma_ratio(numerators, denominators) -> float:
-    """prod Gamma(n)/prod Gamma(d) evaluated in log space, sign included."""
-    sign, logval = 1.0, 0.0
-    for x in numerators:
-        logval += special.gammaln(x)
-        sign *= special.gammasgn(x)
-    for x in denominators:
-        logval -= special.gammaln(x)
-        sign *= special.gammasgn(x)
-    return sign * math.exp(logval)
-
-
-def _gauss_series(a: float, b: float, c: float, z: float) -> float:
-    term, total = 1.0, 1.0
-    for n in range(_MAX_SERIES_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            return total
-    raise SeriesDivergenceError(
-        f"Gauss series did not settle within {_MAX_SERIES_TERMS} terms (z={z})"
-    )
-
-
-def hyp2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric 2F1 for real parameters, c > 0, z < 1.
-
-    Negative arguments are mapped into (0, 1) with the Pfaff transform;
-    z close to 1 goes through the 1-z connection formula, whose two series
-    converge fast exactly where the direct series crawls.
-    """
-    if c <= 0:
-        raise ValueError("c must be positive")
-    if z >= 1.0:
-        raise ValueError("z must be below 1")
-    if z == 0.0:
-        return 1.0
-    if z < 0.0:
-        return (1.0 - z) ** (-a) * _gauss_series(a, c - b, c, z / (z - 1.0))
-    if z <= 0.9:
-        return _gauss_series(a, b, c, z)
-    w = 1.0 - z
-    cab = c - a - b
-    if abs(cab - round(cab)) < 1e-9:
-        # degenerate connection coefficients; the direct series still converges
-        return _gauss_series(a, b, c, z)
-    head = _gamma_ratio([c, cab], [c - a, c - b]) * _gauss_series(a, b, a + b - c + 1.0, w)
-    tail = (
-        w ** cab
-        * _gamma_ratio([c, -cab], [a, b])
-        * _gauss_series(c - a, c - b, cab + 1.0, w)
-    )
-    return head + tail
-
-
-def _ber_quadrature(alpha: float, xi: float) -> float:
-    """Gamma-weighted tail integral in the scale-free variable x/xi,
-    used only as a fallback when the series path gives up."""
-
-    def integrand(t):
-        logpdf = (alpha - 1.0) * np.log(t) - t - special.gammaln(alpha)
-        return np.exp(logpdf) * q_function(np.sqrt(xi * t))
-
-    value, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
-    return value
-
-
 def analytic_ber(model: SinrGammaModel) -> float:
-    """Ergodic BER of a Gamma(alpha, xi) SINR under the Q(sqrt(x)) kernel."""
+    """Ergodic BER of a Gamma(alpha, xi) SINR under the Q(sqrt(x)) kernel.
+
+    E[Q(sqrt(X))] = 1/2 I_{2/(2+xi)}(alpha, 1/2), a regularised incomplete
+    beta function.  Q(sqrt(x)) = 1/2 P(Z > x) for an independent Z ~ chi2_1,
+    which is 2 G_b with G_b ~ Gamma(1/2, 1); with X = xi G_a the event
+    Z > X is G_a/(G_a + G_b) < 2/(2 + xi), and that ratio is
+    Beta(alpha, 1/2)-distributed.
+    """
     alpha, xi = model.alpha, model.xi
     if alpha <= 0 or xi < 0:
         raise ValueError("Gamma parameters must be positive")
-    if xi == 0.0:
-        return 0.5
-    z = (1.0 / xi) / (1.0 / xi + 0.5)
-    log_prefactor = (
-        special.gammaln(alpha + 0.5)
-        - special.gammaln(alpha)
-        - math.log(2.0)
-        - 0.5 * math.log(2.0 * math.pi)
-        - alpha * math.log(xi)
-        - math.log(alpha)
-        - (alpha + 0.5) * math.log(1.0 / xi + 0.5)
-    )
-    try:
-        value = math.exp(log_prefactor) * hyp2f1(1.0, alpha + 0.5, alpha + 1.0, z)
-    except SeriesDivergenceError:
-        log.info("hypergeometric series diverged at (alpha=%g, xi=%g); "
-                 "integrating the tail expression numerically", alpha, xi)
-        value = _ber_quadrature(alpha, xi)
-    return min(max(value, 0.0), 0.5)
+    return float(0.5 * special.betainc(alpha, 0.5, 2.0 / (2.0 + xi)))
 
 
 def ber_lower_bound(model: SinrGammaModel) -> float:
@@ -229,7 +144,6 @@ def gamma_model_for_ue(
     p_d: float,
 ) -> SinrGammaModel:
     """Convenience composition for UE ``k`` at a BS seeing gains ``betas``."""
-    betas = np.asarray(betas, dtype=float)
     rho_v = effective_rho(betas, p_t, tau_t, noise_power, p_d)
     bh = beta_hat(betas, p_t, tau_t, noise_power)
     mu, sigma2 = stieltjes_moments(n_antennas, rho_v * np.delete(bh, k))
@@ -243,27 +157,5 @@ def bpsk_detection_model(model: SinrGammaModel) -> SinrGammaModel:
     output noise, so the Q-argument variable is twice the complex-output
     SINR; scaling a Gamma variate by two doubles its scale parameter.
     """
-    return SinrGammaModel(
-        mu=model.mu,
-        sigma2=model.sigma2,
-        mean=2.0 * model.mean,
-        variance=4.0 * model.variance,
-        alpha=model.alpha,
-        xi=2.0 * model.xi,
-        rho_v=model.rho_v,
-        beta_hat=model.beta_hat,
-    )
-
-
-def analytic_bpsk_ber(
-    n_antennas: int,
-    betas,
-    k: int,
-    p_t: float,
-    tau_t: int,
-    noise_power: float,
-    p_d: float,
-) -> float:
-    """Predicted uplink BPSK BER of UE ``k`` after MMSE detection."""
-    model = gamma_model_for_ue(n_antennas, betas, k, p_t, tau_t, noise_power, p_d)
-    return analytic_ber(bpsk_detection_model(model))
+    return dataclasses.replace(
+        model, mean=2.0 * model.mean, variance=4.0 * model.variance, xi=2.0 * model.xi)

@@ -108,7 +108,7 @@ def _run_floor(cfg: SystemConfig, seed: int) -> int:
     if not len(assoc.decoupled):
         print("no decoupled UEs in this topology; nothing to report")
         return 0
-    bers = analytic_ber_vector(cfg, topo, assoc)
+    bers, _ = analytic_ber_vector(cfg, topo, assoc)
     rho_con = cfg.tau_t * cfg.p_train_mw / cfg.noise_power_mw
     print(f"data-power saturation limit of the DA SNR-like increment "
           f"(tau_d={cfg.tau_d}, P_T={cfg.p_train_dbm:g} dBm):")

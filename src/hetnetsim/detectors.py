@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from .ber_analytic import effective_rho
 from .phy import Observation, Phase, as_rng
 
 log = logging.getLogger(__name__)
@@ -167,9 +169,7 @@ def build_combiner(
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError("rank-deficient estimate matrix for ZF") from exc
     else:
-        betas = np.asarray(betas, dtype=float)
-        resid = np.sum(noise_power * betas / (noise_power + betas * p_t * tau_t))
-        reg = resid + noise_power / p_d
+        reg = 1.0 / effective_rho(betas, p_t, tau_t, noise_power, p_d)
         cov = est @ est.conj().T + reg * np.eye(n_ant)
         rows = np.linalg.solve(cov, est).conj().T
 
@@ -191,15 +191,11 @@ def detect(obs: Observation, combiner: Combiner, block: DataBlock, k: int):
     Returns (decoded bits, empirical BER) where BER counts bit flips against
     the transmitted payload in ``block``.
     """
-    if obs.phase is not Phase.DATA:
-        raise ValueError("detect needs a data-phase observation")
-    row = combiner.row_for(k)
-    out = combiner.c[row] @ obs.y
-    out = out / combiner.gain[row]
-    bits_hat, _ = _slice(out[None, :], block.modulation, block.power)
-    bits_hat = bits_hat[0]
-    ber = float(np.mean(bits_hat != block.bits[k]))
-    return bits_hat, ber
+    i = combiner.row_for(k)
+    single = dataclasses.replace(
+        combiner, c=combiner.c[i:i + 1], ue_indices=(k,), gain=combiner.gain[i:i + 1])
+    bits_hat, _, ber = detect_all(obs, single, block)
+    return bits_hat[0], float(ber[0])
 
 
 def detect_all(obs: Observation, combiner: Combiner, block: DataBlock):

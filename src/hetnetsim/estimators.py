@@ -27,13 +27,14 @@ class ChannelEstimate:
 
 @dataclass(frozen=True)
 class EstimateStats:
-    """Per-element variances of the MMSE estimate and of its error.
+    """Per-element variances of the MMSE estimate and of its error, for one
+    gain or elementwise for an array of gains.
 
     The two always sum to the channel gain beta (MMSE orthogonality).
     """
 
-    estimate_var: float
-    error_var: float
+    estimate_var: float | np.ndarray
+    error_var: float | np.ndarray
 
 
 def _require_training(obs: Observation):
@@ -53,9 +54,8 @@ def mmse_estimate_matrix(
     """Per-UE MMSE estimates for orthogonal pilots: a scalar shrinkage
     beta/(N0 + beta*tau_t*P_T) applied to the despread observation."""
     _require_training(obs)
-    betas = np.asarray(betas, dtype=float)
     despread = obs.y @ pilots.s.conj().T          # tau_t*P_T*g_k + N s_k^H per column
-    shrink = betas / (noise_power + betas * pilots.power * pilots.tau_t)
+    shrink = mmse_shrinkage(betas, pilots.power, pilots.tau_t, noise_power)
     return despread * shrink[None, :]
 
 
@@ -79,16 +79,30 @@ def mmse_estimate(
     ]
 
 
-def mmse_error_stats(beta: float, p_t: float, tau_t: int, noise_power: float) -> EstimateStats:
+def mmse_shrinkage(betas, p_t: float, tau_t: int, noise_power: float) -> np.ndarray:
+    """Scalar MMSE filter beta/(N0 + beta*P_T*tau_t) of each gain under
+    orthogonal pilots."""
+    betas = np.asarray(betas, dtype=float)
+    return betas / (noise_power + betas * p_t * tau_t)
+
+
+def mmse_error_stats(beta, p_t: float, tau_t: int, noise_power: float) -> EstimateStats:
+    """Estimate and error variances of the MMSE estimate of gain(s) beta.
+
+    Both are products with the shrinkage s: beta*P_T*tau_t*s for the
+    estimate and N0*s, the residual leakage, for the error.  Neither is taken
+    as beta minus the other, which cancels catastrophically for weak links.
+    """
+    beta = np.asarray(beta, dtype=float)
     energy = beta * p_t * tau_t
-    denom = noise_power + energy
-    if denom == 0.0:
-        # no pilot energy and no noise: degenerate, estimate is exactly zero
-        return EstimateStats(estimate_var=0.0, error_var=float(beta))
-    return EstimateStats(
-        estimate_var=beta * energy / denom,
-        error_var=noise_power * beta / denom,
-    )
+    if noise_power == 0.0:
+        # noiseless training: exact wherever the pilots carry energy, and
+        # exactly zero where they carry none
+        exact = energy > 0.0
+        return EstimateStats(estimate_var=np.where(exact, beta, 0.0)[()],
+                             error_var=np.where(exact, 0.0, beta)[()])
+    shrink = mmse_shrinkage(beta, p_t, tau_t, noise_power)
+    return EstimateStats(estimate_var=energy * shrink, error_var=noise_power * shrink)
 
 
 def analytic_nmse_pilot_only(

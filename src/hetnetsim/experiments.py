@@ -12,11 +12,13 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import enum
+import functools
 import json
 import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy import integrate, special
@@ -44,6 +46,14 @@ class Metric(str, enum.Enum):
     BER = "ber"
     NMSE = "nmse"
     RATE = "rate"
+
+
+# UE classes each metric reports
+_CLASSES = {
+    Metric.NMSE: ("decoupled", "mue"),
+    Metric.BER: ("decoupled",),
+    Metric.RATE: ("decoupled", "mue", "sue", "all"),
+}
 
 
 @dataclass(frozen=True)
@@ -78,6 +88,9 @@ class ExperimentSpec:
         for e in self.estimators:
             if e not in ESTIMATOR_CHOICES:
                 raise ValueError(f"unknown estimator {e!r}")
+        # build every point's config now, so a bad grid fails before any work
+        for value in self.sweep_values:
+            _apply_sweep(self.base, self.sweep_param, value)
 
 
 @dataclass(frozen=True)
@@ -112,6 +125,8 @@ class ResultTable:
 
 def _apply_sweep(base: SystemConfig, name: str, value) -> SystemConfig:
     if name in ("tau_t", "tau_d", "num_sbs", "num_ue", "mbs_antennas", "sbs_antennas"):
+        if not float(value).is_integer():
+            raise ValueError(f"{name} takes whole numbers, got {value!r}")
         value = int(value)
     return base.replace(**{name: value})
 
@@ -125,207 +140,188 @@ def _effective_ber_source(spec: ExperimentSpec) -> BerSource:
     return spec.ber_source
 
 
-def analytic_ber_vector(cfg: SystemConfig, topo, assoc) -> np.ndarray:
-    """Predicted uplink BER of every UE at its UL serving BS."""
-    bers = np.zeros(topo.num_ue)
-    for k in range(topo.num_ue):
-        v = int(assoc.ul_serving[k])
-        if v == 0:
-            bers[k] = ber_analytic.analytic_bpsk_ber(
-                cfg.mbs_antennas, topo.beta_mbs, k, cfg.p_train_mw, cfg.tau_t,
-                cfg.noise_power_mw, cfg.p_data_mw)
-        else:
-            bers[k] = ber_analytic.analytic_bpsk_ber(
-                cfg.sbs_antennas, topo.beta_sbs[v - 1], k, cfg.p_train_mw, cfg.tau_t,
-                cfg.noise_power_mw, cfg.p_data_mw)
-    return bers
-
-
-def _bs_view(cfg: SystemConfig, topo, channels, v: int):
-    """(channel matrix, betas, antenna count) of BS v; 0 is the MBS."""
+def _bs_gains(cfg: SystemConfig, topo, v: int):
+    """(antenna count, per-UE gains) of BS v; 0 is the MBS."""
     if v == 0:
-        return channels.h_mbs, topo.beta_mbs, cfg.mbs_antennas
-    return channels.g_sbs[v - 1], topo.beta_sbs[v - 1], cfg.sbs_antennas
+        return cfg.mbs_antennas, topo.beta_mbs
+    return cfg.sbs_antennas, topo.beta_sbs[v - 1]
+
+
+def analytic_ber_vector(cfg: SystemConfig, topo, assoc) -> tuple:
+    """Predicted uplink BPSK BER of every UE at its UL serving BS, and the
+    Jensen lower bound of each, from one Gamma model per UE."""
+    models = []
+    for k in range(topo.num_ue):
+        n_ant, betas = _bs_gains(cfg, topo, int(assoc.ul_serving[k]))
+        models.append(ber_analytic.bpsk_detection_model(ber_analytic.gamma_model_for_ue(
+            n_ant, betas, k, cfg.p_train_mw, cfg.tau_t, cfg.noise_power_mw, cfg.p_data_mw)))
+    return (np.array([ber_analytic.analytic_ber(m) for m in models]),
+            np.array([ber_analytic.ber_lower_bound(m) for m in models]))
+
+
+@dataclass(frozen=True)
+class _TopologyRun:
+    """What every trial of one topology shares; ``stream(t, *key)`` is a
+    substream of trial t."""
+
+    cfg: SystemConfig
+    topo: scenario.Topology
+    assoc: scenario.Association
+    pilots: phy.PilotMatrix
+    stream: Callable[..., np.random.Generator]
+
+
+def _listen(run: _TopologyRun, channels, block, listeners, t: int):
+    """Stage 1: pilot and data observations and MMSE estimates at each listener."""
+    n0 = run.cfg.noise_power_mw
+    train, data, est = {}, {}, {}
+    for v in sorted(listeners):
+        chan = channels.h_mbs if v == 0 else channels.g_sbs[v - 1]
+        train[v] = phy.observe(
+            chan, run.pilots.s, n0, run.stream(t, PH_NOISE_TRAIN, v), Phase.TRAINING)
+        data[v] = phy.observe(
+            chan, block.symbols, n0, run.stream(t, PH_NOISE_DATA, v), Phase.DATA)
+        est[v] = estimators.mmse_estimate_matrix(
+            train[v], run.pilots, _bs_gains(run.cfg, run.topo, v)[1], n0)
+    return train, data, est
+
+
+def _detect(run: _TopologyRun, est, data, block, ul_bs, scored, dets):
+    """Stage 2: detection at each UL serving BS, one combiner per (BS, kind).
+
+    Returns the MMSE decisions and each detector's per-UE empirical BER,
+    zero where a UE is not ``scored``.
+    """
+    cfg = run.cfg
+    x_hat = np.zeros((cfg.num_ue, cfg.tau_d), dtype=complex)
+    bers = {det: np.zeros(cfg.num_ue) for det in dets}
+    for v in ul_bs if cfg.tau_d else ():
+        at_v = run.assoc.ul_serving == v
+        served, mine = np.flatnonzero(at_v), np.flatnonzero(at_v & scored)
+        for det in dets:
+            # MMSE rows regularise with every UE's estimate; MRC and ZF see
+            # the served columns only
+            cols = None if det == "mmse" else served
+            comb = detectors.build_combiner(
+                CombinerKind(det), est[v] if cols is None else est[v][:, cols],
+                _bs_gains(cfg, run.topo, v)[1], cfg.p_train_mw, cfg.tau_t,
+                cfg.p_data_mw, cfg.noise_power_mw, ue_indices=cols)
+            _, symbols, ber = detectors.detect_all(data[v], comb, block)
+            rows = mine if cols is None else np.searchsorted(cols, mine)
+            bers[det][mine] = ber[rows]
+            if det == "mmse":
+                x_hat[mine] = symbols[rows]
+    return x_hat, bers
+
+
+def _downlink(run: _TopologyRun, channels, est, h_da, dl_sbs):
+    """Stage 4: per-UE downlink rate under pilot-only and data-aided ZF."""
+    cfg, assoc = run.cfg, run.assoc
+    precoders = {}
+    for v in dl_sbs:
+        idx = np.flatnonzero(assoc.dl_serving == v)
+        precoders[v] = downlink.zf_precode(est[v][:, idx], cfg.p_sbs_mw, ue_indices=idx)
+    mbs_idx = np.flatnonzero(assoc.dl_serving == 0)
+    rates = {}
+    for mode, h_est in (("po", est[0]), ("da", h_da)):
+        if len(mbs_idx):
+            precoders[0] = downlink.zf_precode(
+                h_est[:, mbs_idx], cfg.p_mbs_mw, ue_indices=mbs_idx)
+        rates[mode] = downlink.dl_rate(channels, precoders, assoc, cfg.noise_power_mw).rate
+    return rates
+
+
+def _fold(metric: Metric, acc: dict, labels) -> dict:
+    """Per-class values from the per-UE (numerator, denominator) sums."""
+    out = {}
+    for method, (num, den) in acc.items():
+        for cls in _CLASSES[metric]:
+            mask = ((labels == cls) | (cls == "all")) & (den > 0)
+            if not np.any(mask):
+                continue
+            if metric is Metric.NMSE:      # mean over UEs of each UE's NMSE in dB
+                value = np.mean(10.0 * np.log10(np.maximum(num[mask], 1e-300) / den[mask]))
+            else:                          # pooled over the class's UEs and trials
+                value = np.sum(num[mask]) / np.sum(den[mask])
+            out[(method, cls)] = float(value)
+    return out
 
 
 def _topology_metrics(spec: ExperimentSpec, sweep_value, topo_idx: int) -> dict:
-    """One topology's contribution: {(method, ue_class): value}."""
+    """One topology's contribution: {(method, ue_class): value}.
+
+    Every trial runs the same stages (training at each listening BS,
+    detection at the UL serving BSs, the data-aided solve at the MBS, the
+    downlink) and stops after the last one its metric needs.  Each method
+    sums a per-UE (numerator, denominator) pair over the trials.
+    """
     cfg = _apply_sweep(spec.base, spec.sweep_param, sweep_value)
-    seed = spec.master_seed
-    topo = scenario.build_topology(cfg, phy.stream(seed, topo_idx, PH_TOPOLOGY))
+    metric = spec.metric
+    topo = scenario.build_topology(cfg, phy.stream(spec.master_seed, topo_idx, PH_TOPOLOGY))
     assoc = scenario.associate(topo, cfg)
-    labels = scenario.ue_classes(assoc)
-    decoupled = assoc.decoupled
-    k_total = cfg.num_ue
-    n0 = cfg.noise_power_mw
-    p_t, p_d = cfg.p_train_mw, cfg.p_data_mw
-    pilots = phy.make_pilots(k_total, cfg.tau_t, p_t)
+    pilots = phy.make_pilots(cfg.num_ue, cfg.tau_t, cfg.p_train_mw)
+    run = _TopologyRun(cfg, topo, assoc, pilots,
+                       functools.partial(phy.stream, spec.master_seed, topo_idx))
     ber_source = _effective_ber_source(spec)
+    ones = np.ones(cfg.num_ue)
 
-    if spec.metric is Metric.BER:
-        ul_bs = sorted({int(assoc.ul_serving[k]) for k in decoupled})
-    else:
-        ul_bs = sorted({int(v) for v in assoc.ul_serving})
+    # the BER metric scores decoupled UEs only and never listens at the MBS
+    labels = scenario.ue_classes(assoc)
+    scored = labels == "decoupled" if metric is Metric.BER else ones > 0
+    ul_bs = sorted({int(v) for v in assoc.ul_serving[scored]})
     dl_sbs = sorted({int(b) for b in assoc.dl_serving if b != 0})
-    need_mbs = spec.metric is not Metric.BER
     listeners = set(ul_bs)
-    if need_mbs:
+    if metric is not Metric.BER:
         listeners.add(0)
-    if spec.metric is Metric.RATE:
+    if metric is Metric.RATE:
         listeners.update(dl_sbs)
+    dets = spec.detectors if metric is Metric.BER else ("mmse",)
 
-    analytic_bers = None
-    if ber_source is BerSource.ANALYTIC_PROP1 or spec.metric is Metric.BER:
-        if spec.modulation is Modulation.BPSK:
-            analytic_bers = analytic_ber_vector(cfg, topo, assoc)
+    analytic = None
+    if spec.modulation is Modulation.BPSK and (
+            metric is Metric.BER or ber_source is BerSource.ANALYTIC_PROP1):
+        analytic = analytic_ber_vector(cfg, topo, assoc)
 
-    nmse_num = {m: np.zeros(k_total) for m in spec.estimators}
-    nmse_den = np.zeros(k_total)
-    ber_err = {d: np.zeros(k_total) for d in spec.detectors}
-    ber_tot = {d: np.zeros(k_total) for d in spec.detectors}
-    rate_sum = {mode: {} for mode in ("po", "da")}
-    rate_cnt = {mode: {} for mode in ("po", "da")}
+    methods = {Metric.NMSE: spec.estimators, Metric.BER: spec.detectors,
+               Metric.RATE: ("po", "da")}[metric]
+    acc = {m: np.zeros((2, cfg.num_ue)) for m in methods}
+    if metric is Metric.BER and analytic is not None and "mmse" in spec.detectors:
+        acc["mmse-analytic"] = np.stack([analytic[0], ones])
+        acc["mmse-lower"] = np.stack([analytic[1], ones])
 
     for t in range(spec.trials):
-        channels = phy.draw_channels(topo, cfg, phy.stream(seed, topo_idx, t, PH_CHANNELS))
+        channels = phy.draw_channels(topo, cfg, run.stream(t, PH_CHANNELS))
         bits = detectors.random_bits(
-            k_total, cfg.tau_d, spec.modulation, phy.stream(seed, topo_idx, t, PH_BITS))
-        block = detectors.modulate(bits, spec.modulation, p_d)
-
-        # stage 1 + 2 observations at every BS that has to listen
-        train_obs, data_obs, est = {}, {}, {}
-        for v in sorted(listeners):
-            chan, betas_v, _ = _bs_view(cfg, topo, channels, v)
-            train_obs[v] = phy.observe(
-                chan, pilots.s, n0,
-                phy.stream(seed, topo_idx, t, PH_NOISE_TRAIN, v), Phase.TRAINING)
-            est[v] = estimators.mmse_estimate_matrix(train_obs[v], pilots, betas_v, n0)
-            if cfg.tau_d:
-                data_obs[v] = phy.observe(
-                    chan, block.symbols, n0,
-                    phy.stream(seed, topo_idx, t, PH_NOISE_DATA, v), Phase.DATA)
-
-        # uplink detection at each serving BS
-        x_hat = np.zeros((k_total, cfg.tau_d), dtype=complex)
-        emp_ber = np.zeros(k_total)
-        for v in ul_bs if cfg.tau_d else ():
-            _, betas_v, _ = _bs_view(cfg, topo, channels, v)
-            served = np.where(assoc.ul_serving == v)[0]
-            if spec.metric is Metric.BER:
-                served = np.intersect1d(served, decoupled)
-            if "mmse" in spec.detectors or spec.metric is not Metric.BER:
-                comb = detectors.build_combiner(
-                    CombinerKind.MMSE, est[v], betas_v, p_t, cfg.tau_t, p_d, n0)
-                bh, sh, bv = detectors.detect_all(data_obs[v], comb, block)
-                x_hat[served] = sh[served]
-                emp_ber[served] = bv[served]
-                if spec.metric is Metric.BER and "mmse" in spec.detectors:
-                    nbits = block.bits.shape[1]
-                    ber_err["mmse"][served] += bv[served] * nbits
-                    ber_tot["mmse"][served] += nbits
-            if spec.metric is Metric.BER:
-                for det in spec.detectors:
-                    if det == "mmse":
-                        continue
-                    for k in served:
-                        cols = [k] if det == "mrc" else list(
-                            np.where(assoc.ul_serving == v)[0])
-                        comb = detectors.build_combiner(
-                            CombinerKind(det), est[v][:, cols], betas_v,
-                            p_t, cfg.tau_t, p_d, n0, ue_indices=cols)
-                        _, ber_k = detectors.detect(data_obs[v], comb, block, k)
-                        ber_err[det][k] += ber_k * block.bits.shape[1]
-                        ber_tot[det][k] += block.bits.shape[1]
-
-        if spec.metric is Metric.BER:
+            cfg.num_ue, cfg.tau_d, spec.modulation, run.stream(t, PH_BITS))
+        block = detectors.modulate(bits, spec.modulation, cfg.p_data_mw)
+        train, data, est = _listen(run, channels, block, listeners, t)
+        x_hat, emp_bers = _detect(run, est, data, block, ul_bs, scored, dets)
+        if metric is Metric.BER:
+            nbits = block.bits.shape[1]
+            for det, ber in emp_bers.items():
+                acc[det] += (ber * nbits, scored * nbits)
             continue
-
-        # stage 3: data-aided estimation at the MBS
+        # stage 3: data-aided solve at the MBS from the decoded side info
         if ber_source is BerSource.ZERO_ERROR:
-            side = data_aided.DecodedSideInfo(
-                x_hat=block.symbols, ber=np.zeros(k_total),
-                source=ber_source, power=p_d)
-        elif ber_source is BerSource.ANALYTIC_PROP1:
-            side = data_aided.DecodedSideInfo(
-                x_hat=x_hat, ber=analytic_bers, source=ber_source, power=p_d)
+            x_hat, side_ber = block.symbols, 0.0 * ones
         else:
-            side = data_aided.DecodedSideInfo(
-                x_hat=x_hat, ber=emp_ber, source=ber_source, power=p_d)
-
-        if cfg.tau_d:
-            joint = phy.joint_observation(train_obs[0], data_obs[0])
-        else:
-            joint = phy.Observation(y=train_obs[0].y, phase=Phase.JOINT, noise_power=n0)
-        h_da = data_aided.da_estimate_matrix(joint, pilots, side, topo.beta_mbs, n0)
-
-        if spec.metric is Metric.NMSE:
+            side_ber = analytic[0] if ber_source is BerSource.ANALYTIC_PROP1 else emp_bers["mmse"]
+        side = data_aided.DecodedSideInfo(
+            x_hat=x_hat, ber=side_ber, source=ber_source, power=cfg.p_data_mw)
+        h_da = data_aided.da_estimate_matrix(phy.joint_observation(train[0], data[0]),
+                                             pilots, side, topo.beta_mbs, cfg.noise_power_mw)
+        if metric is Metric.NMSE:
             truth = channels.h_mbs
-            nmse_den += np.sum(np.abs(truth) ** 2, axis=0)
+            power = np.sum(np.abs(truth) ** 2, axis=0)
             for m in spec.estimators:
-                if m == "ls":
-                    h_est = estimators.ls_estimate_matrix(train_obs[0], pilots)
-                elif m == "mmse":
-                    h_est = est[0]
-                else:
-                    h_est = h_da
-                nmse_num[m] += np.sum(np.abs(h_est - truth) ** 2, axis=0)
+                h_est = (est[0] if m == "mmse" else h_da if m == "da"
+                         else estimators.ls_estimate_matrix(train[0], run.pilots))
+                acc[m] += (np.sum(np.abs(h_est - truth) ** 2, axis=0), power)
             continue
+        for mode, rate in _downlink(run, channels, est, h_da, dl_sbs).items():
+            acc[mode] += (rate, ones)
 
-        # downlink: ZF precoding from pilot-only vs data-aided estimates
-        sbs_precoders = {}
-        for v in dl_sbs:
-            idx = np.where(assoc.dl_serving == v)[0]
-            sbs_precoders[v] = downlink.zf_precode(
-                est[v][:, idx], cfg.p_sbs_mw, ue_indices=idx)
-        mbs_idx = np.where(assoc.dl_serving == 0)[0]
-        for mode, h_est in (("po", est[0]), ("da", h_da)):
-            precoders = dict(sbs_precoders)
-            if len(mbs_idx):
-                precoders[0] = downlink.zf_precode(
-                    h_est[:, mbs_idx], cfg.p_mbs_mw, ue_indices=mbs_idx)
-            rates = downlink.dl_rate(channels, precoders, assoc, n0)
-            for cls in ("decoupled", "mue", "sue", "all"):
-                mask = labels == cls if cls != "all" else np.ones(k_total, bool)
-                if not np.any(mask):
-                    continue
-                rate_sum[mode][cls] = rate_sum[mode].get(cls, 0.0) + float(
-                    np.sum(rates.rate[mask]))
-                rate_cnt[mode][cls] = rate_cnt[mode].get(cls, 0) + int(np.sum(mask))
-
-    # fold trial accumulators into per-topology values
-    out = {}
-    if spec.metric is Metric.NMSE:
-        for m in spec.estimators:
-            for cls in ("decoupled", "mue"):
-                idx = np.where(labels == cls)[0]
-                idx = idx[nmse_den[idx] > 0] if len(idx) else idx
-                if not len(idx):
-                    continue
-                per_ue_db = 10.0 * np.log10(
-                    np.maximum(nmse_num[m][idx], 1e-300) / nmse_den[idx])
-                out[(m, cls)] = float(np.mean(per_ue_db))
-    elif spec.metric is Metric.BER:
-        for det in spec.detectors:
-            tot = float(np.sum(ber_tot[det][decoupled])) if len(decoupled) else 0.0
-            if tot > 0:
-                out[(det, "decoupled")] = float(
-                    np.sum(ber_err[det][decoupled]) / tot)
-        if analytic_bers is not None and "mmse" in spec.detectors and len(decoupled):
-            out[("mmse-analytic", "decoupled")] = float(
-                np.mean(analytic_bers[decoupled]))
-            lows = [
-                ber_analytic.ber_lower_bound(ber_analytic.bpsk_detection_model(
-                    ber_analytic.gamma_model_for_ue(
-                        cfg.sbs_antennas, topo.beta_sbs[int(assoc.ul_serving[k]) - 1],
-                        k, p_t, cfg.tau_t, n0, p_d)))
-                for k in decoupled
-            ]
-            out[("mmse-lower", "decoupled")] = float(np.mean(lows))
-    else:
-        for mode in ("po", "da"):
-            for cls, total in rate_sum[mode].items():
-                out[(mode, cls)] = total / rate_cnt[mode][cls]
-    return out
+    return _fold(metric, acc, labels)
 
 
 def _worker(args):
@@ -422,9 +418,20 @@ def read_csv(path) -> ResultTable:
     return ResultTable(rows=tuple(rows))
 
 
+ORACLE_EPSREL = 1e-11      # the oracle's relative error target
+_ORACLE_TAIL = 1e-16       # Gamma mass left out above and (times the bound) below
+
+
 def oracle_ber_numeric(alpha: float, xi: float) -> float:
     """Adaptive quadrature of the Gamma-weighted Gaussian tail integral;
-    the independent cross-check for the hypergeometric closed form."""
+    the independent cross-check for the incomplete-beta closed form.
+
+    It integrates between Gamma quantiles with a break at the peak t = alpha,
+    so QUADPACK cannot step over the narrow mass of a large shape.  The
+    kernel is at most 1/2 below the range and at most the Jensen bound
+    Q(sqrt(alpha*xi)) above it, so the cut costs under _ORACLE_TAIL of a
+    result that is never below the bound; a result below it raises.
+    """
     if alpha <= 0 or xi < 0:
         raise ValueError("Gamma parameters must be positive")
     if xi == 0.0:
@@ -435,10 +442,17 @@ def oracle_ber_numeric(alpha: float, xi: float) -> float:
         log_pdf = (alpha - 1.0) * np.log(t) - t - special.gammaln(alpha)
         return np.exp(log_pdf) * ber_analytic.q_function(np.sqrt(xi * t))
 
-    value, err = integrate.quad(
-        integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
-    if not math.isfinite(value) or err > max(1e-10, 1e-6 * abs(value)):
+    bound = float(ber_analytic.q_function(math.sqrt(alpha * xi)))
+    lo = special.gammaincinv(alpha, _ORACLE_TAIL * bound)
+    hi = special.gammainccinv(alpha, _ORACLE_TAIL)    # 1 - tail would round to 1
+    value, err = integrate.quad(integrand, lo, hi, points=[alpha], epsabs=0.0,
+                                epsrel=ORACLE_EPSREL, limit=400)
+    if not math.isfinite(value) or err > 1e-6 * abs(value):
         raise RuntimeError(f"quadrature failed at alpha={alpha}, xi={xi} (err={err})")
+    if value < bound:
+        raise RuntimeError(
+            f"quadrature gave {value:.3e} at alpha={alpha}, xi={xi}, "
+            f"below the Jensen bound {bound:.3e}")
     return float(value)
 
 

@@ -178,20 +178,22 @@ def _uniform_disc(rng: np.random.Generator, n: int, radius: float) -> np.ndarray
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
 
 
+def _path_gains(sbs: np.ndarray, ue: np.ndarray, model: PathLossModel, alpha: float):
+    """(K,) UE->MBS and (S, K) UE->SBS gains of a placement under ``model``."""
+    d_mbs = np.maximum(np.linalg.norm(ue, axis=1), MIN_DISTANCE_M)
+    d_sbs = np.maximum(np.linalg.norm(sbs[:, None, :] - ue[None, :, :], axis=2),
+                       MIN_DISTANCE_M)
+    return (path_loss(d_mbs, model, Link.MBS_UE, alpha),
+            path_loss(d_sbs, model, Link.SBS_UE, alpha))
+
+
 def topology_from_positions(
     config: SystemConfig, sbs_positions, ue_positions
 ) -> Topology:
     """Build a Topology from explicit placements (gains recomputed)."""
     sbs = np.atleast_2d(np.asarray(sbs_positions, dtype=float)).reshape(-1, 2)
     ue = np.atleast_2d(np.asarray(ue_positions, dtype=float)).reshape(-1, 2)
-    d_mbs = np.maximum(np.linalg.norm(ue, axis=1), MIN_DISTANCE_M)
-    beta_mbs = path_loss(d_mbs, config.pathloss_model, Link.MBS_UE, config.alpha)
-    if len(sbs):
-        d_sbs = np.linalg.norm(sbs[:, None, :] - ue[None, :, :], axis=2)
-        d_sbs = np.maximum(d_sbs, MIN_DISTANCE_M)
-        beta_sbs = path_loss(d_sbs, config.pathloss_model, Link.SBS_UE, config.alpha)
-    else:
-        beta_sbs = np.zeros((0, len(ue)))
+    beta_mbs, beta_sbs = _path_gains(sbs, ue, config.pathloss_model, config.alpha)
     return Topology(
         mbs_position=np.zeros(2),
         sbs_positions=sbs,
@@ -225,16 +227,9 @@ def associate(topology: Topology, config: SystemConfig) -> Association:
     under the single-slope model the two coincide exactly.
     """
     m, n = config.mbs_antennas, config.sbs_antennas
-    d_mbs = np.maximum(np.linalg.norm(topology.ue_positions, axis=1), MIN_DISTANCE_M)
-    gain_mbs = path_loss(d_mbs, PathLossModel.SIMPLE_NLOS, Link.MBS_UE, config.alpha)
-    if topology.num_sbs:
-        d_sbs = np.linalg.norm(
-            topology.sbs_positions[:, None, :] - topology.ue_positions[None, :, :],
-            axis=2)
-        d_sbs = np.maximum(d_sbs, MIN_DISTANCE_M)
-        gain_sbs = path_loss(d_sbs, PathLossModel.SIMPLE_NLOS, Link.SBS_UE, config.alpha)
-    else:
-        gain_sbs = np.zeros((0, topology.num_ue))
+    gain_mbs, gain_sbs = _path_gains(
+        topology.sbs_positions, topology.ue_positions, PathLossModel.SIMPLE_NLOS,
+        config.alpha)
     dl_metric = np.vstack(
         [m * config.p_mbs_mw * gain_mbs[None, :], n * config.p_sbs_mw * gain_sbs]
     )

@@ -13,7 +13,6 @@ from hetnetsim.ber_analytic import (
     bpsk_detection_model,
     effective_rho,
     gamma_model_for_ue,
-    hyp2f1,
     q_function,
     sinr_gamma_params,
     stieltjes_moments,
@@ -123,46 +122,6 @@ def test_gamma_mean_identity(n, rb, mu):
 def test_gamma_params_reject_bad_moments():
     with pytest.raises(ValueError):
         sinr_gamma_params(8, 1.0, 1.0, 1.5, 1.0)
-
-
-def test_hyp2f1_series_head():
-    assert hyp2f1(0.7, 1.3, 2.9, 0.0) == 1.0
-
-
-def test_hyp2f1_geometric_identity():
-    assert hyp2f1(1.0, 2.7, 2.7, 0.5) == pytest.approx(2.0, rel=1e-14)
-
-
-def test_hyp2f1_against_reference_series():
-    # frozen oracle: 200-term direct summation at an easy argument
-    a, b, c, z = 1.0, 2.5, 3.5, 0.3
-    term, ref = 1.0, 1.0
-    for n in range(200):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        ref += term
-    assert hyp2f1(a, b, c, z) == pytest.approx(ref, rel=1e-12)
-
-
-def test_hyp2f1_connection_formula_region():
-    from scipy import special
-
-    for z in (0.91, 0.97, 0.995):
-        ours = hyp2f1(1.0, 8.5, 9.0, z)
-        assert ours == pytest.approx(float(special.hyp2f1(1.0, 8.5, 9.0, z)), rel=1e-10)
-
-
-def test_hyp2f1_negative_argument_pfaff():
-    from scipy import special
-
-    assert hyp2f1(1.0, 2.0, 3.0, -5.0) == pytest.approx(
-        float(special.hyp2f1(1.0, 2.0, 3.0, -5.0)), rel=1e-12)
-
-
-def test_hyp2f1_domain_errors():
-    with pytest.raises(ValueError):
-        hyp2f1(1.0, 1.0, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        hyp2f1(1.0, 1.0, 2.0, 1.0)
 
 
 def test_analytic_ber_exponential_closed_form():

@@ -128,6 +128,17 @@ def test_mmse_stats_sum_to_beta(beta, p_t, tau_t, n0):
     assert stats.estimate_var >= 0 and stats.error_var >= 0
 
 
+def test_mmse_stats_weak_link_keeps_relative_accuracy():
+    # beta*P_T*tau_t is 1e-14 of N0: beta minus the error variance would
+    # lose every digit of the estimate variance
+    beta, p_t, tau_t, n0 = 1e-13, 1e-3, 10, 1.0
+    stats = mmse_error_stats(np.array([beta, 1.0]), p_t, tau_t, n0)
+    expected = beta ** 2 * p_t * tau_t / (n0 + beta * p_t * tau_t)
+    assert stats.estimate_var[0] == pytest.approx(expected, rel=1e-12)
+    assert stats.estimate_var[1] == pytest.approx(
+        mmse_error_stats(1.0, p_t, tau_t, n0).estimate_var, rel=1e-15)
+
+
 def test_mmse_estimate_error_orthogonality():
     rng = np.random.default_rng(7)
     cross, scale = 0.0, 0.0

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hetnetsim import estimators
+from hetnetsim import estimators, experiments
+from hetnetsim.ber_analytic import SinrGammaModel, analytic_ber, ber_lower_bound
 from hetnetsim.data_aided import BerSource
 from hetnetsim.detectors import Modulation
 from hetnetsim.experiments import (
     CSV_HEADER,
+    ORACLE_EPSREL,
     ExperimentSpec,
     Metric,
     ResultTable,
@@ -46,6 +48,21 @@ def test_spec_validation():
         _tiny_spec(trials=0)
     with pytest.raises(ValueError, match="detector"):
         _tiny_spec(detectors=("mrc", "foo"))
+
+
+def test_spec_rejects_a_grid_point_with_an_invalid_config():
+    # the third point breaks pilot orthogonality (tau_t=30 < num_ue=40)
+    with pytest.raises(ValueError, match="num_ue=40"):
+        _tiny_spec(base=desk_config(tau_t=30), sweep_param="num_ue",
+                   sweep_values=(10, 20, 40))
+
+
+def test_spec_rejects_fractional_integer_sweep_values():
+    with pytest.raises(ValueError, match="whole numbers"):
+        _tiny_spec(sweep_param="tau_d", sweep_values=(2.7,))
+    with pytest.raises(ValueError, match="whole numbers"):
+        _tiny_spec(sweep_param="tau_d", sweep_values=(math.inf,))
+    assert _tiny_spec(sweep_param="tau_d", sweep_values=(2.0, 4.0)).sweep_values == (2.0, 4.0)
 
 
 def test_run_sweep_deterministic():
@@ -163,6 +180,32 @@ def test_oracle_ber_numeric_closed_form_point():
 def test_oracle_ber_numeric_zero_snr():
     assert oracle_ber_numeric(2.0, 0.0) == 0.5
     assert oracle_ber_numeric(2.0, 1e-9) == pytest.approx(0.5, abs=1e-3)
+
+
+# up to the full-scale MBS regime (alpha about 241) and beyond
+_ORACLE_ALPHAS = (0.5, 2.0, 8.0, 30.0, 120.0, 241.03, 250.0, 1000.0)
+_ORACLE_XIS = (0.01, 0.05, 0.184, 1.0)
+
+
+@pytest.mark.parametrize("alpha", _ORACLE_ALPHAS)
+@pytest.mark.parametrize("xi", _ORACLE_XIS)
+def test_closed_form_ber_matches_quadrature_oracle(alpha, xi):
+    # the oracle's relative error target is ORACLE_EPSREL; a tenfold margin
+    # still catches the tens-of-orders misses a Gamma peak can cause
+    model = SinrGammaModel(mu=1.0, sigma2=1.0, mean=alpha * xi,
+                           variance=alpha * xi * xi, alpha=alpha, xi=xi,
+                           rho_v=1.0, beta_hat=1.0)
+    closed = analytic_ber(model)
+    assert closed == pytest.approx(oracle_ber_numeric(alpha, xi), rel=10 * ORACLE_EPSREL)
+    assert closed >= ber_lower_bound(model)
+
+
+def test_oracle_raises_below_the_jensen_bound(monkeypatch):
+    # a quadrature that misses the Gamma peak returns a tiny value with a
+    # tiny error estimate; the oracle must not pass it on
+    monkeypatch.setattr(experiments.integrate, "quad", lambda *a, **k: (4.3e-32, 1e-40))
+    with pytest.raises(RuntimeError, match="Jensen bound"):
+        oracle_ber_numeric(250.0, 0.05)
 
 
 def test_split_config_rejects_unknown_keys():
