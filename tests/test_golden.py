@@ -1,7 +1,9 @@
 """Pinned per-topology output of the trial pipeline at desk scale.
 
 The values were recorded with master seed 1 on ``desk_config()``.  Each
-spec runs three trials on topologies 0 and 1.  A refactor of the trial
+spec runs three trials on topologies 0 and 1.  The 4-QAM and 16-QAM cases
+pin the slicer's decisions and bit mapping, which the BPSK-only benchmark
+references do not reach.  A refactor of the trial
 stages must reproduce them to REL_TOL: the random draws are keyed by
 (topology, trial, phase, BS) substreams, so only floating-point round-off
 may move them.
@@ -11,6 +13,7 @@ import pytest
 
 from hetnetsim import desk_config
 from hetnetsim.data_aided import BerSource
+from hetnetsim.detectors import Modulation
 from hetnetsim.experiments import ExperimentSpec, Metric, _topology_metrics
 
 REL_TOL = 1e-9
@@ -22,6 +25,10 @@ SPECS = {
                 detectors=("mrc", "zf", "mmse"), ber_source=BerSource.ANALYTIC_PROP1),
     "rate": dict(sweep_param="p_data_dbm", sweep_values=(23.0,), metric=Metric.RATE,
                  ber_source=BerSource.EMPIRICAL_ORACLE),
+    **{f"ber_{mod.value}": dict(sweep_param="p_data_dbm", sweep_values=(13.0,),
+                                metric=Metric.BER, detectors=("mrc", "zf", "mmse"),
+                                modulation=mod, ber_source=BerSource.EMPIRICAL_ORACLE)
+       for mod in (Modulation.QAM4, Modulation.QAM16)},
 }
 
 GOLDEN = {
@@ -54,6 +61,26 @@ GOLDEN = {
         ("mmse-lower", "decoupled"): 3.5073725988736843e-07,
         ("mrc", "decoupled"): 0.10416666666666667,
         ("zf", "decoupled"): 0.0107421875,
+    },
+    ("ber_qam4", 0): {
+        ("mmse", "decoupled"): 0.001953125,
+        ("mrc", "decoupled"): 0.06787109375,
+        ("zf", "decoupled"): 0.046875,
+    },
+    ("ber_qam4", 1): {
+        ("mmse", "decoupled"): 0.00146484375,
+        ("mrc", "decoupled"): 0.08333333333333333,
+        ("zf", "decoupled"): 0.02685546875,
+    },
+    ("ber_qam16", 0): {
+        ("mmse", "decoupled"): 0.021077473958333332,
+        ("mrc", "decoupled"): 0.13037109375,
+        ("zf", "decoupled"): 0.10538736979166667,
+    },
+    ("ber_qam16", 1): {
+        ("mmse", "decoupled"): 0.010172526041666666,
+        ("mrc", "decoupled"): 0.1123046875,
+        ("zf", "decoupled"): 0.042236328125,
     },
     ("rate", 0): {
         ("da", "all"): 12.503404309565475,
