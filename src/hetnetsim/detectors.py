@@ -80,12 +80,14 @@ class Combiner:
     ``gain[i]`` is the row's response to its own estimated channel; detect
     divides it out before slicing so amplitude-coded constellations are not
     hurt by the MMSE bias (a positive real factor, harmless for BPSK/QAM4).
+    A stacked combiner, one per BS along a leading axis, shares one
+    ``ue_indices`` tuple or holds one tuple per BS.
     """
 
-    c: np.ndarray                      # (n, antennas)
+    c: np.ndarray                      # ([BS,] n, antennas)
     kind: CombinerKind
     ue_indices: tuple
-    gain: np.ndarray                   # (n,) complex
+    gain: np.ndarray                   # ([BS,] n) complex
 
     def row_for(self, k: int) -> int:
         try:
@@ -141,10 +143,12 @@ def build_combiner(
     ``estimates`` holds one column per covered UE.  MRC/ZF expect only the
     UEs served by this BS; the MMSE rows regularise with the full residual
     interference level, so ``betas`` must list every co-channel UE's gain.
+    A leading BS axis, (B, antennas, n) estimates with (B, K) ``betas``,
+    builds B combiners at once; ``c`` and ``gain`` then carry that axis.
     """
     kind = CombinerKind(kind)
     est = np.asarray(estimates)
-    n_ant, n_ue = est.shape
+    n_ant, n_ue = est.shape[-2:]
     if ue_indices is None:
         ue_indices = tuple(range(n_ue))
     else:
@@ -157,31 +161,52 @@ def build_combiner(
         )
         kind = CombinerKind.MMSE
 
+    est_h = est.conj().swapaxes(-1, -2)
     if kind is CombinerKind.MRC:
-        norms = np.sum(np.abs(est) ** 2, axis=0)
+        norms = np.sum(np.abs(est) ** 2, axis=-2)
         if np.any(norms == 0):
             raise ValueError("MRC needs non-zero channel estimates")
-        rows = (est / norms[None, :]).conj().T
+        rows = est_h / norms[..., None]
     elif kind is CombinerKind.ZF:
-        gram = est.conj().T @ est
         try:
-            rows = np.linalg.solve(gram, est.conj().T)
+            rows = np.linalg.solve(est_h @ est, est_h)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError("rank-deficient estimate matrix for ZF") from exc
     else:
-        reg = 1.0 / effective_rho(betas, p_t, tau_t, noise_power, p_d)
-        cov = est @ est.conj().T + reg * np.eye(n_ant)
-        rows = np.linalg.solve(cov, est).conj().T
+        reg = 1.0 / np.asarray(effective_rho(betas, p_t, tau_t, noise_power, p_d))
+        # rows G^H (G G^H + r I)^-1 = (G^H G + r I)^-1 G^H: solve in the
+        # smaller of the two dimensions
+        if n_ue < n_ant:
+            rows = np.linalg.solve(est_h @ est + reg[..., None, None] * np.eye(n_ue), est_h)
+        else:
+            cov = est @ est_h + reg[..., None, None] * np.eye(n_ant)
+            rows = np.linalg.solve(cov, est).conj().swapaxes(-1, -2)
 
-    gain = np.einsum("ij,ji->i", rows, est)
+    gain = np.einsum("...ij,...ji->...i", rows, est)
     return Combiner(c=rows, kind=kind, ue_indices=ue_indices, gain=gain)
 
 
+# decision edges of the 16-QAM levels {-3, -1, 1, 3} per axis, before scaling
+_QAM16_EDGES = np.array([-2.0, 0.0, 2.0])
+
+
 def _slice(symbols: np.ndarray, scheme: Modulation, p_d: float):
-    """Nearest-point decisions; returns (bits, constellation symbols)."""
+    """Nearest-point decisions; returns (bits, constellation symbols).
+
+    Each axis is decided on its own against the midpoints between its
+    levels.  A symbol on a boundary goes to the constellation point listed
+    first, as an argmin over the constellation would break the tie.
+    """
     points, table = _constellation(scheme, p_d)
-    idx = np.argmin(np.abs(symbols[..., None] - points[None, None, :]) ** 2, axis=-1)
-    bits = table[idx].reshape(idx.shape[0], -1)
+    re, im = symbols.real, symbols.imag
+    if scheme is Modulation.BPSK:               # points +a, -a
+        idx = (re < 0).astype(int)
+    elif scheme is Modulation.QAM4:             # I sign major, Q sign minor, + first
+        idx = 2 * (re < 0) + (im < 0)
+    else:                                       # I level major, Q level minor, ascending
+        edges = np.sqrt(p_d / 10.0) * _QAM16_EDGES
+        idx = 4 * np.searchsorted(edges, re) + np.searchsorted(edges, im)
+    bits = table[idx].reshape(*idx.shape[:-1], -1)
     return bits, points[idx]
 
 
@@ -202,14 +227,15 @@ def detect_all(obs: Observation, combiner: Combiner, block: DataBlock):
     """Vectorised detect over every UE the combiner covers.
 
     Returns (bits matrix, decoded symbol matrix, per-UE BER) aligned with
-    ``combiner.ue_indices``.
+    ``combiner.ue_indices``.  A stacked combiner and observation, one per
+    BS along a leading axis, give stacked results.
     """
     if obs.phase is not Phase.DATA:
         raise ValueError("detect needs a data-phase observation")
-    out = (combiner.c @ obs.y) / combiner.gain[:, None]
+    out = (combiner.c @ obs.y) / combiner.gain[..., None]
     bits_hat, symbols_hat = _slice(out, block.modulation, block.power)
-    truth = block.bits[list(combiner.ue_indices)]
-    ber = np.mean(bits_hat != truth, axis=1)
+    truth = block.bits[np.asarray(combiner.ue_indices, dtype=int)]
+    ber = np.mean(bits_hat != truth, axis=-1)
     return bits_hat, symbols_hat, ber
 
 

@@ -54,13 +54,6 @@ def zf_precode(estimates: np.ndarray, power: float, ue_indices=None) -> Precoder
     return Precoder(w=w, power=float(power), ue_indices=tuple(int(i) for i in ue_indices))
 
 
-def _channel_row(channels: ChannelSet, bs: int, k: int) -> np.ndarray:
-    """Conjugate downlink row of UE k from BS ``bs`` (0 = MBS, s+1 = SBS s)."""
-    if bs == 0:
-        return channels.h_mbs[:, k].conj()
-    return channels.g_sbs[bs - 1][:, k].conj()
-
-
 def dl_rate(
     channels: ChannelSet,
     precoders: Mapping[int, Precoder],
@@ -73,20 +66,18 @@ def dl_rate(
     stream is the serving BS's column for that UE.
     """
     k_total = channels.h_mbs.shape[1]
-    sinr = np.zeros(k_total)
-    for k in range(k_total):
-        serving = int(assoc.dl_serving[k])
-        desired = 0.0
-        interference = 0.0
-        for bs, pre in precoders.items():
-            row = _channel_row(channels, bs, k)
-            powers = np.abs(row @ pre.w) ** 2
-            for col, ue in enumerate(pre.ue_indices):
-                if bs == serving and ue == k:
-                    desired = powers[col]
-                else:
-                    interference += powers[col]
-        sinr[k] = desired / (interference + noise_power)
+    desired = np.zeros(k_total)
+    interference = np.zeros(k_total)
+    for bs, pre in precoders.items():
+        chan = channels.h_mbs if bs == 0 else channels.g_sbs[bs - 1]
+        powers = np.abs(chan.conj().T @ pre.w) ** 2          # (K, streams)
+        cols = np.arange(len(pre.ue_indices))
+        ues = np.asarray(pre.ue_indices, dtype=int)
+        own = assoc.dl_serving[ues] == bs
+        desired[ues[own]] = powers[ues[own], cols[own]]
+        powers[ues[own], cols[own]] = 0.0
+        interference += np.sum(powers, axis=1)
+    sinr = desired / (interference + noise_power)
     rate = np.log2(1.0 + sinr)
     labels = ue_classes(assoc)
     per_class = {"all": float(np.mean(rate))}

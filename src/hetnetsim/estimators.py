@@ -52,11 +52,15 @@ def mmse_estimate_matrix(
     obs: Observation, pilots: PilotMatrix, betas, noise_power: float
 ) -> np.ndarray:
     """Per-UE MMSE estimates for orthogonal pilots: a scalar shrinkage
-    beta/(N0 + beta*tau_t*P_T) applied to the despread observation."""
+    beta/(N0 + beta*tau_t*P_T) applied to the despread observation.
+
+    A stacked observation (B, antennas, tau_t) takes one row of ``betas``
+    per BS, (B, K), and gives (B, antennas, K).
+    """
     _require_training(obs)
     despread = obs.y @ pilots.s.conj().T          # tau_t*P_T*g_k + N s_k^H per column
     shrink = mmse_shrinkage(betas, pilots.power, pilots.tau_t, noise_power)
-    return despread * shrink[None, :]
+    return despread * shrink[..., None, :]
 
 
 def ls_estimate(obs: Observation, pilots: PilotMatrix, k: int) -> ChannelEstimate:

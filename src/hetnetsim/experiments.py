@@ -73,8 +73,14 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.sweep_values:
             raise ValueError("sweep value list must be non-empty")
-        if list(self.sweep_values) != sorted(self.sweep_values):
-            raise ValueError("sweep values must be sorted")
+        values = list(self.sweep_values)
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValueError("sweep values must be sorted and distinct")
+        for name in ("trials", "topologies"):
+            count = getattr(self, name)
+            if not isinstance(count, (int, float, np.integer)) or not float(count).is_integer():
+                raise ValueError(f"{name} takes whole numbers, got {count!r}")
+            object.__setattr__(self, name, int(count))
         if self.trials < 1 or self.topologies < 1:
             raise ValueError("trials and topologies must be >= 1")
         if self.sweep_param not in {f.name for f in dataclasses.fields(SystemConfig)}:
@@ -140,23 +146,27 @@ def _effective_ber_source(spec: ExperimentSpec) -> BerSource:
     return spec.ber_source
 
 
-def _bs_gains(cfg: SystemConfig, topo, v: int):
-    """(antenna count, per-UE gains) of BS v; 0 is the MBS."""
-    if v == 0:
-        return cfg.mbs_antennas, topo.beta_mbs
-    return cfg.sbs_antennas, topo.beta_sbs[v - 1]
+def _bs_betas(topo) -> np.ndarray:
+    """Per-UE gains of every BS, one row each; row 0 is the MBS."""
+    return np.vstack([topo.beta_mbs, topo.beta_sbs])
 
 
 def analytic_ber_vector(cfg: SystemConfig, topo, assoc) -> tuple:
     """Predicted uplink BPSK BER of every UE at its UL serving BS, and the
-    Jensen lower bound of each, from one Gamma model per UE."""
-    models = []
-    for k in range(topo.num_ue):
-        n_ant, betas = _bs_gains(cfg, topo, int(assoc.ul_serving[k]))
-        models.append(ber_analytic.bpsk_detection_model(ber_analytic.gamma_model_for_ue(
-            n_ant, betas, k, cfg.p_train_mw, cfg.tau_t, cfg.noise_power_mw, cfg.p_data_mw)))
-    return (np.array([ber_analytic.analytic_ber(m) for m in models]),
-            np.array([ber_analytic.ber_lower_bound(m) for m in models]))
+    Jensen lower bound of each.
+
+    effective_rho and beta_hat are taken once per BS; one fixed point solve
+    then covers every UE, each row seeing its serving BS's gains.
+    """
+    betas = _bs_betas(topo)
+    args = (cfg.p_train_mw, cfg.tau_t, cfg.noise_power_mw)
+    rho = ber_analytic.effective_rho(betas, *args, cfg.p_data_mw)
+    bh = ber_analytic.beta_hat(betas, *args)
+    v = assoc.ul_serving
+    n_ant = np.where(v == 0, cfg.mbs_antennas, cfg.sbs_antennas)
+    model = ber_analytic.bpsk_detection_model(
+        ber_analytic.sinr_gamma_models(n_ant, rho[v], bh[v], np.arange(topo.num_ue)))
+    return ber_analytic.analytic_ber(model), ber_analytic.ber_lower_bound(model)
 
 
 @dataclass(frozen=True)
@@ -165,58 +175,102 @@ class _TopologyRun:
     substream of trial t."""
 
     cfg: SystemConfig
-    topo: scenario.Topology
     assoc: scenario.Association
     pilots: phy.PilotMatrix
     stream: Callable[..., np.random.Generator]
+    betas: np.ndarray                  # (S + 1, K) gains, row 0 the MBS
 
 
-def _listen(run: _TopologyRun, channels, block, listeners, t: int):
-    """Stage 1: pilot and data observations and MMSE estimates at each listener."""
+@dataclass(frozen=True)
+class _Heard:
+    """Pilot and data observations and MMSE estimates of listening BSs that
+    share an antenna count, stacked along a leading axis in ``ids`` order
+    (0 is the MBS, s + 1 SBS s)."""
+
+    ids: np.ndarray
+    train: phy.Observation
+    data: phy.Observation
+    est: np.ndarray
+
+    def at(self, rows) -> "_Heard":
+        """The BSs at ``rows``: a list keeps the leading axis, an int drops it."""
+        return _Heard(self.ids[rows], dataclasses.replace(self.train, y=self.train.y[rows]),
+                      dataclasses.replace(self.data, y=self.data.y[rows]), self.est[rows])
+
+
+def _listen(run: _TopologyRun, channels, block, listeners, t: int) -> list:
+    """Stage 1: observations and MMSE estimates at every listener, one
+    stacked call per antenna count: the MBS, then the SBSs."""
     n0 = run.cfg.noise_power_mw
-    train, data, est = {}, {}, {}
-    for v in sorted(listeners):
-        chan = channels.h_mbs if v == 0 else channels.g_sbs[v - 1]
-        train[v] = phy.observe(
-            chan, run.pilots.s, n0, run.stream(t, PH_NOISE_TRAIN, v), Phase.TRAINING)
-        data[v] = phy.observe(
-            chan, block.symbols, n0, run.stream(t, PH_NOISE_DATA, v), Phase.DATA)
-        est[v] = estimators.mmse_estimate_matrix(
-            train[v], run.pilots, _bs_gains(run.cfg, run.topo, v)[1], n0)
-    return train, data, est
+    sbs = sorted(v for v in listeners if v)
+    groups = [([0], channels.h_mbs[None])] if 0 in listeners else []
+    if sbs:
+        groups.append((sbs, np.stack([channels.g_sbs[v - 1] for v in sbs])))
+    heard = []
+    for ids, chan in groups:
+        train = phy.observe(chan, run.pilots.s, n0,
+                            [run.stream(t, PH_NOISE_TRAIN, v) for v in ids], Phase.TRAINING)
+        data = phy.observe(chan, block.symbols, n0,
+                           [run.stream(t, PH_NOISE_DATA, v) for v in ids], Phase.DATA)
+        est = estimators.mmse_estimate_matrix(train, run.pilots, run.betas[ids], n0)
+        heard.append(_Heard(np.array(ids), train, data, est))
+    return heard
 
 
-def _detect(run: _TopologyRun, est, data, block, ul_bs, scored, dets):
-    """Stage 2: detection at each UL serving BS, one combiner per (BS, kind).
+def _detect(run: _TopologyRun, heard, block, ul_bs, scored, dets):
+    """Stage 2: detection at each UL serving BS.
 
-    Returns the MMSE decisions and each detector's per-UE empirical BER,
-    zero where a UE is not ``scored``.
+    MMSE rows regularise with every UE's estimate, so the UL BSs of one
+    antenna count share one stacked combiner; MRC and ZF see each BS's
+    served columns and run one BS at a time.  Returns the MMSE decisions
+    and each combiner's per-UE empirical BER of the ``scored`` UEs, NaN
+    where it decided nothing.  A ZF combiner that fell back to MMSE files
+    its UEs under ``zf->mmse``.
     """
-    cfg = run.cfg
+    cfg, ul = run.cfg, run.assoc.ul_serving
+    args = (cfg.p_train_mw, cfg.tau_t, cfg.p_data_mw, cfg.noise_power_mw)
     x_hat = np.zeros((cfg.num_ue, cfg.tau_d), dtype=complex)
-    bers = {det: np.zeros(cfg.num_ue) for det in dets}
-    for v in ul_bs if cfg.tau_d else ():
-        at_v = run.assoc.ul_serving == v
-        served, mine = np.flatnonzero(at_v), np.flatnonzero(at_v & scored)
-        for det in dets:
-            # MMSE rows regularise with every UE's estimate; MRC and ZF see
-            # the served columns only
-            cols = None if det == "mmse" else served
+    bers = {}
+
+    def file(label, ues, ber):
+        bers.setdefault(label, np.full(cfg.num_ue, np.nan))[ues] = ber
+
+    for group in heard if cfg.tau_d else ():
+        rows = np.flatnonzero(np.isin(group.ids, ul_bs))
+        if not len(rows):
+            continue
+        listening = group.at(rows)
+        mine = [np.flatnonzero(scored & (ul == v)) for v in listening.ids]
+        if "mmse" in dets:
             comb = detectors.build_combiner(
-                CombinerKind(det), est[v] if cols is None else est[v][:, cols],
-                _bs_gains(cfg, run.topo, v)[1], cfg.p_train_mw, cfg.tau_t,
-                cfg.p_data_mw, cfg.noise_power_mw, ue_indices=cols)
-            _, symbols, ber = detectors.detect_all(data[v], comb, block)
-            rows = mine if cols is None else np.searchsorted(cols, mine)
-            bers[det][mine] = ber[rows]
-            if det == "mmse":
-                x_hat[mine] = symbols[rows]
+                CombinerKind.MMSE, listening.est, run.betas[listening.ids], *args)
+            # decide only each BS's own scored UEs; shorter row sets repeat
+            # their last UE, so every BS keeps the same row count
+            span = np.arange(max(map(len, mine)))
+            pick = np.array([m[np.minimum(span, len(m) - 1)] for m in mine])
+            comb = dataclasses.replace(
+                comb, c=np.take_along_axis(comb.c, pick[..., None], axis=1),
+                gain=np.take_along_axis(comb.gain, pick, axis=1),
+                ue_indices=tuple(map(tuple, pick.tolist())))
+            _, symbols, ber = detectors.detect_all(listening.data, comb, block)
+            file("mmse", pick, ber)
+            x_hat[pick] = symbols
+        for i, v in enumerate(listening.ids):
+            served = np.flatnonzero(ul == v)
+            for det in (d for d in dets if d != "mmse"):
+                comb = detectors.build_combiner(
+                    CombinerKind(det), listening.est[i][:, served], run.betas[v], *args,
+                    ue_indices=served)
+                _, _, ber = detectors.detect_all(listening.at(i).data, comb, block)
+                label = det if comb.kind.value == det else f"{det}->{comb.kind.value}"
+                file(label, mine[i], ber[np.searchsorted(served, mine[i])])
     return x_hat, bers
 
 
-def _downlink(run: _TopologyRun, channels, est, h_da, dl_sbs):
+def _downlink(run: _TopologyRun, channels, heard, h_da, dl_sbs):
     """Stage 4: per-UE downlink rate under pilot-only and data-aided ZF."""
     cfg, assoc = run.cfg, run.assoc
+    est = {int(v): group.est[i] for group in heard for i, v in enumerate(group.ids)}
     precoders = {}
     for v in dl_sbs:
         idx = np.flatnonzero(assoc.dl_serving == v)
@@ -260,8 +314,9 @@ def _topology_metrics(spec: ExperimentSpec, sweep_value, topo_idx: int) -> dict:
     topo = scenario.build_topology(cfg, phy.stream(spec.master_seed, topo_idx, PH_TOPOLOGY))
     assoc = scenario.associate(topo, cfg)
     pilots = phy.make_pilots(cfg.num_ue, cfg.tau_t, cfg.p_train_mw)
-    run = _TopologyRun(cfg, topo, assoc, pilots,
-                       functools.partial(phy.stream, spec.master_seed, topo_idx))
+    run = _TopologyRun(cfg, assoc, pilots,
+                       functools.partial(phy.stream, spec.master_seed, topo_idx),
+                       _bs_betas(topo))
     ber_source = _effective_ber_source(spec)
     ones = np.ones(cfg.num_ue)
 
@@ -294,31 +349,36 @@ def _topology_metrics(spec: ExperimentSpec, sweep_value, topo_idx: int) -> dict:
         bits = detectors.random_bits(
             cfg.num_ue, cfg.tau_d, spec.modulation, run.stream(t, PH_BITS))
         block = detectors.modulate(bits, spec.modulation, cfg.p_data_mw)
-        train, data, est = _listen(run, channels, block, listeners, t)
-        x_hat, emp_bers = _detect(run, est, data, block, ul_bs, scored, dets)
+        heard = _listen(run, channels, block, listeners, t)
+        x_hat, emp_bers = _detect(run, heard, block, ul_bs, scored, dets)
         if metric is Metric.BER:
             nbits = block.bits.shape[1]
-            for det, ber in emp_bers.items():
-                acc[det] += (ber * nbits, scored * nbits)
+            for label, ber in emp_bers.items():
+                decided = ~np.isnan(ber)
+                acc.setdefault(label, np.zeros((2, cfg.num_ue)))
+                acc[label] += (np.where(decided, ber, 0.0) * nbits, decided * nbits)
             continue
-        # stage 3: data-aided solve at the MBS from the decoded side info
+        # stage 3: data-aided solve at the MBS, which every other metric hears
+        mbs = heard[0].at(0)
         if ber_source is BerSource.ZERO_ERROR:
             x_hat, side_ber = block.symbols, 0.0 * ones
+        elif ber_source is BerSource.ANALYTIC_PROP1:
+            side_ber = analytic[0]
         else:
-            side_ber = analytic[0] if ber_source is BerSource.ANALYTIC_PROP1 else emp_bers["mmse"]
+            side_ber = emp_bers.get("mmse", 0.0 * ones)
         side = data_aided.DecodedSideInfo(
             x_hat=x_hat, ber=side_ber, source=ber_source, power=cfg.p_data_mw)
-        h_da = data_aided.da_estimate_matrix(phy.joint_observation(train[0], data[0]),
+        h_da = data_aided.da_estimate_matrix(phy.joint_observation(mbs.train, mbs.data),
                                              pilots, side, topo.beta_mbs, cfg.noise_power_mw)
         if metric is Metric.NMSE:
             truth = channels.h_mbs
             power = np.sum(np.abs(truth) ** 2, axis=0)
             for m in spec.estimators:
-                h_est = (est[0] if m == "mmse" else h_da if m == "da"
-                         else estimators.ls_estimate_matrix(train[0], run.pilots))
+                h_est = (mbs.est if m == "mmse" else h_da if m == "da"
+                         else estimators.ls_estimate_matrix(mbs.train, run.pilots))
                 acc[m] += (np.sum(np.abs(h_est - truth) ** 2, axis=0), power)
             continue
-        for mode, rate in _downlink(run, channels, est, h_da, dl_sbs).items():
+        for mode, rate in _downlink(run, channels, heard, h_da, dl_sbs).items():
             acc[mode] += (rate, ones)
 
     return _fold(metric, acc, labels)

@@ -38,8 +38,11 @@ def complex_gaussian(rng: np.random.Generator, shape, var=1.0) -> np.ndarray:
     Real and imaginary parts each carry var/2; BER-level results are
     sensitive to this factor of two, so it lives in exactly one place.
     """
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return x * np.sqrt(np.asarray(var, dtype=float) / 2.0)
+    x = np.empty(shape, dtype=complex)
+    x.real = rng.standard_normal(shape)
+    x.imag = rng.standard_normal(shape)
+    x *= np.sqrt(np.asarray(var, dtype=float) / 2.0)
+    return x
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class PilotMatrix:
 
 @dataclass(frozen=True)
 class Observation:
-    y: np.ndarray                      # (antennas, columns)
+    y: np.ndarray                      # ([BS,] antennas, columns)
     phase: Phase
     noise_power: float
 
@@ -91,18 +94,25 @@ def make_pilots(k: int, tau_t: int, p_t: float) -> PilotMatrix:
 
 def observe(channel: np.ndarray, signal: np.ndarray, noise_power: float, seed,
             phase: Phase = Phase.TRAINING) -> Observation:
-    """y = channel @ signal + AWGN with per-element variance noise_power."""
+    """y = channel @ signal + AWGN with per-element variance noise_power.
+
+    ``channel`` may carry a leading BS axis, (B, antennas, K).  ``seed`` then
+    lists one seed per BS, and BS b hears exactly what a 2-D call with
+    ``seed[b]`` would draw.
+    """
     channel = np.asarray(channel)
     signal = np.asarray(signal)
-    if channel.shape[1] != signal.shape[0]:
+    if channel.shape[-1] != signal.shape[0]:
         raise ValueError(
             f"dimension mismatch: channel is {channel.shape}, signal is {signal.shape}"
         )
-    y = channel @ signal
+    y = (channel @ signal).astype(complex, copy=False)
     if noise_power > 0:
-        y = y + complex_gaussian(as_rng(seed), y.shape, noise_power)
-    else:
-        y = y.astype(complex)
+        blocks, seeds = (y[None], [seed]) if channel.ndim == 2 else (y, list(seed))
+        if len(seeds) != len(blocks):
+            raise ValueError(f"{len(blocks)} base stations need as many seeds, got {len(seeds)}")
+        for block, s in zip(blocks, seeds):
+            block += complex_gaussian(as_rng(s), block.shape, noise_power)
     return Observation(y=y, phase=phase, noise_power=float(noise_power))
 
 
@@ -110,10 +120,10 @@ def joint_observation(train: Observation, data: Observation) -> Observation:
     """Stack the training and data blocks the DL BS recorded back-to-back."""
     if train.phase is not Phase.TRAINING or data.phase is not Phase.DATA:
         raise ValueError("joint_observation expects a (training, data) pair")
-    if train.y.shape[0] != data.y.shape[0]:
+    if train.y.shape[:-1] != data.y.shape[:-1]:
         raise ValueError("training and data blocks disagree on antenna count")
     return Observation(
-        y=np.concatenate([train.y, data.y], axis=1),
+        y=np.concatenate([train.y, data.y], axis=-1),
         phase=Phase.JOINT,
         noise_power=train.noise_power,
     )

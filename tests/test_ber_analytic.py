@@ -14,6 +14,7 @@ from hetnetsim.ber_analytic import (
     effective_rho,
     gamma_model_for_ue,
     q_function,
+    sinr_gamma_models,
     sinr_gamma_params,
     stieltjes_moments,
 )
@@ -174,3 +175,64 @@ def test_gamma_model_for_ue_composes():
 def test_q_function_basics():
     assert q_function(0.0) == 0.5
     assert q_function(4.0) == pytest.approx(3.167124183e-05, rel=1e-8)
+
+
+def _damped_fixed_point(n, gains, tolerance=1e-12):
+    """Reference: the scalar damped iteration (damping 1/2, started at m = 1)
+    that the vectorised solver replaced."""
+    gains = np.asarray(gains, dtype=float)
+
+    def f(m):
+        return 1.0 / (1.0 + np.sum(gains / (1.0 + n * gains * m)))
+
+    m = 1.0
+    for _ in range(10 ** 4):
+        m_next = 0.5 * m + 0.5 * f(m)
+        step = abs(m_next - m)
+        m = m_next
+        if step < 0.5 * tolerance:
+            break
+    f_prime = -np.sum(n * gains ** 2 / (1.0 + n * gains * m) ** 2)
+    return m, m * m / (1.0 + m * m * f_prime)
+
+
+def test_row_solve_matches_the_damped_scalar_loop():
+    rng = phy.stream(43)
+    n = rng.integers(1, 300, size=40)
+    gains = 10.0 ** rng.uniform(-3, 3, size=(40, 30))
+    gains[rng.uniform(size=gains.shape) < 0.2] = 0.0        # absent interferers
+    mu, sigma2 = stieltjes_moments(n, gains)
+    for r in range(len(n)):
+        # both moments lie in (0, 1] and the residual tolerance is absolute,
+        # so the match is absolute: where mu is small, the reference loop
+        # itself is only relatively accurate to about 1e-9
+        ref_mu, ref_sigma2 = _damped_fixed_point(n[r], gains[r])
+        assert mu[r] == pytest.approx(ref_mu, rel=0, abs=1e-10)
+        assert sigma2[r] == pytest.approx(ref_sigma2, rel=0, abs=1e-10)
+        assert (mu[r], sigma2[r]) == stieltjes_moments(n[r], gains[r])
+
+
+def test_fixed_point_raises_at_the_iteration_cap(monkeypatch):
+    from hetnetsim import ber_analytic
+
+    monkeypatch.setattr(ber_analytic, "_MAX_FIXED_POINT_ITERS", 1)
+    with pytest.raises(ber_analytic.FixedPointError):
+        stieltjes_moments(8, [0.5, 20.0, 300.0])
+    with pytest.raises(ber_analytic.FixedPointError):
+        stieltjes_moments([8, 8], [[0.0, 0.0], [0.5, 20.0]])
+
+
+def test_gamma_models_of_many_ues_equal_one_ue_at_a_time():
+    rng = phy.stream(44)
+    betas = 10.0 ** rng.uniform(-13, -9, size=(3, 12))
+    args = (2.0, 30, 8e-11, 200.0)
+    n_ant = np.array([256, 8, 8])
+    serving = rng.integers(0, 3, size=12)
+    rho = effective_rho(betas, *args[:3], args[3])
+    bh = beta_hat(betas, *args[:3])
+    many = sinr_gamma_models(n_ant[serving], rho[serving], bh[serving], np.arange(12))
+    for k in range(12):
+        one = gamma_model_for_ue(n_ant[serving[k]], betas[serving[k]], k, *args)
+        for field in ("mu", "sigma2", "alpha", "xi", "rho_v", "beta_hat"):
+            assert getattr(many, field)[k] == pytest.approx(getattr(one, field), rel=1e-12)
+        assert analytic_ber(many)[k] == pytest.approx(analytic_ber(one), rel=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -8,6 +9,8 @@ from hetnetsim.ber_analytic import effective_rho, q_function
 from hetnetsim.detectors import (
     CombinerKind,
     Modulation,
+    _constellation,
+    _slice,
     build_combiner,
     detect,
     detect_all,
@@ -15,7 +18,7 @@ from hetnetsim.detectors import (
     modulate,
     random_bits,
 )
-from hetnetsim.phy import Phase, observe
+from hetnetsim.phy import Observation, Phase, observe
 
 
 def test_bpsk_amplitude():
@@ -42,8 +45,6 @@ def test_average_symbol_power_is_p_d(scheme):
 
 
 def test_modulation_round_trip_through_slicer():
-    from hetnetsim.detectors import _slice
-
     for scheme in Modulation:
         bits = random_bits(2, 64, scheme, 5)
         block = modulate(bits, scheme, 2.5)
@@ -198,3 +199,101 @@ def test_matrix_sinr_equals_combiner_decomposition():
             interf = sum(np.abs(row @ est[:, i]) ** 2 for i in range(k_total) if i != k)
             noise = np.sum(np.abs(row) ** 2) / rho
             assert matrix_form[k] == pytest.approx(signal / (interf + noise), rel=1e-9)
+
+
+# --- stacked (leading BS axis) kernels against their 2-D and reference forms
+
+
+def _argmin_slice(symbols, scheme, p_d):
+    """Reference slicer: nearest constellation point by argmin, ties to the
+    point listed first."""
+    points, table = _constellation(scheme, p_d)
+    idx = np.argmin(np.abs(symbols[..., None] - points) ** 2, axis=-1)
+    return table[idx].reshape(*idx.shape[:-1], -1), points[idx]
+
+
+@pytest.mark.parametrize("scheme", list(Modulation))
+def test_slice_matches_argmin_on_random_points(scheme):
+    rng = np.random.default_rng(20)
+    p_d = 2.7
+    symbols = phy.complex_gaussian(rng, (3, 5, 64), var=4.0 * p_d)
+    bits, points = _slice(symbols, scheme, p_d)
+    ref_bits, ref_points = _argmin_slice(symbols, scheme, p_d)
+    assert np.array_equal(bits, ref_bits)
+    assert np.array_equal(points, ref_points)
+
+
+@pytest.mark.parametrize("scheme,p_d,edges", [
+    (Modulation.BPSK, 1.0, (0.0,)),
+    (Modulation.QAM4, 2.0, (0.0,)),
+    (Modulation.QAM16, 10.0, (-2.0, 0.0, 2.0)),
+])
+def test_slice_breaks_boundary_ties_like_argmin(scheme, p_d, edges):
+    # unit-scaled levels (+-1, +-3), so distances to the points either side
+    # of an edge tie exactly; the grid covers every edge, every corner and
+    # the edges crossed with ordinary coordinates
+    axis = np.array(sorted(set(edges) | {-0.0, -3.3, -1.0, 0.4, 1.0, 2.6}))
+    symbols = (axis[:, None] + 1j * axis[None, :]).reshape(1, -1)
+    bits, points = _slice(symbols, scheme, p_d)
+    ref_bits, ref_points = _argmin_slice(symbols, scheme, p_d)
+    assert np.array_equal(bits, ref_bits)
+    assert np.array_equal(points, ref_points)
+
+
+def _stack_setup(n_bs, n_ant, k_total, seed):
+    rng = np.random.default_rng(seed)
+    betas = rng.uniform(0.2, 2.0, size=(n_bs, k_total))
+    est = phy.complex_gaussian(rng, (n_bs, n_ant, k_total)) * np.sqrt(betas)[:, None, :]
+    bits = random_bits(k_total, 48, Modulation.QAM16, seed)
+    block = modulate(bits, Modulation.QAM16, 2.0)
+    channel = est + 0.1 * phy.complex_gaussian(rng, est.shape)
+    obs = observe(channel, block.symbols, 0.05, [seed + b for b in range(n_bs)], Phase.DATA)
+    return betas, est, block, obs
+
+
+@pytest.mark.parametrize("kind", list(CombinerKind))
+@pytest.mark.parametrize("n_ant,k_total", [(16, 5), (4, 4), (3, 7)])
+def test_stacked_combiner_and_detection_equal_separate_calls(kind, n_ant, k_total):
+    # at 3 antennas and 7 UEs, ZF falls back to MMSE in both forms
+    betas, est, block, obs = _stack_setup(3, n_ant, k_total, 21)
+    args = (1.3, 8, 2.0, 0.05)
+    stacked = build_combiner(kind, est, betas, *args)
+    bits, symbols, ber = detect_all(obs, stacked, block)
+    for b in range(3):
+        single = build_combiner(kind, est[b], betas[b], *args)
+        assert single.kind is stacked.kind
+        scale = np.abs(single.c).max()
+        np.testing.assert_allclose(stacked.c[b], single.c, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(stacked.gain[b], single.gain, rtol=1e-12)
+        obs_b = Observation(y=obs.y[b], phase=Phase.DATA, noise_power=obs.noise_power)
+        bits_b, symbols_b, ber_b = detect_all(obs_b, single, block)
+        assert np.array_equal(bits[b], bits_b)
+        assert np.array_equal(symbols[b], symbols_b)
+        assert np.array_equal(ber[b], ber_b)
+
+
+def test_stacked_detection_takes_one_row_set_per_bs():
+    betas, est, block, obs = _stack_setup(2, 8, 6, 22)
+    comb = build_combiner(CombinerKind.MMSE, est, betas, 1.3, 8, 2.0, 0.05)
+    pick = np.array([[4, 1], [0, 0]])
+    rows = dataclasses.replace(
+        comb, c=np.take_along_axis(comb.c, pick[..., None], axis=1),
+        gain=np.take_along_axis(comb.gain, pick, axis=1), ue_indices=((4, 1), (0, 0)))
+    bits, _, ber = detect_all(obs, rows, block)
+    full_bits, _, full_ber = detect_all(obs, comb, block)
+    for b in range(2):
+        assert np.array_equal(bits[b], full_bits[b][pick[b]])
+        assert np.array_equal(ber[b], full_ber[b][pick[b]])
+
+
+@pytest.mark.parametrize("n_ant,k_total", [(64, 6), (4, 10)])
+def test_mmse_rows_equal_the_antenna_domain_solve(n_ant, k_total):
+    # push-through: (G G^H + r I)^-1 G = G (G^H G + r I)^-1, either way round
+    rng = np.random.default_rng(23)
+    betas = rng.uniform(0.2, 2.0, size=k_total)
+    est = phy.complex_gaussian(rng, (n_ant, k_total)) * np.sqrt(betas)
+    args = (1.3, 8, 0.9, 0.4)
+    comb = build_combiner(CombinerKind.MMSE, est, betas, *args)
+    reg = 1.0 / effective_rho(betas, 1.3, 8, 0.4, 0.9)
+    ref = np.linalg.solve(est @ est.conj().T + reg * np.eye(n_ant), est).conj().T
+    np.testing.assert_allclose(comb.c, ref, rtol=0, atol=1e-12 * np.abs(ref).max())

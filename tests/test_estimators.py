@@ -186,3 +186,16 @@ def test_empirical_nmse_tracks_closed_forms():
         assert abs(empirical - predicted) < 0.2
         if method == "mmse":
             assert empirical <= 10 * np.log10(num["ls"] / den) + 1e-9
+
+
+def test_stacked_mmse_estimates_equal_per_bs_calls():
+    rng = np.random.default_rng(8)
+    betas = rng.uniform(0.1, 2.0, size=(3, 4))
+    pilots = make_pilots(4, 6, 1.5)
+    channels = phy.complex_gaussian(rng, (3, 5, 4)) * np.sqrt(betas)[:, None, :]
+    obs = observe(channels, pilots.s, 0.3, [11, 12, 13], Phase.TRAINING)
+    stacked = mmse_estimate_matrix(obs, pilots, betas, 0.3)
+    for b in range(3):
+        alone = observe(channels[b], pilots.s, 0.3, 11 + b, Phase.TRAINING)
+        np.testing.assert_allclose(stacked[b], mmse_estimate_matrix(alone, pilots, betas[b], 0.3),
+                                   rtol=1e-12)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hetnetsim import estimators, experiments
+from hetnetsim import ber_analytic, estimators, experiments, phy, scenario
 from hetnetsim.ber_analytic import SinrGammaModel, analytic_ber, ber_lower_bound
 from hetnetsim.data_aided import BerSource
 from hetnetsim.detectors import Modulation
@@ -48,6 +48,26 @@ def test_spec_validation():
         _tiny_spec(trials=0)
     with pytest.raises(ValueError, match="detector"):
         _tiny_spec(detectors=("mrc", "foo"))
+
+
+def test_spec_rejects_repeated_sweep_values():
+    # a repeated point would emit every row twice and break ResultTable.value
+    with pytest.raises(ValueError, match="distinct"):
+        _tiny_spec(sweep_values=(3.0, 3.0))
+
+
+@pytest.mark.parametrize("field,value", [("trials", 1.5), ("topologies", 2.5),
+                                         ("trials", math.inf), ("topologies", math.nan),
+                                         ("trials", "3")])
+def test_spec_rejects_non_integral_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        _tiny_spec(**{field: value})
+
+
+def test_spec_accepts_integral_float_counts():
+    spec = _tiny_spec(trials=3.0, topologies=np.int64(2))
+    assert (spec.trials, spec.topologies) == (3, 2)
+    assert type(spec.trials) is int and type(spec.topologies) is int
 
 
 def test_spec_rejects_a_grid_point_with_an_invalid_config():
@@ -226,3 +246,38 @@ def test_config_defaults_are_table_defaults():
     cfg, experiment = split_config({})
     assert SystemConfig(**cfg).num_ue == 30
     assert experiment == {}
+
+
+def test_zf_fallback_rows_are_labelled_zf_to_mmse():
+    # with one antenna per SBS, an SBS that serves two UEs cannot zero-force
+    # them; its combiner falls back to MMSE and must not be reported as ZF
+    cfg = desk_config(sbs_antennas=1)
+    spec = ExperimentSpec(base=cfg, sweep_param="p_data_dbm", sweep_values=(13.0,),
+                          metric=Metric.BER, detectors=("zf",), trials=2, topologies=1,
+                          master_seed=1, ber_source=BerSource.EMPIRICAL_ORACLE)
+    topo = scenario.build_topology(cfg, phy.stream(1, 0, experiments.PH_TOPOLOGY))
+    assoc = scenario.associate(topo, cfg)
+    served = np.bincount(assoc.ul_serving, minlength=cfg.num_sbs + 1)
+    overloaded = {int(v) for v in np.flatnonzero(served > 1) if v}
+    ul_of_decoupled = {int(v) for v in assoc.ul_serving[assoc.decoupled]}
+    assert overloaded & ul_of_decoupled and ul_of_decoupled - overloaded - {0}
+
+    got = experiments._topology_metrics(spec, 13.0, 0)
+    assert set(got) == {("zf", "decoupled"), ("zf->mmse", "decoupled")}
+    assert {r.method for r in run_sweep(spec).rows} == {"zf", "zf->mmse"}
+
+
+def test_analytic_ber_vector_equals_one_gamma_model_per_ue():
+    cfg = desk_config()
+    topo = scenario.build_topology(cfg, phy.stream(3, 0, experiments.PH_TOPOLOGY))
+    assoc = scenario.associate(topo, cfg)
+    bers, bounds = experiments.analytic_ber_vector(cfg, topo, assoc)
+    assert len(set(assoc.ul_serving.tolist())) > 1
+    for k in range(cfg.num_ue):
+        v = int(assoc.ul_serving[k])
+        n_ant, betas = ((cfg.mbs_antennas, topo.beta_mbs) if v == 0
+                        else (cfg.sbs_antennas, topo.beta_sbs[v - 1]))
+        model = ber_analytic.bpsk_detection_model(ber_analytic.gamma_model_for_ue(
+            n_ant, betas, k, cfg.p_train_mw, cfg.tau_t, cfg.noise_power_mw, cfg.p_data_mw))
+        assert bers[k] == pytest.approx(analytic_ber(model), rel=1e-12)
+        assert bounds[k] == pytest.approx(ber_lower_bound(model), rel=1e-12)

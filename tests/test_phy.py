@@ -156,3 +156,26 @@ def test_observation_energy_balance():
         signal.append(np.sum(np.abs(ch.h_mbs @ pilots.s) ** 2))
     expected = np.mean(signal) + 16 * 4 * n0
     assert np.mean(total) == pytest.approx(expected, rel=0.05)
+
+
+def test_complex_gaussian_matches_the_sum_form_bitwise():
+    # filling the real and imaginary parts in place draws exactly what
+    # (re + 1j * im) * sqrt(var / 2) gives from the same generator
+    x = phy.complex_gaussian(np.random.default_rng(3), (5, 7), var=0.3)
+    rng = np.random.default_rng(3)
+    ref = (rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))) * np.sqrt(0.15)
+    assert np.array_equal(x.view(float), ref.view(float))
+
+
+def test_stacked_observe_hears_what_each_bs_hears_alone():
+    rng = np.random.default_rng(4)
+    channels = phy.complex_gaussian(rng, (3, 6, 4))
+    signal = phy.complex_gaussian(rng, (4, 9))
+    seeds = [stream(1, 2, b) for b in range(3)]
+    stacked = observe(channels, signal, 0.2, seeds, Phase.DATA)
+    assert stacked.y.shape == (3, 6, 9)
+    for b in range(3):
+        alone = observe(channels[b], signal, 0.2, stream(1, 2, b), Phase.DATA)
+        assert np.array_equal(stacked.y[b], alone.y)
+    with pytest.raises(ValueError, match="seeds"):
+        observe(channels, signal, 0.2, seeds[:2], Phase.DATA)
