@@ -31,6 +31,7 @@ from .phy import (
     Observation,
     Phase,
     PilotMatrix,
+    awgn,
     draw_channels,
     joint_observation,
     make_pilots,

@@ -145,13 +145,31 @@ def build_combiner(
     interference level, so ``betas`` must list every co-channel UE's gain.
     A leading BS axis, (B, antennas, n) estimates with (B, K) ``betas``,
     builds B combiners at once; ``c`` and ``gain`` then carry that axis.
+
+    A stacked call may instead pass every UE's column, (B, antennas, K),
+    with one ``ue_indices`` tuple per BS, the tuples of any lengths: BS b
+    then covers the columns ``ue_indices[b]``.  Shorter sets are padded
+    with zero columns, kept out of the ZF solve by an identity block and
+    out of the MRC norms by a unit norm; the padded rows are then dropped,
+    each shorter set repeating its last UE's row.  ZF falls back to MMSE for the whole stack when any
+    set is larger than the antenna count.
     """
     kind = CombinerKind(kind)
     est = np.asarray(estimates)
+    ragged = (est.ndim == 3 and ue_indices is not None and len(ue_indices) > 0
+              and np.ndim(ue_indices[0]) == 1)
+    pad = np.zeros(est.shape[-1], dtype=bool)       # the padded columns
+    if ragged:
+        sizes = np.array([len(u) for u in ue_indices])
+        last = np.minimum(np.arange(max(sizes)), sizes[:, None] - 1)
+        cols = np.array([np.asarray(u, dtype=int)[i] for u, i in zip(ue_indices, last)])
+        pad = last < np.arange(last.shape[1])                            # (B, n)
+        ue_indices = tuple(map(tuple, cols.tolist()))
+        est = np.where(pad[:, None, :], 0.0, np.take_along_axis(est, cols[:, None, :], -1))
     n_ant, n_ue = est.shape[-2:]
     if ue_indices is None:
         ue_indices = tuple(range(n_ue))
-    else:
+    elif not ragged:
         ue_indices = tuple(int(i) for i in ue_indices)
 
     if kind is CombinerKind.ZF and n_ue > n_ant:
@@ -163,19 +181,19 @@ def build_combiner(
 
     est_h = est.conj().swapaxes(-1, -2)
     if kind is CombinerKind.MRC:
-        norms = np.sum(np.abs(est) ** 2, axis=-2)
+        norms = np.sum(np.abs(est) ** 2, axis=-2) + pad
         if np.any(norms == 0):
             raise ValueError("MRC needs non-zero channel estimates")
         rows = est_h / norms[..., None]
     elif kind is CombinerKind.ZF:
         try:
-            rows = np.linalg.solve(est_h @ est, est_h)
+            rows = np.linalg.solve(est_h @ est + pad[..., None] * np.eye(n_ue), est_h)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError("rank-deficient estimate matrix for ZF") from exc
     else:
         reg = 1.0 / np.asarray(effective_rho(betas, p_t, tau_t, noise_power, p_d))
         # rows G^H (G G^H + r I)^-1 = (G^H G + r I)^-1 G^H: solve in the
-        # smaller of the two dimensions
+        # smaller of the two dimensions; padded columns give zero rows
         if n_ue < n_ant:
             rows = np.linalg.solve(est_h @ est + reg[..., None, None] * np.eye(n_ue), est_h)
         else:
@@ -183,6 +201,9 @@ def build_combiner(
             rows = np.linalg.solve(cov, est).conj().swapaxes(-1, -2)
 
     gain = np.einsum("...ij,...ji->...i", rows, est)
+    if ragged:
+        rows = np.take_along_axis(rows, last[..., None], axis=-2)
+        gain = np.take_along_axis(gain, last, axis=-1)
     return Combiner(c=rows, kind=kind, ue_indices=ue_indices, gain=gain)
 
 

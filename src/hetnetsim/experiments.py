@@ -18,7 +18,6 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 from scipy import integrate, special
@@ -96,7 +95,11 @@ class ExperimentSpec:
                 raise ValueError(f"unknown estimator {e!r}")
         # build every point's config now, so a bad grid fails before any work
         for value in self.sweep_values:
-            _apply_sweep(self.base, self.sweep_param, value)
+            cfg = _apply_sweep(self.base, self.sweep_param, value)
+            if self.metric is Metric.BER and cfg.num_sbs == 0:
+                raise ValueError(
+                    f"the BER metric scores decoupled UEs, which need an SBS, "
+                    f"but {self.sweep_param}={value} has num_sbs=0")
 
 
 @dataclass(frozen=True)
@@ -171,14 +174,64 @@ def analytic_ber_vector(cfg: SystemConfig, topo, assoc) -> tuple:
 
 @dataclass(frozen=True)
 class _TopologyRun:
-    """What every trial of one topology shares; ``stream(t, *key)`` is a
-    substream of trial t."""
+    """One sweep point of one topology: what its trials share, and the
+    per-UE (numerator, denominator) sums of each method in ``acc``."""
 
     cfg: SystemConfig
+    topo: scenario.Topology
     assoc: scenario.Association
     pilots: phy.PilotMatrix
-    stream: Callable[..., np.random.Generator]
     betas: np.ndarray                  # (S + 1, K) gains, row 0 the MBS
+    labels: np.ndarray                 # UE class of each UE
+    scored: np.ndarray                 # UEs the metric scores
+    ul_bs: list                        # UL serving BSs of the scored UEs
+    dl_sbs: list                       # SBSs that serve a DL UE
+    listeners: set                     # BSs whose observations a trial needs
+    dets: tuple                        # detectors run at the UL serving BSs
+    ber_source: BerSource
+    analytic: tuple | None             # analytic BERs and their lower bounds
+    acc: dict
+
+
+class _TrialDraws:
+    """One trial's random draws, shared by every sweep point of a topology
+    (common random numbers).
+
+    A draw is kept under its substream key and every argument that shapes
+    it, so a repeat request gets exactly what a fresh draw from that
+    substream would give, whatever the sweep parameter; a sweep that
+    changes a shape (``num_ue``, the antenna counts) misses and draws
+    afresh.  Kept arrays are read-only.
+    """
+
+    def __init__(self, master_seed: int, topo_idx: int, t: int):
+        self.stream = functools.partial(phy.stream, master_seed, topo_idx, t)
+        self._kept = {}
+
+    def _get(self, key, draw):
+        if key not in self._kept:
+            value = draw()
+            arrays = (value.h_mbs, *value.g_sbs) if isinstance(value, phy.ChannelSet) else (value,)
+            for a in arrays:
+                a.flags.writeable = False
+            self._kept[key] = value
+        return self._kept[key]
+
+    def channels(self, topo, cfg: SystemConfig) -> phy.ChannelSet:
+        key = (PH_CHANNELS, cfg.mbs_antennas, cfg.sbs_antennas, topo.beta_mbs.tobytes(),
+               topo.beta_sbs.shape, topo.beta_sbs.tobytes())
+        return self._get(key, lambda: phy.draw_channels(topo, cfg, self.stream(PH_CHANNELS)))
+
+    def bits(self, cfg: SystemConfig, modulation: Modulation) -> np.ndarray:
+        key = (PH_BITS, cfg.num_ue, cfg.tau_d, modulation)
+        return self._get(key, lambda: detectors.random_bits(
+            cfg.num_ue, cfg.tau_d, modulation, self.stream(PH_BITS)))
+
+    def noise(self, phase: int, ids, shape, noise_power: float) -> np.ndarray:
+        """The AWGN blocks of BSs ``ids``, stacked, each from its own substream."""
+        key = (phase, tuple(ids), shape, noise_power)
+        return self._get(key, lambda: phy.awgn(
+            [self.stream(phase, v) for v in ids], shape, noise_power))
 
 
 @dataclass(frozen=True)
@@ -193,86 +246,96 @@ class _Heard:
     est: np.ndarray
 
     def at(self, rows) -> "_Heard":
-        """The BSs at ``rows``: a list keeps the leading axis, an int drops it."""
+        """The BSs at ``rows``: a list keeps the leading axis, an int drops it.
+        Sorted distinct rows that cover every BS give the group itself."""
+        if np.ndim(rows) and len(rows) == len(self.ids):
+            return self
         return _Heard(self.ids[rows], dataclasses.replace(self.train, y=self.train.y[rows]),
                       dataclasses.replace(self.data, y=self.data.y[rows]), self.est[rows])
 
 
-def _listen(run: _TopologyRun, channels, block, listeners, t: int) -> list:
+def _listen(run: _TopologyRun, draws: _TrialDraws, channels, block) -> list:
     """Stage 1: observations and MMSE estimates at every listener, one
     stacked call per antenna count: the MBS, then the SBSs."""
-    n0 = run.cfg.noise_power_mw
-    sbs = sorted(v for v in listeners if v)
-    groups = [([0], channels.h_mbs[None])] if 0 in listeners else []
+    cfg, n0 = run.cfg, run.cfg.noise_power_mw
+    sbs = sorted(v for v in run.listeners if v)
+    groups = [([0], channels.h_mbs[None])] if 0 in run.listeners else []
     if sbs:
         groups.append((sbs, np.stack([channels.g_sbs[v - 1] for v in sbs])))
     heard = []
     for ids, chan in groups:
+        n_ant = chan.shape[1]
         train = phy.observe(chan, run.pilots.s, n0,
-                            [run.stream(t, PH_NOISE_TRAIN, v) for v in ids], Phase.TRAINING)
+                            draws.noise(PH_NOISE_TRAIN, ids, (n_ant, cfg.tau_t), n0),
+                            Phase.TRAINING)
         data = phy.observe(chan, block.symbols, n0,
-                           [run.stream(t, PH_NOISE_DATA, v) for v in ids], Phase.DATA)
+                           draws.noise(PH_NOISE_DATA, ids, (n_ant, cfg.tau_d), n0), Phase.DATA)
         est = estimators.mmse_estimate_matrix(train, run.pilots, run.betas[ids], n0)
         heard.append(_Heard(np.array(ids), train, data, est))
     return heard
 
 
-def _detect(run: _TopologyRun, heard, block, ul_bs, scored, dets):
+def _own_rows(comb: detectors.Combiner, mine) -> detectors.Combiner:
+    """Each BS's rows of its own UEs ``mine[b]``; shorter row sets repeat
+    their last UE, so every BS keeps the same row count."""
+    ues = np.broadcast_to(np.asarray(comb.ue_indices), comb.gain.shape)
+    span = np.arange(max(map(len, mine)))
+    pick = np.array([np.searchsorted(u, m[np.minimum(span, len(m) - 1)])
+                     for u, m in zip(ues, mine)])
+    return dataclasses.replace(
+        comb, c=np.take_along_axis(comb.c, pick[..., None], axis=1),
+        gain=np.take_along_axis(comb.gain, pick, axis=1),
+        ue_indices=tuple(map(tuple, np.take_along_axis(ues, pick, axis=1).tolist())))
+
+
+def _detect(run: _TopologyRun, heard, block):
     """Stage 2: detection at each UL serving BS.
 
-    MMSE rows regularise with every UE's estimate, so the UL BSs of one
-    antenna count share one stacked combiner; MRC and ZF see each BS's
-    served columns and run one BS at a time.  Returns the MMSE decisions
-    and each combiner's per-UE empirical BER of the ``scored`` UEs, NaN
-    where it decided nothing.  A ZF combiner that fell back to MMSE files
-    its UEs under ``zf->mmse``.
+    Each detector makes one stacked combiner per antenna group and decides
+    only each BS's own scored UEs.  MRC and MMSE build on every UE's
+    column (an MRC row depends on its own column alone; MMSE rows
+    regularise with all of them), ZF on each BS's served columns.  A BS
+    that serves more UEs than it has antennas cannot zero-force them: its
+    ZF combiner falls back to MMSE on its own and files its UEs under
+    ``zf->mmse``.  Returns the MMSE decisions and each combiner's per-UE
+    empirical BER of the scored UEs, NaN where it decided nothing.
     """
     cfg, ul = run.cfg, run.assoc.ul_serving
     args = (cfg.p_train_mw, cfg.tau_t, cfg.p_data_mw, cfg.noise_power_mw)
     x_hat = np.zeros((cfg.num_ue, cfg.tau_d), dtype=complex)
     bers = {}
-
-    def file(label, ues, ber):
-        bers.setdefault(label, np.full(cfg.num_ue, np.nan))[ues] = ber
-
     for group in heard if cfg.tau_d else ():
-        rows = np.flatnonzero(np.isin(group.ids, ul_bs))
-        if not len(rows):
+        listening = group.at(np.flatnonzero(np.isin(group.ids, run.ul_bs)))
+        if not len(listening.ids):
             continue
-        listening = group.at(rows)
-        mine = [np.flatnonzero(scored & (ul == v)) for v in listening.ids]
-        if "mmse" in dets:
-            comb = detectors.build_combiner(
-                CombinerKind.MMSE, listening.est, run.betas[listening.ids], *args)
-            # decide only each BS's own scored UEs; shorter row sets repeat
-            # their last UE, so every BS keeps the same row count
-            span = np.arange(max(map(len, mine)))
-            pick = np.array([m[np.minimum(span, len(m) - 1)] for m in mine])
-            comb = dataclasses.replace(
-                comb, c=np.take_along_axis(comb.c, pick[..., None], axis=1),
-                gain=np.take_along_axis(comb.gain, pick, axis=1),
-                ue_indices=tuple(map(tuple, pick.tolist())))
-            _, symbols, ber = detectors.detect_all(listening.data, comb, block)
-            file("mmse", pick, ber)
-            x_hat[pick] = symbols
-        for i, v in enumerate(listening.ids):
-            served = np.flatnonzero(ul == v)
-            for det in (d for d in dets if d != "mmse"):
+        served = [np.flatnonzero(ul == v) for v in listening.ids]
+        mine = [s[run.scored[s]] for s in served]
+        wide = np.array([len(s) > listening.est.shape[-2] for s in served])
+        for det in run.dets:
+            stacks = [np.arange(len(mine))]
+            if det == "zf":
+                stacks = [np.flatnonzero(~wide), *([i] for i in np.flatnonzero(wide))]
+            for rows in (list(r) for r in stacks if len(r)):
+                part = listening.at(rows)
                 comb = detectors.build_combiner(
-                    CombinerKind(det), listening.est[i][:, served], run.betas[v], *args,
-                    ue_indices=served)
-                _, _, ber = detectors.detect_all(listening.at(i).data, comb, block)
+                    CombinerKind(det), part.est, run.betas[part.ids], *args,
+                    ue_indices=[served[i] for i in rows] if det == "zf" else None)
+                comb = _own_rows(comb, [mine[i] for i in rows])
+                _, symbols, ber = detectors.detect_all(part.data, comb, block)
+                ues = np.array(comb.ue_indices)
                 label = det if comb.kind.value == det else f"{det}->{comb.kind.value}"
-                file(label, mine[i], ber[np.searchsorted(served, mine[i])])
+                bers.setdefault(label, np.full(cfg.num_ue, np.nan))[ues] = ber
+                if det == "mmse":
+                    x_hat[ues] = symbols
     return x_hat, bers
 
 
-def _downlink(run: _TopologyRun, channels, heard, h_da, dl_sbs):
+def _downlink(run: _TopologyRun, channels, heard, h_da):
     """Stage 4: per-UE downlink rate under pilot-only and data-aided ZF."""
     cfg, assoc = run.cfg, run.assoc
     est = {int(v): group.est[i] for group in heard for i, v in enumerate(group.ids)}
     precoders = {}
-    for v in dl_sbs:
+    for v in run.dl_sbs:
         idx = np.flatnonzero(assoc.dl_serving == v)
         precoders[v] = downlink.zf_precode(est[v][:, idx], cfg.p_sbs_mw, ue_indices=idx)
     mbs_idx = np.flatnonzero(assoc.dl_serving == 0)
@@ -301,22 +364,13 @@ def _fold(metric: Metric, acc: dict, labels) -> dict:
     return out
 
 
-def _topology_metrics(spec: ExperimentSpec, sweep_value, topo_idx: int) -> dict:
-    """One topology's contribution: {(method, ue_class): value}.
-
-    Every trial runs the same stages (training at each listening BS,
-    detection at the UL serving BSs, the data-aided solve at the MBS, the
-    downlink) and stops after the last one its metric needs.  Each method
-    sums a per-UE (numerator, denominator) pair over the trials.
-    """
+def _prepare(spec: ExperimentSpec, sweep_value, topo_idx: int) -> _TopologyRun:
+    """The topology at one sweep point, what its trials listen to, and the
+    analytic BER where the metric or the side information needs it."""
     cfg = _apply_sweep(spec.base, spec.sweep_param, sweep_value)
     metric = spec.metric
     topo = scenario.build_topology(cfg, phy.stream(spec.master_seed, topo_idx, PH_TOPOLOGY))
     assoc = scenario.associate(topo, cfg)
-    pilots = phy.make_pilots(cfg.num_ue, cfg.tau_t, cfg.p_train_mw)
-    run = _TopologyRun(cfg, assoc, pilots,
-                       functools.partial(phy.stream, spec.master_seed, topo_idx),
-                       _bs_betas(topo))
     ber_source = _effective_ber_source(spec)
     ones = np.ones(cfg.num_ue)
 
@@ -330,7 +384,6 @@ def _topology_metrics(spec: ExperimentSpec, sweep_value, topo_idx: int) -> dict:
         listeners.add(0)
     if metric is Metric.RATE:
         listeners.update(dl_sbs)
-    dets = spec.detectors if metric is Metric.BER else ("mmse",)
 
     analytic = None
     if spec.modulation is Modulation.BPSK and (
@@ -343,94 +396,106 @@ def _topology_metrics(spec: ExperimentSpec, sweep_value, topo_idx: int) -> dict:
     if metric is Metric.BER and analytic is not None and "mmse" in spec.detectors:
         acc["mmse-analytic"] = np.stack([analytic[0], ones])
         acc["mmse-lower"] = np.stack([analytic[1], ones])
-
-    for t in range(spec.trials):
-        channels = phy.draw_channels(topo, cfg, run.stream(t, PH_CHANNELS))
-        bits = detectors.random_bits(
-            cfg.num_ue, cfg.tau_d, spec.modulation, run.stream(t, PH_BITS))
-        block = detectors.modulate(bits, spec.modulation, cfg.p_data_mw)
-        heard = _listen(run, channels, block, listeners, t)
-        x_hat, emp_bers = _detect(run, heard, block, ul_bs, scored, dets)
-        if metric is Metric.BER:
-            nbits = block.bits.shape[1]
-            for label, ber in emp_bers.items():
-                decided = ~np.isnan(ber)
-                acc.setdefault(label, np.zeros((2, cfg.num_ue)))
-                acc[label] += (np.where(decided, ber, 0.0) * nbits, decided * nbits)
-            continue
-        # stage 3: data-aided solve at the MBS, which every other metric hears
-        mbs = heard[0].at(0)
-        if ber_source is BerSource.ZERO_ERROR:
-            x_hat, side_ber = block.symbols, 0.0 * ones
-        elif ber_source is BerSource.ANALYTIC_PROP1:
-            side_ber = analytic[0]
-        else:
-            side_ber = emp_bers.get("mmse", 0.0 * ones)
-        side = data_aided.DecodedSideInfo(
-            x_hat=x_hat, ber=side_ber, source=ber_source, power=cfg.p_data_mw)
-        h_da = data_aided.da_estimate_matrix(phy.joint_observation(mbs.train, mbs.data),
-                                             pilots, side, topo.beta_mbs, cfg.noise_power_mw)
-        if metric is Metric.NMSE:
-            truth = channels.h_mbs
-            power = np.sum(np.abs(truth) ** 2, axis=0)
-            for m in spec.estimators:
-                h_est = (mbs.est if m == "mmse" else h_da if m == "da"
-                         else estimators.ls_estimate_matrix(mbs.train, run.pilots))
-                acc[m] += (np.sum(np.abs(h_est - truth) ** 2, axis=0), power)
-            continue
-        for mode, rate in _downlink(run, channels, heard, h_da, dl_sbs).items():
-            acc[mode] += (rate, ones)
-
-    return _fold(metric, acc, labels)
+    return _TopologyRun(
+        cfg, topo, assoc, phy.make_pilots(cfg.num_ue, cfg.tau_t, cfg.p_train_mw),
+        _bs_betas(topo), labels, scored, ul_bs, dl_sbs, listeners,
+        spec.detectors if metric is Metric.BER else ("mmse",), ber_source, analytic, acc)
 
 
-def _worker(args):
-    spec, sweep_value, topo_idx = args
+def _trial(spec: ExperimentSpec, run: _TopologyRun, draws: _TrialDraws) -> None:
+    """One trial at one sweep point: the stages its metric needs (training
+    at each listening BS, detection at the UL serving BSs, the data-aided
+    solve at the MBS, the downlink), summed into ``run.acc``."""
+    cfg, metric, acc = run.cfg, spec.metric, run.acc
+    ones = np.ones(cfg.num_ue)
+    channels = draws.channels(run.topo, cfg)
+    block = detectors.modulate(draws.bits(cfg, spec.modulation), spec.modulation,
+                               cfg.p_data_mw)
+    heard = _listen(run, draws, channels, block)
+    x_hat, emp_bers = _detect(run, heard, block)
+    if metric is Metric.BER:
+        nbits = block.bits.shape[1]
+        for label, ber in emp_bers.items():
+            decided = ~np.isnan(ber)
+            acc.setdefault(label, np.zeros((2, cfg.num_ue)))
+            acc[label] += (np.where(decided, ber, 0.0) * nbits, decided * nbits)
+        return
+    # stage 3: data-aided solve at the MBS, which every other metric hears
+    mbs = heard[0].at(0)
+    if run.ber_source is BerSource.ZERO_ERROR:
+        x_hat, side_ber = block.symbols, 0.0 * ones
+    elif run.ber_source is BerSource.ANALYTIC_PROP1:
+        side_ber = run.analytic[0]
+    else:
+        side_ber = emp_bers.get("mmse", 0.0 * ones)
+    side = data_aided.DecodedSideInfo(
+        x_hat=x_hat, ber=side_ber, source=run.ber_source, power=cfg.p_data_mw)
+    h_da = data_aided.da_estimate_matrix(phy.joint_observation(mbs.train, mbs.data),
+                                         run.pilots, side, run.topo.beta_mbs,
+                                         cfg.noise_power_mw)
+    if metric is Metric.NMSE:
+        truth = channels.h_mbs
+        power = np.sum(np.abs(truth) ** 2, axis=0)
+        for m in spec.estimators:
+            h_est = (mbs.est if m == "mmse" else h_da if m == "da"
+                     else estimators.ls_estimate_matrix(mbs.train, run.pilots))
+            acc[m] += (np.sum(np.abs(h_est - truth) ** 2, axis=0), power)
+        return
+    for mode, rate in _downlink(run, channels, heard, h_da).items():
+        acc[mode] += (rate, ones)
+
+
+def _topology_metrics(spec: ExperimentSpec, topo_idx: int) -> dict:
+    """One topology's contribution at every sweep point:
+    {sweep_value: {(method, ue_class): value}}.
+
+    Trials run outer and sweep points inner, so every point takes a trial's
+    channels, bits and noise from one ``_TrialDraws``; each point sums a
+    per-UE (numerator, denominator) pair per method over the trials.  A
+    failure names the sweep value, the topology and the master seed.
+    """
+    value = spec.sweep_values[0]
     try:
-        return (sweep_value, topo_idx, _topology_metrics(spec, sweep_value, topo_idx))
+        runs = {}
+        for value in spec.sweep_values:
+            runs[value] = _prepare(spec, value, topo_idx)
+        for t in range(spec.trials):
+            draws = _TrialDraws(spec.master_seed, topo_idx, t)
+            for value, run in runs.items():
+                _trial(spec, run, draws)
     except Exception as exc:
         raise RuntimeError(
-            f"sweep {spec.sweep_param}={sweep_value}, topology {topo_idx}, "
+            f"sweep {spec.sweep_param}={value}, topology {topo_idx}, "
             f"master seed {spec.master_seed}: {exc}"
         ) from exc
+    return {value: _fold(spec.metric, run.acc, run.labels) for value, run in runs.items()}
 
 
 def run_sweep(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     """Run the configured sweep and aggregate per (value, method, class).
 
-    Per-topology means feed the reported mean and standard error; trial and
-    topology substreams are keyed by index, so output is identical for any
+    One task per topology covers every sweep point.  Per-topology means
+    feed the reported mean and standard error; trial and topology
+    substreams are keyed by index, so output is identical for any
     ``threads`` value.
     """
-    tasks = [
-        (spec, value, p)
-        for value in spec.sweep_values
-        for p in range(spec.topologies)
-    ]
-    results = {}
+    topologies = range(spec.topologies)
     if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            for value, p, metrics in pool.map(_worker, tasks, chunksize=1):
-                results[(value, p)] = metrics
+        workers = min(threads, spec.topologies)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            per_topo = list(pool.map(functools.partial(_topology_metrics, spec), topologies))
     else:
-        for task in tasks:
-            value, p, metrics = _worker(task)
-            results[(value, p)] = metrics
+        per_topo = [_topology_metrics(spec, p) for p in topologies]
 
     metric_name = {
         Metric.NMSE: "nmse_db", Metric.BER: "ber", Metric.RATE: "rate_bps_hz"
     }[spec.metric]
     rows = []
     for value in spec.sweep_values:
-        keys = sorted({
-            key for p in range(spec.topologies) for key in results[(value, p)]
-        })
-        for method, cls in keys:
-            samples = [
-                results[(value, p)][(method, cls)]
-                for p in range(spec.topologies)
-                if (method, cls) in results[(value, p)]
-            ]
+        results = [metrics[value] for metrics in per_topo]
+        for method, cls in sorted({key for metrics in results for key in metrics}):
+            samples = [metrics[(method, cls)] for metrics in results
+                       if (method, cls) in metrics]
             mean = float(np.mean(samples))
             stderr = (
                 float(np.std(samples, ddof=1) / math.sqrt(len(samples)))

@@ -92,13 +92,26 @@ def make_pilots(k: int, tau_t: int, p_t: float) -> PilotMatrix:
     return PilotMatrix(s=s, power=float(p_t))
 
 
-def observe(channel: np.ndarray, signal: np.ndarray, noise_power: float, seed,
-            phase: Phase = Phase.TRAINING) -> Observation:
-    """y = channel @ signal + AWGN with per-element variance noise_power.
+def awgn(seeds, shape, noise_power: float) -> np.ndarray:
+    """Complex AWGN of per-element variance noise_power: one block of
+    ``shape`` from a seed, or a list of seeds stacked along a leading axis,
+    block b drawn from ``seeds[b]``.  Zero noise power draws nothing."""
+    stacked = isinstance(seeds, (list, tuple))
+    noise = np.zeros((len(seeds) if stacked else 1, *shape), dtype=complex)
+    if noise_power > 0:
+        for block, seed in zip(noise, seeds if stacked else [seeds]):
+            block[...] = complex_gaussian(as_rng(seed), shape, noise_power)
+    return noise if stacked else noise[0]
 
-    ``channel`` may carry a leading BS axis, (B, antennas, K).  ``seed`` then
-    lists one seed per BS, and BS b hears exactly what a 2-D call with
-    ``seed[b]`` would draw.
+
+def observe(channel: np.ndarray, signal: np.ndarray, noise_power: float, noise,
+            phase: Phase = Phase.TRAINING) -> Observation:
+    """y = channel @ signal + noise, the AWGN block ``awgn`` drew at
+    variance noise_power.
+
+    ``channel`` may carry a leading BS axis, (B, antennas, K); ``noise``
+    then carries it too, and BS b hears what a 2-D call with ``noise[b]``
+    would.
     """
     channel = np.asarray(channel)
     signal = np.asarray(signal)
@@ -107,12 +120,9 @@ def observe(channel: np.ndarray, signal: np.ndarray, noise_power: float, seed,
             f"dimension mismatch: channel is {channel.shape}, signal is {signal.shape}"
         )
     y = (channel @ signal).astype(complex, copy=False)
-    if noise_power > 0:
-        blocks, seeds = (y[None], [seed]) if channel.ndim == 2 else (y, list(seed))
-        if len(seeds) != len(blocks):
-            raise ValueError(f"{len(blocks)} base stations need as many seeds, got {len(seeds)}")
-        for block, s in zip(blocks, seeds):
-            block += complex_gaussian(as_rng(s), block.shape, noise_power)
+    if np.shape(noise) != y.shape:
+        raise ValueError(f"noise is {np.shape(noise)}, the observation {y.shape}")
+    y += noise
     return Observation(y=y, phase=phase, noise_power=float(noise_power))
 
 

@@ -83,7 +83,8 @@ def _pilot_only_nmse_run(cfg, topo, assoc, master_seed, tag, point, trials):
             topo, cfg, phy.stream(master_seed, tag, point, t, 0))
         obs = phy.observe(
             channels.h_mbs, pilots.s, n0,
-            phy.stream(master_seed, tag, point, t, 1), Phase.TRAINING)
+            phy.awgn(phy.stream(master_seed, tag, point, t, 1),
+                     (cfg.mbs_antennas, cfg.tau_t), n0), Phase.TRAINING)
         h_ls = estimators.ls_estimate_matrix(obs, pilots)
         h_mmse = estimators.mmse_estimate_matrix(obs, pilots, topo.beta_mbs, n0)
         num["ls"] += np.sum(np.abs(h_ls - channels.h_mbs) ** 2, axis=0)
@@ -405,12 +406,14 @@ def check_saturation_limits(master_seed: int = 1) -> list:
     pilots = phy.make_pilots(k_total, cfg.tau_t, cfg.p_train_mw)
     channels = phy.draw_channels(topo, cfg, phy.stream(master_seed, _TAG_C8, 1))
     train = phy.observe(channels.h_mbs, pilots.s, n0,
-                        phy.stream(master_seed, _TAG_C8, 2), Phase.TRAINING)
+                        phy.awgn(phy.stream(master_seed, _TAG_C8, 2),
+                                 (cfg.mbs_antennas, cfg.tau_t), n0), Phase.TRAINING)
     bits = detectors.random_bits(k_total, cfg.tau_d, Modulation.BPSK,
                                  phy.stream(master_seed, _TAG_C8, 3))
     block = detectors.modulate(bits, Modulation.BPSK, cfg.p_data_mw)
     data = phy.observe(channels.h_mbs, block.symbols, n0,
-                       phy.stream(master_seed, _TAG_C8, 4), Phase.DATA)
+                       phy.awgn(phy.stream(master_seed, _TAG_C8, 4),
+                                (cfg.mbs_antennas, cfg.tau_d), n0), Phase.DATA)
     joint = phy.joint_observation(train, data)
     pilot_only = estimators.mmse_estimate_matrix(train, pilots, topo.beta_mbs, n0)
 
@@ -525,12 +528,14 @@ def check_detector_ordering(master_seed: int = 1) -> list:
     pilots = phy.make_pilots(3, cfg.tau_t, cfg.p_train_mw)
     n0 = cfg.noise_power_mw
     train = phy.observe(channels.g_sbs[0], pilots.s, n0,
-                        phy.stream(master_seed, 911), Phase.TRAINING)
+                        phy.awgn(phy.stream(master_seed, 911),
+                                 (cfg.sbs_antennas, cfg.tau_t), n0), Phase.TRAINING)
     est = estimators.mmse_estimate_matrix(train, pilots, topo.beta_sbs[0], n0)
     bits = detectors.random_bits(3, 64, Modulation.BPSK, phy.stream(master_seed, 912))
     block = detectors.modulate(bits, Modulation.BPSK, cfg.p_data_mw)
     data = phy.observe(channels.g_sbs[0], block.symbols, n0,
-                       phy.stream(master_seed, 913), Phase.DATA)
+                       phy.awgn(phy.stream(master_seed, 913), (cfg.sbs_antennas, 64), n0),
+                       Phase.DATA)
     served = [0]
     args = (topo.beta_sbs[0], cfg.p_train_mw, cfg.tau_t, cfg.p_data_mw, n0)
     comb_zf = detectors.build_combiner(

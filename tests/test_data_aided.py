@@ -31,8 +31,8 @@ def _setup(k=2, m=4, tau_t=2, tau_d=8, betas=(1.0, 0.4), n0=0.2,
     pilots = make_pilots(k, tau_t, p_t)
     bits = random_bits(k, tau_d, Modulation.BPSK, rng)
     block = modulate(bits, Modulation.BPSK, p_d)
-    train = observe(h, pilots.s, n0, rng, Phase.TRAINING)
-    data = observe(h, block.symbols, n0, rng, Phase.DATA)
+    train = observe(h, pilots.s, n0, phy.awgn(rng, (m, tau_t), n0), Phase.TRAINING)
+    data = observe(h, block.symbols, n0, phy.awgn(rng, (m, tau_d), n0), Phase.DATA)
     joint = joint_observation(train, data)
     side = DecodedSideInfo(x_hat=block.symbols, ber=np.asarray(bers, dtype=float),
                            source=BerSource.EMPIRICAL_ORACLE, power=p_d)
@@ -223,7 +223,7 @@ def test_empirical_nmse_tracks_ls_closed_form():
     truth, estimates = [], []
     for _ in range(800):
         g = phy.complex_gaussian(rng, (8, 1))
-        obs = observe(g, pilots.s, 1.0, rng, Phase.TRAINING)
+        obs = observe(g, pilots.s, 1.0, phy.awgn(rng, (8, 4), 1.0), Phase.TRAINING)
         est = obs.y @ pilots.s.conj().T / (4 * 25.0)
         truth.append(g[:, 0])
         estimates.append(est[:, 0])

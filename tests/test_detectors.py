@@ -113,7 +113,7 @@ def test_noiseless_single_ue_detection_is_error_free():
     est = _toy_estimates(4, [1.0], 5)
     bits = random_bits(1, 128, Modulation.BPSK, 6)
     block = modulate(bits, Modulation.BPSK, 1.0)
-    obs = observe(est, block.symbols, 0.0, 7, Phase.DATA)
+    obs = observe(est, block.symbols, 0.0, phy.awgn(7, (4, 128), 0.0), Phase.DATA)
     comb = build_combiner(CombinerKind.MRC, est, [1.0], 1.0, 4, 1.0, 1e-9)
     decoded, ber = detect(obs, comb, block, 0)
     assert ber == 0.0
@@ -123,7 +123,7 @@ def test_noiseless_single_ue_detection_is_error_free():
 def test_detect_requires_data_phase():
     est = _toy_estimates(2, [1.0], 8)
     block = modulate(random_bits(1, 4, Modulation.BPSK, 1), Modulation.BPSK, 1.0)
-    obs = observe(est, block.symbols, 0.0, 1, Phase.TRAINING)
+    obs = observe(est, block.symbols, 0.0, phy.awgn(1, (2, 4), 0.0), Phase.TRAINING)
     comb = build_combiner(CombinerKind.MRC, est, [1.0], 1.0, 2, 1.0, 0.1)
     with pytest.raises(ValueError, match="data"):
         detect(obs, comb, block, 0)
@@ -133,7 +133,7 @@ def test_pure_noise_detection_is_coin_flip():
     channel = np.zeros((2, 1), dtype=complex)
     bits = random_bits(1, 10_000, Modulation.BPSK, 9)
     block = modulate(bits, Modulation.BPSK, 1.0)
-    obs = observe(channel, block.symbols, 1.0, 10, Phase.DATA)
+    obs = observe(channel, block.symbols, 1.0, phy.awgn(10, (2, 10_000), 1.0), Phase.DATA)
     fake_est = np.ones((2, 1), dtype=complex)
     comb = build_combiner(CombinerKind.MRC, fake_est, [1.0], 1.0, 2, 1.0, 1.0)
     _, ber = detect(obs, comb, block, 0)
@@ -147,7 +147,7 @@ def test_awgn_bpsk_ber_matches_q_function():
     channel = np.ones((1, 1), dtype=complex)
     bits = random_bits(1, 200_000, Modulation.BPSK, 11)
     block = modulate(bits, Modulation.BPSK, p_d)
-    obs = observe(channel, block.symbols, n0, 12, Phase.DATA)
+    obs = observe(channel, block.symbols, n0, phy.awgn(12, (1, 200_000), n0), Phase.DATA)
     comb = build_combiner(CombinerKind.MRC, channel, [1.0], 1.0, 1, p_d, n0)
     _, ber = detect(obs, comb, block, 0)
     expected = float(q_function(np.sqrt(2 * gamma)))
@@ -158,7 +158,7 @@ def test_bpsk_decisions_scale_invariant():
     est = _toy_estimates(4, [1.0, 0.5], 13)
     bits = random_bits(2, 64, Modulation.BPSK, 14)
     block = modulate(bits, Modulation.BPSK, 1.0)
-    obs = observe(est, block.symbols, 0.5, 15, Phase.DATA)
+    obs = observe(est, block.symbols, 0.5, phy.awgn(15, (4, 64), 0.5), Phase.DATA)
     comb = build_combiner(CombinerKind.MMSE, est, [1.0, 0.5], 1.0, 4, 1.0, 0.2)
     scaled = type(comb)(c=3.7 * comb.c, kind=comb.kind,
                         ue_indices=comb.ue_indices, gain=3.7 * comb.gain)
@@ -172,7 +172,7 @@ def test_detect_all_matches_detect():
     est = _toy_estimates(4, [1.0, 0.5, 0.2], 16)
     bits = random_bits(3, 32, Modulation.QAM4, 17)
     block = modulate(bits, Modulation.QAM4, 2.0)
-    obs = observe(est, block.symbols, 0.05, 18, Phase.DATA)
+    obs = observe(est, block.symbols, 0.05, phy.awgn(18, (4, 32), 0.05), Phase.DATA)
     comb = build_combiner(CombinerKind.MMSE, est, [1.0, 0.5, 0.2], 1.0, 4, 2.0, 0.05)
     all_bits, _, all_ber = detect_all(obs, comb, block)
     for k in range(3):
@@ -247,7 +247,8 @@ def _stack_setup(n_bs, n_ant, k_total, seed):
     bits = random_bits(k_total, 48, Modulation.QAM16, seed)
     block = modulate(bits, Modulation.QAM16, 2.0)
     channel = est + 0.1 * phy.complex_gaussian(rng, est.shape)
-    obs = observe(channel, block.symbols, 0.05, [seed + b for b in range(n_bs)], Phase.DATA)
+    noise = phy.awgn([seed + b for b in range(n_bs)], (n_ant, 48), 0.05)
+    obs = observe(channel, block.symbols, 0.05, noise, Phase.DATA)
     return betas, est, block, obs
 
 
@@ -297,3 +298,66 @@ def test_mmse_rows_equal_the_antenna_domain_solve(n_ant, k_total):
     reg = 1.0 / effective_rho(betas, 1.3, 8, 0.4, 0.9)
     ref = np.linalg.solve(est @ est.conj().T + reg * np.eye(n_ant), est).conj().T
     np.testing.assert_allclose(comb.c, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+# served sets of four BSs with 4 antennas: lengths 1, 3, 4 (ragged), and a
+# fifth BS that serves 6 UEs and must fall back to MMSE on its own
+_SERVED = [(2,), (0, 5, 7), (1, 3, 4, 8), (6, 9), (0, 1, 2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("kind", list(CombinerKind))
+def test_ragged_served_sets_equal_per_bs_calls(kind):
+    betas, est, block, obs = _stack_setup(4, 4, 10, 24)
+    args = (1.3, 8, 2.0, 0.05)
+    served = _SERVED[:4]
+    stacked = build_combiner(kind, est, betas, *args, ue_indices=served)
+    assert stacked.kind is kind
+    bits, symbols, ber = detect_all(obs, stacked, block)
+    width = max(map(len, served))
+    for b, ues in enumerate(served):
+        # padded rows repeat the BS's last UE
+        assert stacked.ue_indices[b] == ues + ues[-1:] * (width - len(ues))
+        single = build_combiner(kind, est[b][:, list(ues)], betas[b], *args, ue_indices=ues)
+        n = len(ues)
+        for rows in (slice(0, n), [n - 1] * (width - n)):
+            want = single.c[rows]
+            np.testing.assert_allclose(stacked.c[b][rows], want, rtol=0,
+                                       atol=1e-12 * np.abs(single.c).max())
+            np.testing.assert_allclose(stacked.gain[b][rows], single.gain[rows], rtol=1e-12)
+        obs_b = Observation(y=obs.y[b], phase=Phase.DATA, noise_power=obs.noise_power)
+        bits_b, symbols_b, ber_b = detect_all(obs_b, single, block)
+        assert np.array_equal(bits[b][:n], bits_b)
+        assert np.array_equal(symbols[b][:n], symbols_b)
+        assert np.array_equal(ber[b][:n], ber_b)
+
+
+def test_mrc_rows_on_every_column_equal_served_rows():
+    # an MRC row depends on its own column only, so rows built on all K
+    # columns and picked per BS equal rows built on the served columns
+    betas, est, block, obs = _stack_setup(4, 4, 10, 25)
+    args = (1.3, 8, 2.0, 0.05)
+    full = build_combiner(CombinerKind.MRC, est, betas, *args)
+    for b, ues in enumerate(_SERVED[:4]):
+        single = build_combiner(CombinerKind.MRC, est[b][:, list(ues)], betas[b], *args)
+        np.testing.assert_allclose(full.c[b][list(ues)], single.c, rtol=0,
+                                   atol=1e-12 * np.abs(single.c).max())
+
+
+def test_ragged_zf_falls_back_for_the_whole_stack(caplog):
+    # a BS with more UEs than antennas cannot zero-force; on its own it
+    # falls back exactly as a 2-D call does
+    betas, est, block, obs = _stack_setup(5, 4, 10, 26)
+    args = (1.3, 8, 2.0, 0.05)
+    ues = _SERVED[4]
+    with caplog.at_level(logging.WARNING, logger="hetnetsim.detectors"):
+        alone = build_combiner(CombinerKind.ZF, est[4:], betas[4:], *args, ue_indices=[ues])
+        single = build_combiner(CombinerKind.ZF, est[4][:, list(ues)], betas[4], *args,
+                                ue_indices=ues)
+        mixed = build_combiner(CombinerKind.ZF, est, betas, *args, ue_indices=_SERVED)
+    assert alone.kind is single.kind is mixed.kind is CombinerKind.MMSE
+    np.testing.assert_allclose(alone.c[0], single.c, rtol=0,
+                               atol=1e-12 * np.abs(single.c).max())
+    obs_4 = Observation(y=obs.y[4], phase=Phase.DATA, noise_power=obs.noise_power)
+    obs_alone = Observation(y=obs.y[4:], phase=Phase.DATA, noise_power=obs.noise_power)
+    assert np.array_equal(detect_all(obs_alone, alone, block)[0][0],
+                          detect_all(obs_4, single, block)[0])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hetnetsim import ber_analytic, estimators, experiments, phy, scenario
+from hetnetsim import ber_analytic, detectors, estimators, experiments, phy, scenario
 from hetnetsim.ber_analytic import SinrGammaModel, analytic_ber, ber_lower_bound
 from hetnetsim.data_aided import BerSource
 from hetnetsim.detectors import Modulation
@@ -137,7 +137,7 @@ def test_aggregation_matches_manual_recompute():
     table = run_sweep(spec)
     from hetnetsim.experiments import _topology_metrics
 
-    per_topo = [_topology_metrics(spec, 3.0, p)[("mmse", "mue")] for p in range(3)]
+    per_topo = [_topology_metrics(spec, p)[3.0][("mmse", "mue")] for p in range(3)]
     assert table.value(sweep_value=3.0, method="mmse", ue_class="mue") == \
         pytest.approx(np.mean(per_topo))
     row = table.filtered(sweep_value=3.0, method="mmse", ue_class="mue")[0]
@@ -262,7 +262,7 @@ def test_zf_fallback_rows_are_labelled_zf_to_mmse():
     ul_of_decoupled = {int(v) for v in assoc.ul_serving[assoc.decoupled]}
     assert overloaded & ul_of_decoupled and ul_of_decoupled - overloaded - {0}
 
-    got = experiments._topology_metrics(spec, 13.0, 0)
+    got = experiments._topology_metrics(spec, 0)[13.0]
     assert set(got) == {("zf", "decoupled"), ("zf->mmse", "decoupled")}
     assert {r.method for r in run_sweep(spec).rows} == {"zf", "zf->mmse"}
 
@@ -281,3 +281,110 @@ def test_analytic_ber_vector_equals_one_gamma_model_per_ue():
             n_ant, betas, k, cfg.p_train_mw, cfg.tau_t, cfg.noise_power_mw, cfg.p_data_mw))
         assert bers[k] == pytest.approx(analytic_ber(model), rel=1e-12)
         assert bounds[k] == pytest.approx(ber_lower_bound(model), rel=1e-12)
+
+
+# --- one task per topology: shared draws, stacked detection, pointed errors
+
+
+@pytest.mark.parametrize("base,param,values", [
+    (desk_config(num_sbs=0), "p_data_dbm", (3.0,)),
+    (desk_config(), "num_sbs", (0, 2)),
+])
+def test_ber_spec_without_an_sbs_is_rejected_up_front(base, param, values):
+    # no SBS means no decoupled UE, and the BER metric scores only those
+    with pytest.raises(ValueError, match="num_sbs=0"):
+        ExperimentSpec(base=base, sweep_param=param, sweep_values=values, metric=Metric.BER)
+    ExperimentSpec(base=base, sweep_param=param, sweep_values=values, metric=Metric.RATE)
+
+
+def test_worker_failure_names_sweep_value_topology_and_seed():
+    # downlink ZF cannot serve the MBS's UEs with 4 antennas
+    spec = ExperimentSpec(base=desk_config(), sweep_param="mbs_antennas",
+                          sweep_values=(4, 64), metric=Metric.RATE, trials=1,
+                          topologies=1, master_seed=3,
+                          ber_source=BerSource.EMPIRICAL_ORACLE)
+    with pytest.raises(RuntimeError,
+                       match=r"sweep mbs_antennas=4, topology 0, master seed 3: ZF"):
+        run_sweep(spec)
+
+
+@pytest.mark.parametrize("metric,param,values,draws_per_trial", [
+    (Metric.NMSE, "p_train_dbm", (-7.0, 3.0, 13.0), 1),
+    (Metric.BER, "p_data_dbm", (3.0, 13.0, 23.0), 1),
+    (Metric.RATE, "num_ue", (6, 10), 2),      # a new shape misses the shared draw
+])
+def test_multi_point_sweep_equals_its_one_point_sweeps(monkeypatch, metric, param, values,
+                                                       draws_per_trial):
+    kw = dict(base=desk_config(), sweep_param=param, metric=metric, trials=3,
+              topologies=2, master_seed=5)
+    draw_channels, draws = phy.draw_channels, []
+
+    def counting(*args):
+        draws.append(args)
+        return draw_channels(*args)
+
+    monkeypatch.setattr(phy, "draw_channels", counting)
+    table = run_sweep(ExperimentSpec(sweep_values=values, **kw))
+    assert len(draws) == draws_per_trial * 3 * 2
+    alone = sum((run_sweep(ExperimentSpec(sweep_values=(v,), **kw)).rows for v in values), ())
+    assert table.rows == alone      # mean, stderr and n bit for bit
+
+
+def test_shared_draws_are_read_only_and_reused():
+    cfg = desk_config()
+    topo = scenario.build_topology(cfg, phy.stream(1, 0, experiments.PH_TOPOLOGY))
+    draws = experiments._TrialDraws(1, 0, 0)
+    channels = draws.channels(topo, cfg)
+    bits = draws.bits(cfg, Modulation.QAM4)
+    noise = draws.noise(experiments.PH_NOISE_DATA, [1, 4], (8, cfg.tau_d), 0.5)
+    for a in (channels.h_mbs, *channels.g_sbs, bits, noise):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        channels.h_mbs[0, 0] = 0.0
+    assert draws.channels(topo, cfg.replace(p_train_dbm=-7.0)) is channels
+    assert draws.noise(experiments.PH_NOISE_DATA, [1, 4], (8, cfg.tau_d), 0.5) is noise
+    # any argument that shapes a draw keys it: a fresh draw, from the same substream
+    wide = draws.channels(topo, cfg.replace(sbs_antennas=4))
+    assert wide.g_sbs[0].shape == (4, cfg.num_ue)
+    assert draws.noise(experiments.PH_NOISE_DATA, [1, 4], (8, cfg.tau_d), 0.7) is not noise
+    fresh = phy.draw_channels(topo, cfg, phy.stream(1, 0, 0, experiments.PH_CHANNELS))
+    assert np.array_equal(channels.h_mbs, fresh.h_mbs)
+    assert np.array_equal(noise[1], phy.awgn(
+        phy.stream(1, 0, 0, experiments.PH_NOISE_DATA, 4), (8, cfg.tau_d), 0.5))
+
+
+def test_stacked_detection_equals_one_combiner_per_bs():
+    # desk scale with 2 SBS antennas and 20 UEs: topology 0 has UL SBSs
+    # serving 1, 2 and 3 UEs, so ZF stacks ragged sets and falls back at two
+    spec = ExperimentSpec(base=desk_config(num_ue=20, sbs_antennas=2),
+                          sweep_param="p_data_dbm", sweep_values=(13.0,), metric=Metric.BER,
+                          trials=1, topologies=1, master_seed=1)
+    run = experiments._prepare(spec, 13.0, 0)
+    draws = experiments._TrialDraws(1, 0, 0)
+    channels = draws.channels(run.topo, run.cfg)
+    block = detectors.modulate(draws.bits(run.cfg, spec.modulation), spec.modulation,
+                               run.cfg.p_data_mw)
+    heard = experiments._listen(run, draws, channels, block)
+    _, got = experiments._detect(run, heard, block)
+
+    cfg, ul = run.cfg, run.assoc.ul_serving
+    args = (cfg.p_train_mw, cfg.tau_t, cfg.p_data_mw, cfg.noise_power_mw)
+    want = {}
+    for group in heard:
+        for i, v in enumerate(group.ids):
+            if v not in run.ul_bs:
+                continue
+            served = np.flatnonzero(ul == v)
+            mine = np.flatnonzero(run.scored & (ul == v))
+            obs = phy.Observation(group.data.y[i], phy.Phase.DATA, group.data.noise_power)
+            for det in ("mrc", "zf", "mmse"):
+                cols = served if det != "mmse" else np.arange(cfg.num_ue)
+                comb = detectors.build_combiner(
+                    det, group.est[i][:, cols], run.betas[v], *args, ue_indices=cols)
+                _, _, ber = detectors.detect_all(obs, comb, block)
+                label = det if comb.kind.value == det else f"{det}->{comb.kind.value}"
+                want.setdefault(label, np.full(cfg.num_ue, np.nan))[mine] = \
+                    ber[np.searchsorted(cols, mine)]
+    assert set(got) == {"mrc", "zf", "zf->mmse", "mmse"}
+    for label in want:
+        assert np.array_equal(got[label], want[label], equal_nan=True), label

@@ -107,7 +107,7 @@ GOLDEN = {
 def test_topology_metrics_match_recorded_values(name, topo_idx):
     spec = ExperimentSpec(base=desk_config(), trials=3, topologies=2, master_seed=1,
                           **SPECS[name])
-    got = _topology_metrics(spec, spec.sweep_values[0], topo_idx)
+    got = _topology_metrics(spec, topo_idx)[spec.sweep_values[0]]
     want = GOLDEN[(name, topo_idx)]
     assert set(got) == set(want)
     for key, value in want.items():

@@ -101,24 +101,24 @@ def test_unit_variance_complex_gaussian():
 def test_observe_noiseless_is_exact_product():
     channel = np.arange(6, dtype=complex).reshape(2, 3)
     signal = np.eye(3, dtype=complex)
-    obs = observe(channel, signal, 0.0, 1)
+    obs = observe(channel, signal, 0.0, phy.awgn(1, (2, 3), 0.0))
     assert np.array_equal(obs.y, channel)
 
 
 def test_observe_noise_variance():
     channel = np.zeros((50, 1), dtype=complex)
     signal = np.zeros((1, 2000), dtype=complex)
-    obs = observe(channel, signal, 1.0, 9)
+    obs = observe(channel, signal, 1.0, phy.awgn(9, (50, 2000), 1.0))
     assert np.mean(np.abs(obs.y) ** 2) == pytest.approx(1.0, rel=0.02)
 
 
 def test_observe_shape_and_mismatch():
     pilots = make_pilots(3, 6, 1.0)
     channel = phy.complex_gaussian(np.random.default_rng(0), (4, 3))
-    obs = observe(channel, pilots.s, 1e-3, 2, Phase.TRAINING)
+    obs = observe(channel, pilots.s, 1e-3, phy.awgn(2, (4, 6), 1e-3), Phase.TRAINING)
     assert obs.y.shape == (4, 6)
     with pytest.raises(ValueError, match="mismatch"):
-        observe(channel, np.zeros((4, 6)), 1e-3, 2)
+        observe(channel, np.zeros((4, 6)), 1e-3, phy.awgn(2, (4, 6), 1e-3))
 
 
 def test_joint_prefix_equals_training_block():
@@ -126,8 +126,8 @@ def test_joint_prefix_equals_training_block():
     channel = phy.complex_gaussian(rng, (8, 3))
     pilots = make_pilots(3, 5, 1.0)
     data = phy.complex_gaussian(rng, (3, 7))
-    train = observe(channel, pilots.s, 0.1, stream(1, 0), Phase.TRAINING)
-    data_obs = observe(channel, data, 0.1, stream(1, 1), Phase.DATA)
+    train = observe(channel, pilots.s, 0.1, phy.awgn(stream(1, 0), (8, 5), 0.1), Phase.TRAINING)
+    data_obs = observe(channel, data, 0.1, phy.awgn(stream(1, 1), (8, 7), 0.1), Phase.DATA)
     joint = joint_observation(train, data_obs)
     assert joint.phase is Phase.JOINT
     assert np.array_equal(joint.y[:, :5], train.y)
@@ -135,7 +135,7 @@ def test_joint_prefix_equals_training_block():
 
 
 def test_joint_rejects_wrong_phases():
-    obs = observe(np.zeros((2, 2)), np.zeros((2, 2)), 0.0, 1, Phase.DATA)
+    obs = observe(np.zeros((2, 2)), np.zeros((2, 2)), 0.0, phy.awgn(1, (2, 2), 0.0), Phase.DATA)
     with pytest.raises(ValueError):
         joint_observation(obs, obs)
 
@@ -151,7 +151,7 @@ def test_observation_energy_balance():
     total, signal = [], []
     for _ in range(400):
         ch = draw_channels(topo, cfg, rng)
-        obs = observe(ch.h_mbs, pilots.s, n0, rng)
+        obs = observe(ch.h_mbs, pilots.s, n0, phy.awgn(rng, (16, 4), n0))
         total.append(np.sum(np.abs(obs.y) ** 2))
         signal.append(np.sum(np.abs(ch.h_mbs @ pilots.s) ** 2))
     expected = np.mean(signal) + 16 * 4 * n0
@@ -172,10 +172,11 @@ def test_stacked_observe_hears_what_each_bs_hears_alone():
     channels = phy.complex_gaussian(rng, (3, 6, 4))
     signal = phy.complex_gaussian(rng, (4, 9))
     seeds = [stream(1, 2, b) for b in range(3)]
-    stacked = observe(channels, signal, 0.2, seeds, Phase.DATA)
+    stacked = observe(channels, signal, 0.2, phy.awgn(seeds, (6, 9), 0.2), Phase.DATA)
     assert stacked.y.shape == (3, 6, 9)
     for b in range(3):
-        alone = observe(channels[b], signal, 0.2, stream(1, 2, b), Phase.DATA)
+        alone = observe(channels[b], signal, 0.2, phy.awgn(stream(1, 2, b), (6, 9), 0.2),
+                        Phase.DATA)
         assert np.array_equal(stacked.y[b], alone.y)
-    with pytest.raises(ValueError, match="seeds"):
-        observe(channels, signal, 0.2, seeds[:2], Phase.DATA)
+    with pytest.raises(ValueError, match="noise is"):
+        observe(channels, signal, 0.2, phy.awgn(seeds[:2], (6, 9), 0.2), Phase.DATA)
