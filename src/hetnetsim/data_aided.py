@@ -32,8 +32,8 @@ class DecodedSideInfo:
     """What the serving BSs forward over backhaul: decoded symbols plus a
     per-UE BER figure describing how much to trust them."""
 
-    x_hat: np.ndarray                  # (K, tau_d) decoded symbols
-    ber: np.ndarray                    # (K,) in [0, 0.5]
+    x_hat: np.ndarray                  # ([T,] K, tau_d) decoded symbols
+    ber: np.ndarray                    # ([T,] K) in [0, 0.5]
     source: BerSource
     power: float                       # nominal symbol power P_D
 
@@ -57,11 +57,12 @@ def fold_ber(ber) -> np.ndarray:
     return np.clip(np.minimum(b, 1.0 - b), 0.0, 0.5)
 
 
-def delta_s_x(bers, betas, p_d: float) -> float:
-    """Residual interference injected by decoding errors, P_D-weighted."""
+def delta_s_x(bers, betas, p_d: float) -> float | np.ndarray:
+    """Residual interference injected by decoding errors, P_D-weighted;
+    one value per row of a stack of BER vectors."""
     bers = fold_ber(bers)
     betas = np.asarray(betas, dtype=float)
-    return float(p_d * np.sum(betas * (1.0 - (1.0 - 2.0 * bers) ** 2)))
+    return p_d * np.sum(betas * (1.0 - (1.0 - 2.0 * bers) ** 2), axis=-1)
 
 
 def error_expectation(
@@ -82,20 +83,25 @@ def da_combiner_matrix(
     Solved in the K x K Woodbury form: with D the diagonal regulariser
     (N0 on pilots, Delta_S + N0 on data) and Wbar the shrunk joint rows,
     C = D^-1 Wbar^H (diag(1/beta) + Wbar D^-1 Wbar^H)^-1.
+
+    Side information with a leading trial axis, x_hat (T, K, tau_d) and
+    BERs (K,) or (T, K), gives one combiner, and one Delta_S, per trial.
     """
     betas = np.asarray(betas, dtype=float)
     bers = fold_ber(side.ber)
     tau_t = pilots.tau_t
-    tau_d = side.x_hat.shape[1]
-    shrink = (1.0 - 2.0 * bers)[:, None]
-    w_bar = np.concatenate([pilots.s, side.x_hat * shrink], axis=1)
+    decoded = side.x_hat * (1.0 - 2.0 * bers)[..., None]
+    lead = decoded.shape[:-2]
+    w_bar = np.concatenate([np.broadcast_to(pilots.s, (*lead, *pilots.s.shape)), decoded],
+                           axis=-1)
     ds = delta_s_x(bers, betas, side.power)
     d_inv = np.concatenate(
-        [np.full(tau_t, 1.0 / noise_power), np.full(tau_d, 1.0 / (ds + noise_power))]
-    )
-    a = (w_bar * d_inv[None, :]) @ w_bar.conj().T
+        [np.full((*lead, tau_t), 1.0 / noise_power),
+         np.full((*lead, decoded.shape[-1]), (1.0 / (ds + noise_power))[..., None])], axis=-1)
+    w_bar_h = w_bar.conj().swapaxes(-1, -2)
+    a = (w_bar * d_inv[..., None, :]) @ w_bar_h
     middle = np.linalg.solve(np.diag(1.0 / betas) + a, np.eye(len(betas)))
-    return (d_inv[:, None] * w_bar.conj().T) @ middle
+    return (d_inv[..., :, None] * w_bar_h) @ middle
 
 
 def da_estimate_matrix(
@@ -105,14 +111,16 @@ def da_estimate_matrix(
     betas,
     noise_power: float,
 ) -> np.ndarray:
-    """Data-aided estimates of every UE's channel to this BS (one column each)."""
+    """Data-aided estimates of every UE's channel to this BS (one column
+    each).  A leading trial axis on the observation and the side
+    information gives one estimate matrix per trial."""
     if joint_obs.phase is not Phase.JOINT:
         raise ValueError("data-aided estimation needs the joint observation")
-    tau_d = side.x_hat.shape[1]
+    tau_d = side.x_hat.shape[-1]
     expected_cols = pilots.tau_t + tau_d
-    if joint_obs.y.shape[1] != expected_cols:
+    if joint_obs.y.shape[-1] != expected_cols:
         raise ValueError(
-            f"joint observation has {joint_obs.y.shape[1]} columns, "
+            f"joint observation has {joint_obs.y.shape[-1]} columns, "
             f"expected tau_t + tau_d = {expected_cols}"
         )
     if tau_d == 0:

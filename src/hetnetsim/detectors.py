@@ -63,14 +63,14 @@ def _constellation(scheme: Modulation, p_d: float):
 
 @dataclass(frozen=True)
 class DataBlock:
-    bits: np.ndarray                   # (K, tau_d * bits_per_symbol)
-    symbols: np.ndarray                # (K, tau_d)
+    bits: np.ndarray                   # ([T,] K, tau_d * bits_per_symbol)
+    symbols: np.ndarray                # ([T,] K, tau_d)
     modulation: Modulation
     power: float
 
     @property
     def tau_d(self) -> int:
-        return self.symbols.shape[1]
+        return self.symbols.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,14 @@ class Combiner:
     ``gain[i]`` is the row's response to its own estimated channel; detect
     divides it out before slicing so amplitude-coded constellations are not
     hurt by the MMSE bias (a positive real factor, harmless for BPSK/QAM4).
-    A stacked combiner, one per BS along a leading axis, shares one
-    ``ue_indices`` tuple or holds one tuple per BS.
+    A stacked combiner, one per BS along a leading axis (after any trial
+    axis), shares one ``ue_indices`` tuple or holds one tuple per BS.
     """
 
-    c: np.ndarray                      # ([BS,] n, antennas)
+    c: np.ndarray                      # ([T,] [BS,] n, antennas)
     kind: CombinerKind
     ue_indices: tuple
-    gain: np.ndarray                   # ([BS,] n) complex
+    gain: np.ndarray                   # ([T,] [BS,] n) complex
 
     def row_for(self, k: int) -> int:
         try:
@@ -97,20 +97,21 @@ class Combiner:
 
 
 def modulate(bits, scheme: Modulation, p_d: float) -> DataBlock:
-    """Map a (K, n_bits) binary matrix onto constellation symbols with
-    average power p_d.  Random payloads come from ``random_bits``."""
+    """Map a (K, n_bits) binary matrix, or a stack of them, onto
+    constellation symbols with average power p_d.  Random payloads come
+    from ``random_bits``."""
     scheme = Modulation(scheme)
     bits = np.asarray(bits, dtype=int)
     bps = scheme.bits_per_symbol
-    if bits.ndim != 2 or bits.shape[1] % bps:
+    if bits.ndim < 2 or bits.shape[-1] % bps:
         raise ValueError(
             f"bit count per UE must be a multiple of {bps} for {scheme.value}"
         )
     points, table = _constellation(scheme, p_d)
-    groups = bits.reshape(bits.shape[0], -1, bps)
-    idx = np.zeros(groups.shape[:2], dtype=int)
+    groups = bits.reshape(*bits.shape[:-1], -1, bps)
+    idx = np.zeros(groups.shape[:-1], dtype=int)
     for b in range(bps):
-        idx = (idx << 1) | groups[:, :, b]
+        idx = (idx << 1) | groups[..., b]
     # map bit patterns to constellation indices
     lut = np.empty(2 ** bps, dtype=int)
     for row, pattern in enumerate(table):
@@ -151,12 +152,15 @@ def build_combiner(
     then covers the columns ``ue_indices[b]``.  Shorter sets are padded
     with zero columns, kept out of the ZF solve by an identity block and
     out of the MRC norms by a unit norm; the padded rows are then dropped,
-    each shorter set repeating its last UE's row.  ZF falls back to MMSE for the whole stack when any
-    set is larger than the antenna count.
+    each shorter set repeating its last UE's row.  ZF falls back to MMSE
+    for the whole stack when any set is larger than the antenna count.
+
+    A trial axis may lead the BS axis, (T, B, antennas, n): each trial
+    then gets what a call on its own slice would.
     """
     kind = CombinerKind(kind)
     est = np.asarray(estimates)
-    ragged = (est.ndim == 3 and ue_indices is not None and len(ue_indices) > 0
+    ragged = (est.ndim >= 3 and ue_indices is not None and len(ue_indices) > 0
               and np.ndim(ue_indices[0]) == 1)
     pad = np.zeros(est.shape[-1], dtype=bool)       # the padded columns
     if ragged:
@@ -165,7 +169,8 @@ def build_combiner(
         cols = np.array([np.asarray(u, dtype=int)[i] for u, i in zip(ue_indices, last)])
         pad = last < np.arange(last.shape[1])                            # (B, n)
         ue_indices = tuple(map(tuple, cols.tolist()))
-        est = np.where(pad[:, None, :], 0.0, np.take_along_axis(est, cols[:, None, :], -1))
+        picked = np.take_along_axis(est, _lead(cols[:, None, :], est.ndim), -1)
+        est = np.where(pad[:, None, :], 0.0, picked)
     n_ant, n_ue = est.shape[-2:]
     if ue_indices is None:
         ue_indices = tuple(range(n_ue))
@@ -202,9 +207,15 @@ def build_combiner(
 
     gain = np.einsum("...ij,...ji->...i", rows, est)
     if ragged:
-        rows = np.take_along_axis(rows, last[..., None], axis=-2)
-        gain = np.take_along_axis(gain, last, axis=-1)
+        rows = np.take_along_axis(rows, _lead(last[..., None], rows.ndim), axis=-2)
+        gain = np.take_along_axis(gain, _lead(last, gain.ndim), axis=-1)
     return Combiner(c=rows, kind=kind, ue_indices=ue_indices, gain=gain)
+
+
+def _lead(index: np.ndarray, ndim: int) -> np.ndarray:
+    """``index`` with unit axes prepended up to ``ndim``, so that it
+    broadcasts over the leading trial axes in ``take_along_axis``."""
+    return index.reshape((1,) * (ndim - index.ndim) + index.shape)
 
 
 # decision edges of the 16-QAM levels {-3, -1, 1, 3} per axis, before scaling
@@ -249,22 +260,24 @@ def detect_all(obs: Observation, combiner: Combiner, block: DataBlock):
 
     Returns (bits matrix, decoded symbol matrix, per-UE BER) aligned with
     ``combiner.ue_indices``.  A stacked combiner and observation, one per
-    BS along a leading axis, give stacked results.
+    BS along a leading axis, give stacked results; so does a leading trial
+    axis, with one payload per trial in ``block``.
     """
     if obs.phase is not Phase.DATA:
         raise ValueError("detect needs a data-phase observation")
     out = (combiner.c @ obs.y) / combiner.gain[..., None]
     bits_hat, symbols_hat = _slice(out, block.modulation, block.power)
-    truth = block.bits[np.asarray(combiner.ue_indices, dtype=int)]
+    truth = np.take(block.bits, np.asarray(combiner.ue_indices, dtype=int), axis=-2)
     ber = np.mean(bits_hat != truth, axis=-1)
     return bits_hat, symbols_hat, ber
 
 
 def mmse_sinr(estimates: np.ndarray, rho_v: float) -> np.ndarray:
     """Post-combining SINR of the MMSE receiver for every column of the
-    estimated channel matrix: 1/[(I + rho G^H G)^{-1}]_kk - 1."""
+    estimated channel matrix: 1/[(I + rho G^H G)^{-1}]_kk - 1.  A stack of
+    matrices, (..., antennas, K), gives one row of SINRs per matrix."""
     est = np.asarray(estimates)
-    k = est.shape[1]
-    a = np.eye(k) + rho_v * (est.conj().T @ est)
+    k = est.shape[-1]
+    a = np.eye(k) + rho_v * (est.conj().swapaxes(-1, -2) @ est)
     inv = np.linalg.inv(a)
-    return 1.0 / np.real(np.diag(inv)) - 1.0
+    return 1.0 / np.real(np.diagonal(inv, axis1=-2, axis2=-1)) - 1.0

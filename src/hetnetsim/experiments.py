@@ -9,6 +9,7 @@ ExperimentSpec; the worker count never changes the output.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import dataclasses
 import enum
@@ -172,6 +173,66 @@ def analytic_ber_vector(cfg: SystemConfig, topo, assoc) -> tuple:
     return ber_analytic.analytic_ber(model), ber_analytic.ber_lower_bound(model)
 
 
+# trials stacked along a leading axis in every stage call; two keep a
+# full-scale chunk's working set within a few MB
+_CHUNK = 2
+
+# the config fields each side of a trial never reads.  The pilot side is
+# the training observations, the estimates, the MRC and ZF combiners, the
+# SBS precoders and the pilot-only MBS precoder and rates; the data side is
+# the payload and the data observations.
+_PILOT_BLIND = ("p_data_dbm", "tau_d")
+_DATA_BLIND = ("p_train_dbm", "tau_t")
+
+
+def _blank(cfg: SystemConfig, fields) -> tuple:
+    """``cfg`` as a key with ``fields`` set to None, so that configs which
+    differ only there give the same key."""
+    return tuple(None if f.name in fields else getattr(cfg, f.name)
+                 for f in dataclasses.fields(cfg))
+
+
+def _channel_key(topo, cfg: SystemConfig) -> tuple:
+    return (PH_CHANNELS, cfg.mbs_antennas, cfg.sbs_antennas, topo.beta_mbs.tobytes(),
+            topo.beta_sbs.shape, topo.beta_sbs.tobytes())
+
+
+def _bits_key(cfg: SystemConfig, modulation: Modulation) -> tuple:
+    return (PH_BITS, cfg.num_ue, cfg.tau_d, modulation)
+
+
+def _noise_key(phase: int, ids, shape, noise_power: float) -> tuple:
+    return (phase, tuple(int(v) for v in ids), tuple(shape), noise_power)
+
+
+def _frozen(value):
+    """``value`` with every array it holds made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _frozen(item)
+    elif isinstance(value, dict):
+        _frozen(list(value.values()))
+    elif dataclasses.is_dataclass(value):
+        _frozen([getattr(value, f.name) for f in dataclasses.fields(value)])
+    return value
+
+
+@dataclass(frozen=True)
+class _Part:
+    """One stacked combiner: detector ``det`` at the BSs ``rows`` of
+    listener group ``group``, keeping each BS's own scored UEs."""
+
+    group: int
+    rows: slice | list                 # positions in the group
+    det: str
+    served: list | None                # ZF's served set of each BS
+    pick: np.ndarray                   # (B, m) combiner rows each BS keeps
+    ues: np.ndarray                    # (B, m) the UEs of those rows
+    pilot_only: bool                   # reads the estimates alone (MRC, ZF without fallback)
+
+
 @dataclass(frozen=True)
 class _TopologyRun:
     """One sweep point of one topology: what its trials share, and the
@@ -183,169 +244,187 @@ class _TopologyRun:
     pilots: phy.PilotMatrix
     betas: np.ndarray                  # (S + 1, K) gains, row 0 the MBS
     labels: np.ndarray                 # UE class of each UE
-    scored: np.ndarray                 # UEs the metric scores
-    ul_bs: list                        # UL serving BSs of the scored UEs
-    dl_sbs: list                       # SBSs that serve a DL UE
-    listeners: set                     # BSs whose observations a trial needs
-    dets: tuple                        # detectors run at the UL serving BSs
+    groups: list                       # (BS ids, antennas) of each listener group
+    parts: list                        # the _Part of each stacked combiner
+    dl_sets: list                      # (BS, group, position, served UEs), SBSs then MBS
+    pilot_key: tuple                   # what the pilot side reads
+    data_key: tuple                    # what the data side reads
     ber_source: BerSource
     analytic: tuple | None             # analytic BERs and their lower bounds
     acc: dict
 
 
-class _TrialDraws:
-    """One trial's random draws, shared by every sweep point of a topology
-    (common random numbers).
+class _TrialMemo:
+    """One chunk of a topology's trials: their random draws, and the stages
+    that sweep points share, for every point (common random numbers).
 
-    A draw is kept under its substream key and every argument that shapes
-    it, so a repeat request gets exactly what a fresh draw from that
-    substream would give, whatever the sweep parameter; a sweep that
-    changes a shape (``num_ue``, the antenna counts) misses and draws
-    afresh.  Kept arrays are read-only.
+    Draws are stacked along a leading trial axis, trial t from its own
+    substreams.  A draw is kept under its substream key and every argument
+    that shapes it, so a repeat request gets exactly what a fresh draw
+    would give; a sweep that changes a shape (``num_ue``, the antenna
+    counts) misses and draws afresh.  A stage is kept under the config with
+    the fields it never reads blanked and the draw keys it consumed, and
+    only when another point has the same key.  Kept arrays are read-only.
     """
 
-    def __init__(self, master_seed: int, topo_idx: int, t: int):
-        self.stream = functools.partial(phy.stream, master_seed, topo_idx, t)
+    def __init__(self, master_seed: int, topo_idx: int, trials, shared=frozenset()):
+        self._streams = [functools.partial(phy.stream, master_seed, topo_idx, t)
+                         for t in trials]
+        self._shared = shared
         self._kept = {}
 
-    def _get(self, key, draw):
-        if key not in self._kept:
-            value = draw()
-            arrays = (value.h_mbs, *value.g_sbs) if isinstance(value, phy.ChannelSet) else (value,)
-            for a in arrays:
-                a.flags.writeable = False
+    def _get(self, key, make, keep=True):
+        if key in self._kept:
+            return self._kept[key]
+        value = _frozen(make())
+        if keep:
             self._kept[key] = value
-        return self._kept[key]
+        return value
+
+    def shares(self, key: tuple) -> bool:
+        return key in self._shared
+
+    def stage(self, key: tuple, name, make):
+        """Stage ``name`` of the side ``key`` names, computed once per chunk
+        if another sweep point shares ``key``, else afresh."""
+        return self._get((key, name), make, self.shares(key))
 
     def channels(self, topo, cfg: SystemConfig) -> phy.ChannelSet:
-        key = (PH_CHANNELS, cfg.mbs_antennas, cfg.sbs_antennas, topo.beta_mbs.tobytes(),
-               topo.beta_sbs.shape, topo.beta_sbs.tobytes())
-        return self._get(key, lambda: phy.draw_channels(topo, cfg, self.stream(PH_CHANNELS)))
+        return self._get(_channel_key(topo, cfg), lambda: phy.draw_channels(
+            topo, cfg, [s(PH_CHANNELS) for s in self._streams]))
 
     def bits(self, cfg: SystemConfig, modulation: Modulation) -> np.ndarray:
-        key = (PH_BITS, cfg.num_ue, cfg.tau_d, modulation)
-        return self._get(key, lambda: detectors.random_bits(
-            cfg.num_ue, cfg.tau_d, modulation, self.stream(PH_BITS)))
+        return self._get(_bits_key(cfg, modulation), lambda: np.stack([
+            detectors.random_bits(cfg.num_ue, cfg.tau_d, modulation, s(PH_BITS))
+            for s in self._streams]))
 
-    def noise(self, phase: int, ids, shape, noise_power: float) -> np.ndarray:
-        """The AWGN blocks of BSs ``ids``, stacked, each from its own substream."""
-        key = (phase, tuple(ids), shape, noise_power)
-        return self._get(key, lambda: phy.awgn(
-            [self.stream(phase, v) for v in ids], shape, noise_power))
+    def noise(self, phase: int, ids, shape, noise_power: float, keep=True) -> np.ndarray:
+        """The AWGN blocks of BSs ``ids``, (T, B, *shape), each from its own
+        substream; ``keep`` false when no other point will ask for them."""
+        return self._get(_noise_key(phase, ids, shape, noise_power), lambda: phy.awgn(
+            [[s(phase, v) for v in ids] for s in self._streams], shape, noise_power), keep)
+
+
+def _group_channels(run: _TopologyRun, channels):
+    """Each listener group's BS ids and channels, (T, B, antennas, K)."""
+    for ids, _ in run.groups:
+        yield ids, (channels.h_mbs[:, None] if ids[0] == 0 else channels.g_sbs[:, ids - 1])
 
 
 @dataclass(frozen=True)
-class _Heard:
-    """Pilot and data observations and MMSE estimates of listening BSs that
-    share an antenna count, stacked along a leading axis in ``ids`` order
-    (0 is the MBS, s + 1 SBS s)."""
+class _Pilot:
+    """The pilot side of one listener group, stacked (T, B, ...)."""
 
-    ids: np.ndarray
     train: phy.Observation
-    data: phy.Observation
-    est: np.ndarray
-
-    def at(self, rows) -> "_Heard":
-        """The BSs at ``rows``: a list keeps the leading axis, an int drops it.
-        Sorted distinct rows that cover every BS give the group itself."""
-        if np.ndim(rows) and len(rows) == len(self.ids):
-            return self
-        return _Heard(self.ids[rows], dataclasses.replace(self.train, y=self.train.y[rows]),
-                      dataclasses.replace(self.data, y=self.data.y[rows]), self.est[rows])
+    est: np.ndarray                    # MMSE estimates
+    ls: np.ndarray | None              # LS estimates at the MBS, (T, M, K), for NMSE
 
 
-def _listen(run: _TopologyRun, draws: _TrialDraws, channels, block) -> list:
-    """Stage 1: observations and MMSE estimates at every listener, one
-    stacked call per antenna count: the MBS, then the SBSs."""
+def _pilot_side(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, channels) -> list:
+    """Stage 1, pilot side: training observations and MMSE estimates at
+    every listener, one stacked call per antenna group (the MBS, then the
+    SBSs), and the MBS's LS estimates from the same despread block where
+    the metric scores them.  It reads neither p_data_dbm nor tau_d."""
     cfg, n0 = run.cfg, run.cfg.noise_power_mw
-    sbs = sorted(v for v in run.listeners if v)
-    groups = [([0], channels.h_mbs[None])] if 0 in run.listeners else []
-    if sbs:
-        groups.append((sbs, np.stack([channels.g_sbs[v - 1] for v in sbs])))
-    heard = []
-    for ids, chan in groups:
-        n_ant = chan.shape[1]
-        train = phy.observe(chan, run.pilots.s, n0,
-                            draws.noise(PH_NOISE_TRAIN, ids, (n_ant, cfg.tau_t), n0),
-                            Phase.TRAINING)
-        data = phy.observe(chan, block.symbols, n0,
-                           draws.noise(PH_NOISE_DATA, ids, (n_ant, cfg.tau_d), n0), Phase.DATA)
-        est = estimators.mmse_estimate_matrix(train, run.pilots, run.betas[ids], n0)
-        heard.append(_Heard(np.array(ids), train, data, est))
-    return heard
+    want_ls = spec.metric is Metric.NMSE and "ls" in spec.estimators
+    keep = not memo.shares(run.pilot_key)      # a shared side reads its noise once
+
+    def make():
+        out = []
+        for ids, chan in _group_channels(run, channels):
+            noise = memo.noise(PH_NOISE_TRAIN, ids, (chan.shape[-2], cfg.tau_t), n0, keep)
+            train = phy.observe(chan, run.pilots.s, n0, noise, Phase.TRAINING)
+            despread = estimators.despread(train, run.pilots)
+            est = estimators.mmse_estimate_matrix(train, run.pilots, run.betas[ids], n0, despread)
+            ls = None
+            if want_ls and ids[0] == 0:
+                ls = estimators.ls_estimate_matrix(train, run.pilots, despread)[:, 0]
+            out.append(_Pilot(train, est, ls))
+        return out
+    return memo.stage(run.pilot_key, "pilot", make)
 
 
-def _own_rows(comb: detectors.Combiner, mine) -> detectors.Combiner:
-    """Each BS's rows of its own UEs ``mine[b]``; shorter row sets repeat
-    their last UE, so every BS keeps the same row count."""
-    ues = np.broadcast_to(np.asarray(comb.ue_indices), comb.gain.shape)
-    span = np.arange(max(map(len, mine)))
-    pick = np.array([np.searchsorted(u, m[np.minimum(span, len(m) - 1)])
-                     for u, m in zip(ues, mine)])
-    return dataclasses.replace(
-        comb, c=np.take_along_axis(comb.c, pick[..., None], axis=1),
-        gain=np.take_along_axis(comb.gain, pick, axis=1),
-        ue_indices=tuple(map(tuple, np.take_along_axis(ues, pick, axis=1).tolist())))
+def _data_side(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, channels):
+    """Stage 1, data side: the payload and the data observations at every
+    listener.  It reads neither p_train_dbm nor tau_t."""
+    cfg, n0 = run.cfg, run.cfg.noise_power_mw
+    keep = not memo.shares(run.data_key)
+
+    def make():
+        block = detectors.modulate(memo.bits(cfg, spec.modulation), spec.modulation,
+                                   cfg.p_data_mw)
+        data = [phy.observe(chan, block.symbols[:, None], n0, memo.noise(
+                    PH_NOISE_DATA, ids, (chan.shape[-2], cfg.tau_d), n0, keep), Phase.DATA)
+                for ids, chan in _group_channels(run, channels)]
+        return block, data
+    return memo.stage(run.data_key, "data", make)
 
 
-def _detect(run: _TopologyRun, heard, block):
-    """Stage 2: detection at each UL serving BS.
+def _own_rows(comb: detectors.Combiner, part: _Part) -> detectors.Combiner:
+    """Each BS's rows of its own scored UEs."""
+    bs = np.arange(len(part.pick))[:, None]
+    return dataclasses.replace(comb, c=comb.c[..., bs, part.pick, :],
+                               gain=comb.gain[..., bs, part.pick],
+                               ue_indices=tuple(map(tuple, part.ues.tolist())))
 
-    Each detector makes one stacked combiner per antenna group and decides
-    only each BS's own scored UEs.  MRC and MMSE build on every UE's
-    column (an MRC row depends on its own column alone; MMSE rows
-    regularise with all of them), ZF on each BS's served columns.  A BS
-    that serves more UEs than it has antennas cannot zero-force them: its
-    ZF combiner falls back to MMSE on its own and files its UEs under
-    ``zf->mmse``.  Returns the MMSE decisions and each combiner's per-UE
-    empirical BER of the scored UEs, NaN where it decided nothing.
-    """
-    cfg, ul = run.cfg, run.assoc.ul_serving
+
+def _detect(run: _TopologyRun, memo: _TrialMemo, pilot, data, block):
+    """Stage 2: detection at each UL serving BS, one stacked combiner per
+    ``run.parts`` entry.  MRC and ZF combiners that need no fallback read
+    the estimates alone and come from the pilot side.  Returns the MMSE
+    decisions and each combiner's per-UE empirical BER of the scored UEs,
+    (T, K), NaN where it decided nothing."""
+    cfg = run.cfg
     args = (cfg.p_train_mw, cfg.tau_t, cfg.p_data_mw, cfg.noise_power_mw)
-    x_hat = np.zeros((cfg.num_ue, cfg.tau_d), dtype=complex)
+    x_hat = np.zeros(block.symbols.shape, dtype=complex)
     bers = {}
-    for group in heard if cfg.tau_d else ():
-        listening = group.at(np.flatnonzero(np.isin(group.ids, run.ul_bs)))
-        if not len(listening.ids):
-            continue
-        served = [np.flatnonzero(ul == v) for v in listening.ids]
-        mine = [s[run.scored[s]] for s in served]
-        wide = np.array([len(s) > listening.est.shape[-2] for s in served])
-        for det in run.dets:
-            stacks = [np.arange(len(mine))]
-            if det == "zf":
-                stacks = [np.flatnonzero(~wide), *([i] for i in np.flatnonzero(wide))]
-            for rows in (list(r) for r in stacks if len(r)):
-                part = listening.at(rows)
-                comb = detectors.build_combiner(
-                    CombinerKind(det), part.est, run.betas[part.ids], *args,
-                    ue_indices=[served[i] for i in rows] if det == "zf" else None)
-                comb = _own_rows(comb, [mine[i] for i in rows])
-                _, symbols, ber = detectors.detect_all(part.data, comb, block)
-                ues = np.array(comb.ue_indices)
-                label = det if comb.kind.value == det else f"{det}->{comb.kind.value}"
-                bers.setdefault(label, np.full(cfg.num_ue, np.nan))[ues] = ber
-                if det == "mmse":
-                    x_hat[ues] = symbols
+    for i, part in enumerate(run.parts if cfg.tau_d else ()):
+        ids = run.groups[part.group][0][part.rows]
+
+        def build(part=part, ids=ids):
+            comb = detectors.build_combiner(
+                CombinerKind(part.det), pilot[part.group].est[:, part.rows], run.betas[ids],
+                *args, ue_indices=part.served)
+            return _own_rows(comb, part)
+        comb = memo.stage(run.pilot_key, ("combiner", i), build) if part.pilot_only else build()
+        obs = data[part.group]
+        obs = dataclasses.replace(obs, y=obs.y[:, part.rows])
+        _, symbols, ber = detectors.detect_all(obs, comb, block)
+        label = part.det if comb.kind.value == part.det else f"{part.det}->{comb.kind.value}"
+        bers.setdefault(label, np.full(block.symbols.shape[:-1], np.nan))[:, part.ues] = ber
+        if part.det == "mmse":
+            x_hat[:, part.ues] = symbols
     return x_hat, bers
 
 
-def _downlink(run: _TopologyRun, channels, heard, h_da):
-    """Stage 4: per-UE downlink rate under pilot-only and data-aided ZF."""
-    cfg, assoc = run.cfg, run.assoc
-    est = {int(v): group.est[i] for group in heard for i, v in enumerate(group.ids)}
-    precoders = {}
-    for v in run.dl_sbs:
-        idx = np.flatnonzero(assoc.dl_serving == v)
-        precoders[v] = downlink.zf_precode(est[v][:, idx], cfg.p_sbs_mw, ue_indices=idx)
-    mbs_idx = np.flatnonzero(assoc.dl_serving == 0)
-    rates = {}
-    for mode, h_est in (("po", est[0]), ("da", h_da)):
-        if len(mbs_idx):
-            precoders[0] = downlink.zf_precode(
-                h_est[:, mbs_idx], cfg.p_mbs_mw, ue_indices=mbs_idx)
-        rates[mode] = downlink.dl_rate(channels, precoders, assoc, cfg.noise_power_mw).rate
-    return rates
+def _downlink(run: _TopologyRun, memo: _TrialMemo, channels, pilot, h_da) -> dict:
+    """Stage 4: per-UE downlink rates, (T, K), under pilot-only and
+    data-aided ZF.  The SBS precoders and the pilot-only rates come from
+    the pilot side."""
+    cfg, n0 = run.cfg, run.cfg.noise_power_mw
+
+    def pilot_only():
+        precoders = {}
+        for v, group, pos, idx in run.dl_sets:
+            power = cfg.p_mbs_mw if v == 0 else cfg.p_sbs_mw
+            precoders[v] = downlink.zf_precode(pilot[group].est[:, pos][..., idx], power,
+                                               ue_indices=idx)
+        return precoders, downlink.dl_rate(channels, precoders, run.assoc, n0).rate
+    precoders, po = memo.stage(run.pilot_key, "downlink", pilot_only)
+    if 0 not in precoders:
+        return {"po": po, "da": po}
+    idx = np.asarray(precoders[0].ue_indices)
+    precoders = {**precoders, 0: downlink.zf_precode(h_da[..., idx], cfg.p_mbs_mw,
+                                                     ue_indices=idx)}
+    return {"po": po, "da": downlink.dl_rate(channels, precoders, run.assoc, n0).rate}
+
+
+def _add(acc: dict, method: str, num, den) -> None:
+    """Add each trial's per-UE (numerator, denominator) pair to
+    ``acc[method]``, one trial after another as unstacked trials would."""
+    total = acc.setdefault(method, np.zeros((2, num.shape[-1])))
+    for pair in zip(num, den):
+        total += pair
 
 
 def _fold(metric: Metric, acc: dict, labels) -> dict:
@@ -364,11 +443,48 @@ def _fold(metric: Metric, acc: dict, labels) -> dict:
     return out
 
 
+def _own(covered, mine) -> tuple:
+    """The rows of each BS's own UEs ``mine[b]`` among the UEs its combiner
+    covers, ``covered[b]``, and those UEs; shorter row sets repeat their
+    last UE, so every BS keeps the same row count."""
+    span = np.arange(max(map(len, mine)))
+    ues = np.array([m[np.minimum(span, len(m) - 1)] for m in mine])
+    return np.array([np.searchsorted(c, u) for c, u in zip(covered, ues)]), ues
+
+
+def _parts(cfg: SystemConfig, assoc, scored, dets, groups) -> list:
+    """The stacked combiners of each listener group.  MRC and MMSE build on
+    every UE's column (an MRC row depends on its own column alone; MMSE
+    rows regularise with all of them), ZF on each BS's served columns.  A
+    BS that serves more UEs than it has antennas cannot zero-force them:
+    it gets a ZF combiner of its own, which falls back to MMSE."""
+    ul_bs = assoc.ul_serving[scored]
+    parts = []
+    for g, (ids, n_ant) in enumerate(groups):
+        listening = np.flatnonzero(np.isin(ids, ul_bs))
+        served = [np.flatnonzero(assoc.ul_serving == v) for v in ids[listening]]
+        mine = [s[scored[s]] for s in served]
+        wide = np.array([len(s) > n_ant for s in served], dtype=bool)
+        for det in dets:
+            zf = det == "zf"
+            stacks = [np.arange(len(served))]
+            if zf:
+                stacks = [np.flatnonzero(~wide), *([i] for i in np.flatnonzero(wide))]
+            for stack in (list(s) for s in stacks if len(s)):
+                rows = slice(None) if len(stack) == len(ids) else list(listening[stack])
+                covered = [served[i] if zf else np.arange(cfg.num_ue) for i in stack]
+                pick, ues = _own(covered, [mine[i] for i in stack])
+                parts.append(_Part(g, rows, det, covered if zf else None, pick, ues,
+                                   det == "mrc" or (zf and not wide[stack[0]])))
+    return parts
+
+
 def _prepare(spec: ExperimentSpec, sweep_value, topo_idx: int) -> _TopologyRun:
-    """The topology at one sweep point, what its trials listen to, and the
-    analytic BER where the metric or the side information needs it."""
+    """The topology at one sweep point, what its trials listen to, the
+    index bookkeeping of its stages, and the analytic BER where the metric
+    or the side information needs it."""
     cfg = _apply_sweep(spec.base, spec.sweep_param, sweep_value)
-    metric = spec.metric
+    metric, n0 = spec.metric, cfg.noise_power_mw
     topo = scenario.build_topology(cfg, phy.stream(spec.master_seed, topo_idx, PH_TOPOLOGY))
     assoc = scenario.associate(topo, cfg)
     ber_source = _effective_ber_source(spec)
@@ -377,13 +493,30 @@ def _prepare(spec: ExperimentSpec, sweep_value, topo_idx: int) -> _TopologyRun:
     # the BER metric scores decoupled UEs only and never listens at the MBS
     labels = scenario.ue_classes(assoc)
     scored = labels == "decoupled" if metric is Metric.BER else ones > 0
-    ul_bs = sorted({int(v) for v in assoc.ul_serving[scored]})
     dl_sbs = sorted({int(b) for b in assoc.dl_serving if b != 0})
-    listeners = set(ul_bs)
+    listeners = {int(v) for v in assoc.ul_serving[scored]}
     if metric is not Metric.BER:
         listeners.add(0)
     if metric is Metric.RATE:
         listeners.update(dl_sbs)
+    sbs = sorted(v for v in listeners if v)
+    groups = [(np.array([0]), cfg.mbs_antennas)] if 0 in listeners else []
+    if sbs:
+        groups.append((np.array(sbs), cfg.sbs_antennas))
+    dets = spec.detectors if metric is Metric.BER else ("mmse",)
+    dl_sets = []
+    if metric is Metric.RATE:
+        dl_sets = [(v, len(groups) - 1, sbs.index(v), np.flatnonzero(assoc.dl_serving == v))
+                   for v in dl_sbs]
+        mbs_idx = np.flatnonzero(assoc.dl_serving == 0)
+        if len(mbs_idx):
+            dl_sets.append((0, 0, 0, mbs_idx))
+    channel_key = _channel_key(topo, cfg)
+    pilot_key = ("pilot", _blank(cfg, _PILOT_BLIND), channel_key, tuple(
+        _noise_key(PH_NOISE_TRAIN, ids, (n, cfg.tau_t), n0) for ids, n in groups))
+    data_key = ("data", _blank(cfg, _DATA_BLIND), channel_key,
+                _bits_key(cfg, spec.modulation), tuple(
+                    _noise_key(PH_NOISE_DATA, ids, (n, cfg.tau_d), n0) for ids, n in groups))
 
     analytic = None
     if spec.modulation is Modulation.BPSK and (
@@ -398,71 +531,94 @@ def _prepare(spec: ExperimentSpec, sweep_value, topo_idx: int) -> _TopologyRun:
         acc["mmse-lower"] = np.stack([analytic[1], ones])
     return _TopologyRun(
         cfg, topo, assoc, phy.make_pilots(cfg.num_ue, cfg.tau_t, cfg.p_train_mw),
-        _bs_betas(topo), labels, scored, ul_bs, dl_sbs, listeners,
-        spec.detectors if metric is Metric.BER else ("mmse",), ber_source, analytic, acc)
+        _bs_betas(topo), labels, groups, _parts(cfg, assoc, scored, dets, groups), dl_sets,
+        pilot_key, data_key, ber_source, analytic, acc)
 
 
-def _trial(spec: ExperimentSpec, run: _TopologyRun, draws: _TrialDraws) -> None:
-    """One trial at one sweep point: the stages its metric needs (training
-    at each listening BS, detection at the UL serving BSs, the data-aided
-    solve at the MBS, the downlink), summed into ``run.acc``."""
-    cfg, metric, acc = run.cfg, spec.metric, run.acc
-    ones = np.ones(cfg.num_ue)
-    channels = draws.channels(run.topo, cfg)
-    block = detectors.modulate(draws.bits(cfg, spec.modulation), spec.modulation,
-                               cfg.p_data_mw)
-    heard = _listen(run, draws, channels, block)
-    x_hat, emp_bers = _detect(run, heard, block)
-    if metric is Metric.BER:
-        nbits = block.bits.shape[1]
-        for label, ber in emp_bers.items():
-            decided = ~np.isnan(ber)
-            acc.setdefault(label, np.zeros((2, cfg.num_ue)))
-            acc[label] += (np.where(decided, ber, 0.0) * nbits, decided * nbits)
-        return
-    # stage 3: data-aided solve at the MBS, which every other metric hears
-    mbs = heard[0].at(0)
+def _uplink(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, channels, pilot):
+    """The data side, detection at the UL serving BSs and, for every metric
+    but BER, stage 3: the data-aided solve at the MBS.  Returns each
+    combiner's empirical BERs and the data-aided estimates, (T, M, K) or
+    None.  Unless another point shares them, the SBSs' data observations
+    are released before the solve and the MBS's once it is joined."""
+    cfg = run.cfg
+    block, data = _data_side(spec, run, memo, channels)
+    x_hat, emp_bers = _detect(run, memo, pilot, data, block)
+    if spec.metric is Metric.BER:
+        return emp_bers, None
+    data = data[0]
+    zeros = np.zeros(cfg.num_ue)
     if run.ber_source is BerSource.ZERO_ERROR:
-        x_hat, side_ber = block.symbols, 0.0 * ones
+        x_hat, side_ber = block.symbols, zeros
     elif run.ber_source is BerSource.ANALYTIC_PROP1:
         side_ber = run.analytic[0]
     else:
-        side_ber = emp_bers.get("mmse", 0.0 * ones)
+        side_ber = emp_bers.get("mmse", zeros)
     side = data_aided.DecodedSideInfo(
         x_hat=x_hat, ber=side_ber, source=run.ber_source, power=cfg.p_data_mw)
-    h_da = data_aided.da_estimate_matrix(phy.joint_observation(mbs.train, mbs.data),
-                                         run.pilots, side, run.topo.beta_mbs,
-                                         cfg.noise_power_mw)
+    train = pilot[0].train
+    joint = phy.joint_observation(dataclasses.replace(train, y=train.y[:, 0]),
+                                  dataclasses.replace(data, y=data.y[:, 0]))
+    del data
+    return emp_bers, data_aided.da_estimate_matrix(joint, run.pilots, side, run.topo.beta_mbs,
+                                                   cfg.noise_power_mw)
+
+
+def _trial(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo) -> None:
+    """One chunk of trials at one sweep point: the stages its metric needs
+    (training at each listening BS, detection at the UL serving BSs, the
+    data-aided solve at the MBS, the downlink), summed into ``run.acc``."""
+    cfg, metric, acc = run.cfg, spec.metric, run.acc
+    channels = memo.channels(run.topo, cfg)
+    pilot = _pilot_side(spec, run, memo, channels)
+    emp_bers, h_da = _uplink(spec, run, memo, channels, pilot)
+    if metric is Metric.BER:
+        nbits = cfg.tau_d * spec.modulation.bits_per_symbol
+        for label, ber in emp_bers.items():
+            decided = ~np.isnan(ber)
+            _add(acc, label, np.where(decided, ber, 0.0) * nbits, decided * nbits)
+        return
     if metric is Metric.NMSE:
         truth = channels.h_mbs
-        power = np.sum(np.abs(truth) ** 2, axis=0)
+
+        def pilot_only():
+            errors = {"power": np.sum(np.abs(truth) ** 2, axis=-2)}
+            for m, h_est in (("mmse", pilot[0].est[:, 0]), ("ls", pilot[0].ls)):
+                if m in spec.estimators:
+                    errors[m] = np.sum(np.abs(h_est - truth) ** 2, axis=-2)
+            return errors
+        errors = memo.stage(run.pilot_key, "nmse", pilot_only)
         for m in spec.estimators:
-            h_est = (mbs.est if m == "mmse" else h_da if m == "da"
-                     else estimators.ls_estimate_matrix(mbs.train, run.pilots))
-            acc[m] += (np.sum(np.abs(h_est - truth) ** 2, axis=0), power)
+            err = np.sum(np.abs(h_da - truth) ** 2, axis=-2) if m == "da" else errors[m]
+            _add(acc, m, err, errors["power"])
         return
-    for mode, rate in _downlink(run, channels, heard, h_da).items():
-        acc[mode] += (rate, ones)
+    for mode, rate in _downlink(run, memo, channels, pilot, h_da).items():
+        _add(acc, mode, rate, np.ones_like(rate))
 
 
 def _topology_metrics(spec: ExperimentSpec, topo_idx: int) -> dict:
     """One topology's contribution at every sweep point:
     {sweep_value: {(method, ue_class): value}}.
 
-    Trials run outer and sweep points inner, so every point takes a trial's
-    channels, bits and noise from one ``_TrialDraws``; each point sums a
-    per-UE (numerator, denominator) pair per method over the trials.  A
-    failure names the sweep value, the topology and the master seed.
+    Trials run outer, in stacked chunks of ``_CHUNK``, and sweep points
+    inner, so every point takes a chunk's draws, and the stages it shares
+    with another point, from one ``_TrialMemo``; each point sums a per-UE
+    (numerator, denominator) pair per method over the trials.  A failure
+    names the sweep value, the topology and the master seed.
     """
     value = spec.sweep_values[0]
     try:
         runs = {}
         for value in spec.sweep_values:
             runs[value] = _prepare(spec, value, topo_idx)
-        for t in range(spec.trials):
-            draws = _TrialDraws(spec.master_seed, topo_idx, t)
+        uses = collections.Counter(k for run in runs.values()
+                                   for k in (run.pilot_key, run.data_key))
+        shared = frozenset(k for k, n in uses.items() if n > 1)
+        for start in range(0, spec.trials, _CHUNK):
+            trials = range(start, min(start + _CHUNK, spec.trials))
+            memo = _TrialMemo(spec.master_seed, topo_idx, trials, shared)
             for value, run in runs.items():
-                _trial(spec, run, draws)
+                _trial(spec, run, memo)
     except Exception as exc:
         raise RuntimeError(
             f"sweep {spec.sweep_param}={value}, topology {topo_idx}, "

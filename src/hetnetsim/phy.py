@@ -32,13 +32,14 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def complex_gaussian(rng: np.random.Generator, shape, var=1.0) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian draws, E|x|^2 = var.
+def complex_gaussian(rng: np.random.Generator, shape, var=1.0, out=None) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian draws, E|x|^2 = var, written
+    into ``out`` when given.
 
     Real and imaginary parts each carry var/2; BER-level results are
     sensitive to this factor of two, so it lives in exactly one place.
     """
-    x = np.empty(shape, dtype=complex)
+    x = np.empty(shape, dtype=complex) if out is None else out
     x.real = rng.standard_normal(shape)
     x.imag = rng.standard_normal(shape)
     x *= np.sqrt(np.asarray(var, dtype=float) / 2.0)
@@ -49,8 +50,8 @@ def complex_gaussian(rng: np.random.Generator, shape, var=1.0) -> np.ndarray:
 class ChannelSet:
     """One coherence block of channels: UEs -> MBS and UEs -> each SBS."""
 
-    h_mbs: np.ndarray                  # (M, K)
-    g_sbs: tuple                       # S matrices, each (N, K)
+    h_mbs: np.ndarray                  # ([T,] M, K)
+    g_sbs: np.ndarray                  # ([T,] S, N, K), one (N, K) matrix per SBS
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,24 @@ class Observation:
 
 
 def draw_channels(topology: Topology, config: SystemConfig, seed) -> ChannelSet:
-    """i.i.d. Rayleigh small-scale fading scaled by the large-scale gains."""
-    rng = as_rng(seed)
-    h = complex_gaussian(rng, (config.mbs_antennas, topology.num_ue))
-    h = h * np.sqrt(topology.beta_mbs)[None, :]
-    g = []
-    for s_idx in range(topology.num_sbs):
-        w = complex_gaussian(rng, (config.sbs_antennas, topology.num_ue))
-        g.append(w * np.sqrt(topology.beta_sbs[s_idx])[None, :])
-    return ChannelSet(h_mbs=h, g_sbs=tuple(g))
+    """i.i.d. Rayleigh small-scale fading scaled by the large-scale gains.
+
+    A list of seeds draws one channel set per seed, stacked along a leading
+    trial axis, set t from ``seed[t]`` as a call with that seed would.
+    """
+    stacked = isinstance(seed, (list, tuple))
+    seeds = seed if stacked else [seed]
+    k = topology.num_ue
+    h = np.empty((len(seeds), config.mbs_antennas, k), dtype=complex)
+    g = np.empty((len(seeds), topology.num_sbs, config.sbs_antennas, k), dtype=complex)
+    for t, s in enumerate(seeds):
+        rng = as_rng(s)
+        complex_gaussian(rng, h.shape[1:], out=h[t])
+        for s_idx in range(topology.num_sbs):
+            complex_gaussian(rng, g.shape[2:], out=g[t, s_idx])
+    h *= np.sqrt(topology.beta_mbs)
+    g *= np.sqrt(topology.beta_sbs)[:, None, :]
+    return ChannelSet(h_mbs=h, g_sbs=g) if stacked else ChannelSet(h_mbs=h[0], g_sbs=g[0])
 
 
 def make_pilots(k: int, tau_t: int, p_t: float) -> PilotMatrix:
@@ -94,14 +104,18 @@ def make_pilots(k: int, tau_t: int, p_t: float) -> PilotMatrix:
 
 def awgn(seeds, shape, noise_power: float) -> np.ndarray:
     """Complex AWGN of per-element variance noise_power: one block of
-    ``shape`` from a seed, or a list of seeds stacked along a leading axis,
-    block b drawn from ``seeds[b]``.  Zero noise power draws nothing."""
-    stacked = isinstance(seeds, (list, tuple))
-    noise = np.zeros((len(seeds) if stacked else 1, *shape), dtype=complex)
-    if noise_power > 0:
-        for block, seed in zip(noise, seeds if stacked else [seeds]):
-            block[...] = complex_gaussian(as_rng(seed), shape, noise_power)
-    return noise if stacked else noise[0]
+    ``shape`` from a seed, or one block per seed of a (nested) list of
+    seeds, stacked along leading axes of the list's shape.  Each block is
+    drawn straight into place; zero noise power draws nothing."""
+    grid = np.array(seeds, dtype=object) if isinstance(seeds, (list, tuple)) else None
+    lead = () if grid is None else grid.shape
+    if noise_power <= 0:
+        return np.zeros((*lead, *shape), dtype=complex)
+    noise = np.empty((*lead, *shape), dtype=complex)
+    for index in np.ndindex(lead):
+        seed = seeds if grid is None else grid[index]
+        complex_gaussian(as_rng(seed), shape, noise_power, out=noise[index])
+    return noise
 
 
 def observe(channel: np.ndarray, signal: np.ndarray, noise_power: float, noise,
@@ -109,13 +123,14 @@ def observe(channel: np.ndarray, signal: np.ndarray, noise_power: float, noise,
     """y = channel @ signal + noise, the AWGN block ``awgn`` drew at
     variance noise_power.
 
-    ``channel`` may carry a leading BS axis, (B, antennas, K); ``noise``
-    then carries it too, and BS b hears what a 2-D call with ``noise[b]``
-    would.
+    ``channel`` may carry leading axes, such as trials and BSs,
+    (T, B, antennas, K); ``signal`` may carry leading axes that broadcast
+    against them, and ``noise`` carries the product's.  Each slice hears
+    what a 2-D call on its own noise block would.
     """
     channel = np.asarray(channel)
     signal = np.asarray(signal)
-    if channel.shape[-1] != signal.shape[0]:
+    if channel.shape[-1] != signal.shape[-2]:
         raise ValueError(
             f"dimension mismatch: channel is {channel.shape}, signal is {signal.shape}"
         )

@@ -321,10 +321,7 @@ def check_lemma1_moments() -> CheckResult:
     for start in range(0, _LEMMA1_DRAWS, chunk):
         g = phy.complex_gaussian(rng, (chunk, n, k_total), var=1.0)
         g = g * np.sqrt(bh)[None, None, :]
-        a = np.eye(k_total)[None] + model.rho_v * (
-            np.swapaxes(g.conj(), 1, 2) @ g)
-        inv = np.linalg.inv(a)
-        sinr[start:start + chunk] = 1.0 / np.real(inv[:, k, k]) - 1.0
+        sinr[start:start + chunk] = detectors.mmse_sinr(g, model.rho_v)[:, k]
     mean_err = abs(sinr.mean() - model.mean) / model.mean
     var_err = abs(sinr.var(ddof=1) - model.variance) / model.variance
     return CheckResult(

@@ -13,6 +13,7 @@ from hetnetsim.data_aided import (
     da_estimate,
     da_estimate_matrix,
     da_power_floor,
+    delta_s_x,
     empirical_nmse,
     error_expectation,
     fold_ber,
@@ -228,3 +229,20 @@ def test_empirical_nmse_tracks_ls_closed_form():
         truth.append(g[:, 0])
         estimates.append(est[:, 0])
     assert empirical_nmse(truth, estimates) == pytest.approx(-20.0, abs=0.2)
+
+
+def test_da_estimates_take_one_ber_per_trial():
+    # three trials stacked along a leading axis, each with its own decoded
+    # block and BERs, give what three separate solves give
+    setups = [_setup(k=3, m=5, tau_t=3, tau_d=6, betas=(1.0, 0.4, 0.7),
+                     bers=(0.1 * t, 0.05, 0.2), seed=t) for t in range(3)]
+    _, pilots, _, _, _, _, betas, n0 = setups[0]
+    joint = Observation(y=np.stack([s[4].y for s in setups]), phase=Phase.JOINT, noise_power=n0)
+    side = DecodedSideInfo(x_hat=np.stack([s[5].x_hat for s in setups]),
+                           ber=np.stack([s[5].ber for s in setups]),
+                           source=BerSource.EMPIRICAL_ORACLE, power=setups[0][5].power)
+    stacked = da_estimate_matrix(joint, pilots, side, betas, n0)
+    for t, (_, _, _, _, joint_t, side_t, _, _) in enumerate(setups):
+        assert np.array_equal(stacked[t], da_estimate_matrix(joint_t, pilots, side_t, betas, n0))
+        assert delta_s_x(side.ber, betas, side.power)[t] == delta_s_x(side_t.ber, betas,
+                                                                      side.power)

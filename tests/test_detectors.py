@@ -361,3 +361,17 @@ def test_ragged_zf_falls_back_for_the_whole_stack(caplog):
     obs_alone = Observation(y=obs.y[4:], phase=Phase.DATA, noise_power=obs.noise_power)
     assert np.array_equal(detect_all(obs_alone, alone, block)[0][0],
                           detect_all(obs_4, single, block)[0])
+
+
+def test_mmse_sinr_and_modulate_take_leading_axes():
+    rng = np.random.default_rng(23)
+    est = phy.complex_gaussian(rng, (4, 3, 5))
+    stacked = mmse_sinr(est, 0.7)
+    assert stacked.shape == (4, 5)
+    for t in range(4):
+        assert np.array_equal(stacked[t], mmse_sinr(est[t], 0.7))
+    bits = rng.integers(0, 2, size=(3, 2, 8))
+    block = modulate(bits, Modulation.QAM16, 2.0)
+    assert block.symbols.shape == (3, 2, 2) and block.tau_d == 2
+    for t in range(3):
+        assert np.array_equal(block.symbols[t], modulate(bits[t], Modulation.QAM16, 2.0).symbols)

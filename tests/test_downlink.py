@@ -6,7 +6,14 @@ import pytest
 from hetnetsim import phy
 from hetnetsim.downlink import Precoder, dl_rate, zf_precode
 from hetnetsim.phy import ChannelSet, draw_channels
-from hetnetsim.scenario import Association, associate, desk_config, topology_from_positions
+from hetnetsim.scenario import (
+    Association,
+    associate,
+    build_topology,
+    desk_config,
+    topology_from_positions,
+    ue_classes,
+)
 
 
 def test_single_ue_precoder_is_matched_filter():
@@ -63,8 +70,9 @@ def test_single_ue_rate_closed_form():
     rates = dl_rate(channels, pre, assoc, n0)
     expected = math.log2(1.0 + 2.0 * np.linalg.norm(h[:, 0]) ** 2 / n0)
     assert rates.rate[0] == pytest.approx(expected, rel=1e-12)
-    assert rates.per_class["mue"] == pytest.approx(expected, rel=1e-12)
-    assert math.isnan(rates.per_class["sue"])
+    labels = ue_classes(assoc)
+    assert np.mean(rates.rate[labels == "mue"]) == pytest.approx(expected, rel=1e-12)
+    assert not np.any(labels == "sue")
 
 
 def test_zero_precoders_give_zero_rate():
@@ -154,3 +162,26 @@ def test_dl_rate_matches_triple_loop():
     rates = dl_rate(channels, precoders, assoc, cfg.noise_power_mw)
     ref = _triple_loop_sinr(channels, precoders, assoc, cfg.noise_power_mw)
     np.testing.assert_allclose(rates.sinr, ref, rtol=1e-12)
+
+
+def test_trial_stack_equals_per_trial_precoders_and_rates():
+    cfg = desk_config(p_sbs_dbm=40.0)
+    topo = build_topology(cfg, 5)
+    assoc = associate(topo, cfg)
+    channels = draw_channels(topo, cfg, [11, 12, 13])
+    sets = {int(v): np.flatnonzero(assoc.dl_serving == v) for v in set(assoc.dl_serving.tolist())}
+    assert len(sets) > 1
+
+    def precoders(h_mbs, g_sbs):
+        return {v: zf_precode((h_mbs if v == 0 else g_sbs[..., v - 1, :, :])[..., ues],
+                              cfg.p_mbs_mw if v == 0 else cfg.p_sbs_mw, ue_indices=ues)
+                for v, ues in sets.items()}
+    stacked = precoders(channels.h_mbs, channels.g_sbs)
+    rates = dl_rate(channels, stacked, assoc, cfg.noise_power_mw)
+    assert rates.rate.shape == (3, cfg.num_ue)
+    for t in range(3):
+        alone = ChannelSet(h_mbs=channels.h_mbs[t], g_sbs=channels.g_sbs[t])
+        pre = precoders(alone.h_mbs, alone.g_sbs)
+        for v in sets:
+            assert np.array_equal(stacked[v].w[t], pre[v].w)
+        assert np.array_equal(rates.rate[t], dl_rate(alone, pre, assoc, cfg.noise_power_mw).rate)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hetnetsim import ber_analytic, detectors, estimators, experiments, phy, scenario
+from hetnetsim import ber_analytic, detectors, downlink, estimators, experiments, phy, scenario
 from hetnetsim.ber_analytic import SinrGammaModel, analytic_ber, ber_lower_bound
 from hetnetsim.data_aided import BerSource
 from hetnetsim.detectors import Modulation
@@ -308,83 +308,169 @@ def test_worker_failure_names_sweep_value_topology_and_seed():
         run_sweep(spec)
 
 
-@pytest.mark.parametrize("metric,param,values,draws_per_trial", [
-    (Metric.NMSE, "p_train_dbm", (-7.0, 3.0, 13.0), 1),
-    (Metric.BER, "p_data_dbm", (3.0, 13.0, 23.0), 1),
-    (Metric.RATE, "num_ue", (6, 10), 2),      # a new shape misses the shared draw
+def _counted(monkeypatch, module, name, calls):
+    """Wrap ``module.name`` so that every call appends its arguments to ``calls``."""
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def _observe_calls(spec):
+    """run_sweep(spec) and its phy.observe calls per phase."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        _counted(mp, phy, "observe", calls)
+        table = run_sweep(spec)
+    phases = [args[4] if len(args) > 4 else kwargs.get("phase", phy.Phase.TRAINING)
+              for args, kwargs in calls]
+    return table, {p: phases.count(p) for p in (phy.Phase.TRAINING, phy.Phase.DATA)}
+
+
+@pytest.mark.parametrize("metric,param,values,draws_per_chunk,trials,shared,base", [
+    pytest.param(Metric.NMSE, "p_train_dbm", (-7.0, 3.0, 13.0), 1, 3, "data", desk_config(),
+                 id="nmse-p_train_dbm-values0-1"),
+    pytest.param(Metric.BER, "p_data_dbm", (3.0, 13.0, 23.0), 1, 3, "pilot", desk_config(),
+                 id="ber-p_data_dbm-values1-1"),
+    # a new shape misses the shared draw
+    pytest.param(Metric.RATE, "num_ue", (6, 10), 2, 3, None, desk_config(),
+                 id="rate-num_ue-values2-2"),
+    pytest.param(Metric.RATE, "p_data_dbm", (3.0, 23.0), 1, 3, "pilot", desk_config(),
+                 id="rate-p_data_dbm-pilot-side-shared"),
+    pytest.param(Metric.NMSE, "tau_d", (0, 16, 64), 1, 3, "pilot", desk_config(),
+                 id="nmse-tau_d-pilot-side-shared"),
+    # the association moves with the SBS power, so no stage is shared
+    pytest.param(Metric.RATE, "p_sbs_dbm", (14.0, 34.0), 1, 3, None, desk_config(),
+                 id="rate-p_sbs_dbm-nothing-shared"),
+    pytest.param(Metric.RATE, "p_data_dbm", (3.0, 23.0), 1, 5, "pilot", desk_config(),
+                 id="rate-p_data_dbm-odd-trials"),
+    # ZF falls back to MMSE at overloaded SBSs, which reads p_data_dbm
+    pytest.param(Metric.BER, "p_data_dbm", (3.0, 23.0), 1, 3, "pilot",
+                 desk_config(num_ue=20, sbs_antennas=2), id="ber-p_data_dbm-zf-fallback"),
 ])
 def test_multi_point_sweep_equals_its_one_point_sweeps(monkeypatch, metric, param, values,
-                                                       draws_per_trial):
-    kw = dict(base=desk_config(), sweep_param=param, metric=metric, trials=3,
+                                                       draws_per_chunk, trials, shared, base):
+    kw = dict(base=base, sweep_param=param, metric=metric, trials=trials,
               topologies=2, master_seed=5)
-    draw_channels, draws = phy.draw_channels, []
+    draws = []
+    _counted(monkeypatch, phy, "draw_channels", draws)
+    table, observed = _observe_calls(ExperimentSpec(sweep_values=values, **kw))
+    chunks = math.ceil(trials / experiments._CHUNK)
+    assert len(draws) == draws_per_chunk * chunks * 2
+    alone = [_observe_calls(ExperimentSpec(sweep_values=(v,), **kw)) for v in values]
+    assert table.rows == sum((t.rows for t, _ in alone), ())   # mean, stderr, n bit for bit
+    # a shared side observes once per chunk for every point, the others once per point
+    for phase, side in ((phy.Phase.TRAINING, "pilot"), (phy.Phase.DATA, "data")):
+        counts = [calls[phase] for _, calls in alone]
+        assert observed[phase] == (counts[0] if shared == side else sum(counts)), side
+        assert shared != side or len(set(counts)) == 1
 
-    def counting(*args):
-        draws.append(args)
-        return draw_channels(*args)
 
-    monkeypatch.setattr(phy, "draw_channels", counting)
-    table = run_sweep(ExperimentSpec(sweep_values=values, **kw))
-    assert len(draws) == draws_per_trial * 3 * 2
-    alone = sum((run_sweep(ExperimentSpec(sweep_values=(v,), **kw)).rows for v in values), ())
-    assert table.rows == alone      # mean, stderr and n bit for bit
+def test_pilot_only_precoders_are_built_once_per_chunk(monkeypatch):
+    # a p_data_dbm rate sweep: the SBS precoders and the pilot-only MBS
+    # precoder come from the pilot side; only the data-aided MBS precoder is
+    # built at every point; at 40 dBm two SBSs serve DL UEs
+    spec = ExperimentSpec(base=desk_config(p_sbs_dbm=40.0), sweep_param="p_data_dbm",
+                          sweep_values=(3.0, 23.0), metric=Metric.RATE, trials=5, topologies=1,
+                          master_seed=5, ber_source=BerSource.EMPIRICAL_ORACLE)
+    run = experiments._prepare(spec, 3.0, 0)
+    assert any(v == 0 for v, *_ in run.dl_sets) and len(run.dl_sets) > 1
+    calls = []
+    _counted(monkeypatch, downlink, "zf_precode", calls)
+    experiments._topology_metrics(spec, 0)
+    chunks = 3
+    assert len(calls) == chunks * (len(run.dl_sets) + len(spec.sweep_values))
+    assert all(args[0].shape[0] in (2, 1) for args, _ in calls)   # one stacked call per chunk
 
 
 def test_shared_draws_are_read_only_and_reused():
     cfg = desk_config()
     topo = scenario.build_topology(cfg, phy.stream(1, 0, experiments.PH_TOPOLOGY))
-    draws = experiments._TrialDraws(1, 0, 0)
+    draws = experiments._TrialMemo(1, 0, range(3, 5))
     channels = draws.channels(topo, cfg)
     bits = draws.bits(cfg, Modulation.QAM4)
     noise = draws.noise(experiments.PH_NOISE_DATA, [1, 4], (8, cfg.tau_d), 0.5)
-    for a in (channels.h_mbs, *channels.g_sbs, bits, noise):
+    for a in (channels.h_mbs, channels.g_sbs, bits, noise):
         assert not a.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        channels.h_mbs[0, 0] = 0.0
+        channels.h_mbs[0, 0, 0] = 0.0
     assert draws.channels(topo, cfg.replace(p_train_dbm=-7.0)) is channels
     assert draws.noise(experiments.PH_NOISE_DATA, [1, 4], (8, cfg.tau_d), 0.5) is noise
     # any argument that shapes a draw keys it: a fresh draw, from the same substream
     wide = draws.channels(topo, cfg.replace(sbs_antennas=4))
-    assert wide.g_sbs[0].shape == (4, cfg.num_ue)
+    assert wide.g_sbs.shape == (2, cfg.num_sbs, 4, cfg.num_ue)
     assert draws.noise(experiments.PH_NOISE_DATA, [1, 4], (8, cfg.tau_d), 0.7) is not noise
-    fresh = phy.draw_channels(topo, cfg, phy.stream(1, 0, 0, experiments.PH_CHANNELS))
-    assert np.array_equal(channels.h_mbs, fresh.h_mbs)
-    assert np.array_equal(noise[1], phy.awgn(
-        phy.stream(1, 0, 0, experiments.PH_NOISE_DATA, 4), (8, cfg.tau_d), 0.5))
+    # trial t of the stack is what its own substreams give
+    for i, t in enumerate((3, 4)):
+        fresh = phy.draw_channels(topo, cfg, phy.stream(1, 0, t, experiments.PH_CHANNELS))
+        assert np.array_equal(channels.h_mbs[i], fresh.h_mbs)
+        assert np.array_equal(channels.g_sbs[i], fresh.g_sbs)
+        assert np.array_equal(noise[i, 1], phy.awgn(
+            phy.stream(1, 0, t, experiments.PH_NOISE_DATA, 4), (8, cfg.tau_d), 0.5))
+        assert np.array_equal(bits[i], detectors.random_bits(
+            cfg.num_ue, cfg.tau_d, Modulation.QAM4, phy.stream(1, 0, t, experiments.PH_BITS)))
+
+
+def test_stages_are_kept_only_when_points_share_them():
+    memo = experiments._TrialMemo(1, 0, range(2), shared=frozenset({"a"}))
+    made = []
+
+    def make():
+        made.append(1)
+        return [np.zeros(3)]
+
+    kept = memo.stage("a", "s", make)
+    assert memo.stage("a", "s", make) is kept and len(made) == 1
+    assert not kept[0].flags.writeable
+    assert memo.stage("b", "s", make) is not memo.stage("b", "s", make) and len(made) == 3
+
+
+def test_blanked_config_keys_ignore_only_the_blanked_fields():
+    cfg = desk_config()
+    blank = experiments._blank
+    assert blank(cfg, ("p_data_dbm",)) == blank(cfg.replace(p_data_dbm=-7.0), ("p_data_dbm",))
+    assert blank(cfg, ("p_data_dbm",)) != blank(cfg.replace(p_train_dbm=-7.0), ("p_data_dbm",))
 
 
 def test_stacked_detection_equals_one_combiner_per_bs():
     # desk scale with 2 SBS antennas and 20 UEs: topology 0 has UL SBSs
-    # serving 1, 2 and 3 UEs, so ZF stacks ragged sets and falls back at two
+    # serving 1, 2 and 3 UEs, so ZF stacks ragged sets and falls back at
+    # two; two trials stack along the leading axis
     spec = ExperimentSpec(base=desk_config(num_ue=20, sbs_antennas=2),
                           sweep_param="p_data_dbm", sweep_values=(13.0,), metric=Metric.BER,
-                          trials=1, topologies=1, master_seed=1)
+                          trials=2, topologies=1, master_seed=1)
     run = experiments._prepare(spec, 13.0, 0)
-    draws = experiments._TrialDraws(1, 0, 0)
-    channels = draws.channels(run.topo, run.cfg)
-    block = detectors.modulate(draws.bits(run.cfg, spec.modulation), spec.modulation,
-                               run.cfg.p_data_mw)
-    heard = experiments._listen(run, draws, channels, block)
-    _, got = experiments._detect(run, heard, block)
+    memo = experiments._TrialMemo(1, 0, range(2))
+    channels = memo.channels(run.topo, run.cfg)
+    pilot = experiments._pilot_side(spec, run, memo, channels)
+    block, data = experiments._data_side(spec, run, memo, channels)
+    _, got = experiments._detect(run, memo, pilot, data, block)
 
     cfg, ul = run.cfg, run.assoc.ul_serving
+    scored = run.labels == "decoupled"
     args = (cfg.p_train_mw, cfg.tau_t, cfg.p_data_mw, cfg.noise_power_mw)
     want = {}
-    for group in heard:
-        for i, v in enumerate(group.ids):
-            if v not in run.ul_bs:
+    for (ids, _), heard, obs in zip(run.groups, pilot, data):
+        for i, v in enumerate(ids):
+            if v not in ul[scored]:
                 continue
             served = np.flatnonzero(ul == v)
-            mine = np.flatnonzero(run.scored & (ul == v))
-            obs = phy.Observation(group.data.y[i], phy.Phase.DATA, group.data.noise_power)
-            for det in ("mrc", "zf", "mmse"):
-                cols = served if det != "mmse" else np.arange(cfg.num_ue)
-                comb = detectors.build_combiner(
-                    det, group.est[i][:, cols], run.betas[v], *args, ue_indices=cols)
-                _, _, ber = detectors.detect_all(obs, comb, block)
-                label = det if comb.kind.value == det else f"{det}->{comb.kind.value}"
-                want.setdefault(label, np.full(cfg.num_ue, np.nan))[mine] = \
-                    ber[np.searchsorted(cols, mine)]
+            mine = np.flatnonzero(scored & (ul == v))
+            for t in range(2):
+                one = phy.Observation(obs.y[t, i], phy.Phase.DATA, obs.noise_power)
+                payload = detectors.DataBlock(block.bits[t], block.symbols[t], block.modulation,
+                                              block.power)
+                for det in ("mrc", "zf", "mmse"):
+                    cols = served if det != "mmse" else np.arange(cfg.num_ue)
+                    comb = detectors.build_combiner(
+                        det, heard.est[t, i][:, cols], run.betas[v], *args, ue_indices=cols)
+                    _, _, ber = detectors.detect_all(one, comb, payload)
+                    label = det if comb.kind.value == det else f"{det}->{comb.kind.value}"
+                    want.setdefault(label, np.full((2, cfg.num_ue), np.nan))[t, mine] = \
+                        ber[np.searchsorted(cols, mine)]
     assert set(got) == {"mrc", "zf", "zf->mmse", "mmse"}
     for label in want:
         assert np.array_equal(got[label], want[label], equal_nan=True), label

@@ -180,3 +180,23 @@ def test_stacked_observe_hears_what_each_bs_hears_alone():
         assert np.array_equal(stacked.y[b], alone.y)
     with pytest.raises(ValueError, match="noise is"):
         observe(channels, signal, 0.2, phy.awgn(seeds[:2], (6, 9), 0.2), Phase.DATA)
+
+
+def test_trial_stacked_draws_equal_per_seed_draws():
+    cfg = desk_config(num_sbs=3, num_ue=4, mbs_antennas=6, sbs_antennas=2)
+    topo = topology_from_positions(cfg, [(300.0, 0.0), (0.0, 300.0), (-300.0, 0.0)],
+                                   [(50.0, 50.0), (310.0, 5.0), (0.0, 290.0), (-200.0, -200.0)])
+    stacked = draw_channels(topo, cfg, [stream(1, t) for t in range(3)])
+    assert stacked.h_mbs.shape == (3, 6, 4) and stacked.g_sbs.shape == (3, 3, 2, 4)
+    for t in range(3):
+        alone = draw_channels(topo, cfg, stream(1, t))
+        assert np.array_equal(stacked.h_mbs[t], alone.h_mbs)
+        assert np.array_equal(stacked.g_sbs[t], alone.g_sbs)
+    # a nested list of seeds stacks trials, then BSs
+    noise = phy.awgn([[stream(2, t, b) for b in range(2)] for t in range(3)], (5, 7), 0.4)
+    assert noise.shape == (3, 2, 5, 7)
+    for t in range(3):
+        for b in range(2):
+            assert np.array_equal(noise[t, b], phy.awgn(stream(2, t, b), (5, 7), 0.4))
+    assert phy.awgn([[1, 2]] * 3, (5, 0), 0.4).shape == (3, 2, 5, 0)
+    assert not np.any(phy.awgn([[1, 2]] * 3, (5, 7), 0.0))
