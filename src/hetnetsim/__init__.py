@@ -9,7 +9,7 @@ detectors    modulation, MRC/ZF/MMSE combining, symbol decisions
 ber_analytic Gamma-matched SINR law and closed-form BER
 data_aided   BER-aware data-aided MMSE estimation and its NMSE predictors
 downlink     ZF beamforming and the average-rate metric
-experiments  seeded parallel sweep harness, CSV output, validation entry
+experiments  seeded parallel sweep harness, CSV output
 cli          command-line front end
 """
 
@@ -39,13 +39,10 @@ from .phy import (
     stream,
 )
 from .estimators import (
-    ChannelEstimate,
     EstimateStats,
     EstMethod,
     analytic_nmse_pilot_only,
-    ls_estimate,
     mmse_error_stats,
-    mmse_estimate,
 )
 from .detectors import (
     Combiner,
@@ -69,13 +66,8 @@ from .ber_analytic import (
 from .data_aided import (
     BerSource,
     DecodedSideInfo,
-    ErrorExpectation,
-    NmsePrediction,
     analytic_nmse_da,
-    da_estimate,
     da_power_floor,
-    empirical_nmse,
-    error_expectation,
 )
 from .downlink import DownlinkRates, Precoder, dl_rate, zf_precode
 from .experiments import (
@@ -83,9 +75,7 @@ from .experiments import (
     Metric,
     ResultRow,
     ResultTable,
-    oracle_ber_numeric,
     run_sweep,
-    validate,
     write_csv,
 )
 

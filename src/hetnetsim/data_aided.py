@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import ChannelEstimate, EstMethod, mmse_estimate_matrix
+from .estimators import mmse_estimate_matrix
 from .phy import Observation, Phase, PilotMatrix
-
-NMSE_FLOOR_DB = -200.0
 
 
 class BerSource(str, enum.Enum):
@@ -38,19 +36,6 @@ class DecodedSideInfo:
     power: float                       # nominal symbol power P_D
 
 
-@dataclass(frozen=True)
-class ErrorExpectation:
-    e_mean: np.ndarray                 # (tau_t + tau_d,) E[e_k]
-    delta_s: float                     # residual interference power from errors
-
-
-@dataclass(frozen=True)
-class NmsePrediction:
-    kind: EstMethod
-    rho: float                         # SNR-like term multiplying beta
-    value_db: float
-
-
 def fold_ber(ber) -> np.ndarray:
     """Fold sign-ambiguous BER reports into [0, 0.5]."""
     b = np.asarray(ber, dtype=float)
@@ -63,16 +48,6 @@ def delta_s_x(bers, betas, p_d: float) -> float | np.ndarray:
     bers = fold_ber(bers)
     betas = np.asarray(betas, dtype=float)
     return p_d * np.sum(betas * (1.0 - (1.0 - 2.0 * bers) ** 2), axis=-1)
-
-
-def error_expectation(
-    bers, betas, tau_t: int, tau_d: int, p_d: float, k: int
-) -> ErrorExpectation:
-    """Error-model statistics for UE k's joint row: pilots are exact (ones),
-    each decoded symbol shrinks by 1 - 2 BER_k."""
-    bers = fold_ber(bers)
-    e = np.concatenate([np.ones(tau_t), np.full(tau_d, 1.0 - 2.0 * bers[k])])
-    return ErrorExpectation(e_mean=e, delta_s=delta_s_x(bers, betas, p_d))
 
 
 def da_combiner_matrix(
@@ -132,23 +107,6 @@ def da_estimate_matrix(
     return joint_obs.y @ c
 
 
-def da_estimate(
-    joint_obs: Observation,
-    pilots: PilotMatrix,
-    side: DecodedSideInfo,
-    betas,
-    noise_power: float,
-    k: int,
-) -> ChannelEstimate:
-    betas = np.asarray(betas, dtype=float)
-    if not 0 <= k < len(betas):
-        raise IndexError(f"UE index {k} out of range")
-    estimates = da_estimate_matrix(joint_obs, pilots, side, betas, noise_power)
-    return ChannelEstimate(
-        g_hat=estimates[:, k], method=EstMethod.DATA_AIDED, target_beta=float(betas[k])
-    )
-
-
 def rho_data_aided(
     bers, betas, p_t: float, p_d: float, tau_t: int, tau_d: int,
     noise_power: float, k: int,
@@ -164,13 +122,11 @@ def rho_data_aided(
 def analytic_nmse_da(
     beta_k: float, betas, bers, p_t: float, p_d: float,
     tau_t: int, tau_d: int, noise_power: float, k: int,
-) -> NmsePrediction:
+) -> float:
+    """Closed-form DA NMSE in dB of UE k, the pilot-only form with rho
+    raised to ``rho_data_aided``."""
     rho = rho_data_aided(bers, betas, p_t, p_d, tau_t, tau_d, noise_power, k)
-    return NmsePrediction(
-        kind=EstMethod.DATA_AIDED,
-        rho=rho,
-        value_db=10.0 * math.log10(1.0 / (1.0 + rho * beta_k)),
-    )
+    return 10.0 * math.log10(1.0 / (1.0 + rho * beta_k))
 
 
 def da_power_floor(tau_d: int, bers, betas, k: int) -> float:
@@ -179,32 +135,7 @@ def da_power_floor(tau_d: int, bers, betas, k: int) -> float:
     With every BER at zero there is no floor; that case returns inf.
     """
     bers = fold_ber(bers)
-    betas = np.asarray(betas, dtype=float)
-    denom = float(np.sum(betas * (1.0 - (1.0 - 2.0 * bers) ** 2)))
+    denom = float(delta_s_x(bers, betas, 1.0))
     if denom == 0.0:
         return math.inf
     return tau_d * (1.0 - 2.0 * bers[k]) ** 2 / denom
-
-
-def empirical_nmse(truth, estimates, floor_db: float = NMSE_FLOOR_DB) -> float:
-    """Eq.-(18)-style NMSE in dB over paired (true, estimated) vectors.
-
-    Numerator and denominator expectations are taken before the log; exact
-    recoveries report ``floor_db`` instead of -inf.
-    """
-    err = 0.0
-    power = 0.0
-    count = 0
-    for g, est in zip(truth, estimates, strict=True):
-        g = np.asarray(g)
-        g_hat = np.asarray(getattr(est, "g_hat", est))
-        err += float(np.sum(np.abs(g - g_hat) ** 2))
-        power += float(np.sum(np.abs(g) ** 2))
-        count += 1
-    if count == 0:
-        raise ValueError("empirical_nmse needs at least one sample")
-    if power == 0.0:
-        raise ValueError("true channels have zero norm")
-    if err == 0.0:
-        return floor_db
-    return max(10.0 * math.log10(err / power), floor_db)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -16,13 +15,6 @@ class EstMethod(str, enum.Enum):
     LS = "ls"
     MMSE = "mmse"
     DATA_AIDED = "da"
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    g_hat: np.ndarray
-    method: EstMethod
-    target_beta: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -70,26 +62,6 @@ def mmse_estimate_matrix(
         despread_y = despread(obs, pilots)
     shrink = mmse_shrinkage(betas, pilots.power, pilots.tau_t, noise_power)
     return despread_y * shrink[..., None, :]
-
-
-def ls_estimate(obs: Observation, pilots: PilotMatrix, k: int) -> ChannelEstimate:
-    if not 0 <= k < pilots.s.shape[0]:
-        raise IndexError(f"UE index {k} out of range")
-    g = ls_estimate_matrix(obs, pilots)[:, k]
-    return ChannelEstimate(g_hat=g, method=EstMethod.LS)
-
-
-def mmse_estimate(
-    obs: Observation, pilots: PilotMatrix, betas, noise_power: float
-) -> list[ChannelEstimate]:
-    betas = np.asarray(betas, dtype=float)
-    if len(betas) != pilots.s.shape[0]:
-        raise ValueError("betas length must match the pilot count")
-    g = mmse_estimate_matrix(obs, pilots, betas, noise_power)
-    return [
-        ChannelEstimate(g_hat=g[:, k], method=EstMethod.MMSE, target_beta=float(betas[k]))
-        for k in range(len(betas))
-    ]
 
 
 def mmse_shrinkage(betas, p_t: float, tau_t: int, noise_power: float) -> np.ndarray:

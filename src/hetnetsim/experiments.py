@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate, special
 
 from . import ber_analytic, data_aided, detectors, downlink, estimators, phy, scenario
 from .data_aided import BerSource
@@ -673,12 +672,18 @@ def run_sweep(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
 CSV_HEADER = "sweep_param,sweep_value,method,ue_class,metric,mean,stderr,n"
 
 
+def _format_value(value: float) -> str:
+    """``:g`` where it reads back as the same float, else the exact repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 def write_csv(table: ResultTable, path) -> None:
     """Deterministic fixed-precision CSV, one row per table entry."""
     lines = [CSV_HEADER]
     for row in sorted(table.rows, key=lambda r: (r.sweep_value, r.method, r.ue_class)):
         lines.append(
-            f"{row.sweep_param},{row.sweep_value:g},{row.method},{row.ue_class},"
+            f"{row.sweep_param},{_format_value(row.sweep_value)},{row.method},{row.ue_class},"
             f"{row.metric},{row.mean:.10e},{row.stderr:.10e},{row.n}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
@@ -697,51 +702,6 @@ def read_csv(path) -> ResultTable:
             stderr=float(stderr), n=int(n),
         ))
     return ResultTable(rows=tuple(rows))
-
-
-ORACLE_EPSREL = 1e-11      # the oracle's relative error target
-_ORACLE_TAIL = 1e-16       # Gamma mass left out above and (times the bound) below
-
-
-def oracle_ber_numeric(alpha: float, xi: float) -> float:
-    """Adaptive quadrature of the Gamma-weighted Gaussian tail integral;
-    the independent cross-check for the incomplete-beta closed form.
-
-    It integrates between Gamma quantiles with a break at the peak t = alpha,
-    so QUADPACK cannot step over the narrow mass of a large shape.  The
-    kernel is at most 1/2 below the range and at most the Jensen bound
-    Q(sqrt(alpha*xi)) above it, so the cut costs under _ORACLE_TAIL of a
-    result that is never below the bound; a result below it raises.
-    """
-    if alpha <= 0 or xi < 0:
-        raise ValueError("Gamma parameters must be positive")
-    if xi == 0.0:
-        return 0.5
-
-    # substitute x = xi * t so the Gamma mass sits near t = alpha for any xi
-    def integrand(t):
-        log_pdf = (alpha - 1.0) * np.log(t) - t - special.gammaln(alpha)
-        return np.exp(log_pdf) * ber_analytic.q_function(np.sqrt(xi * t))
-
-    bound = float(ber_analytic.q_function(math.sqrt(alpha * xi)))
-    lo = special.gammaincinv(alpha, _ORACLE_TAIL * bound)
-    hi = special.gammainccinv(alpha, _ORACLE_TAIL)    # 1 - tail would round to 1
-    value, err = integrate.quad(integrand, lo, hi, points=[alpha], epsabs=0.0,
-                                epsrel=ORACLE_EPSREL, limit=400)
-    if not math.isfinite(value) or err > 1e-6 * abs(value):
-        raise RuntimeError(f"quadrature failed at alpha={alpha}, xi={xi} (err={err})")
-    if value < bound:
-        raise RuntimeError(
-            f"quadrature gave {value:.3e} at alpha={alpha}, xi={xi}, "
-            f"below the Jensen bound {bound:.3e}")
-    return float(value)
-
-
-def validate(master_seed: int = 1, threads: int = 1):
-    """Run the full desk-scale validation suite; see hetnetsim.validation."""
-    from . import validation
-
-    return validation.run_validation(master_seed=master_seed, threads=threads)
 
 
 # ---------------------------------------------------------------------------

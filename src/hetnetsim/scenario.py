@@ -44,10 +44,6 @@ def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-def mw_to_dbm(mw: float) -> float:
-    return 10.0 * math.log10(mw)
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Static system parameters.  Powers are stored in dBm as configured;

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import integrate, special
 
 from . import ber_analytic, data_aided, detectors, estimators, phy, scenario
 from .data_aided import BerSource
@@ -22,7 +23,6 @@ from .experiments import (
     ExperimentSpec,
     Metric,
     analytic_ber_vector,
-    oracle_ber_numeric,
     run_sweep,
 )
 from .phy import Phase
@@ -152,8 +152,7 @@ def _da_nmse_deviation(cfg, tag, mode, topologies, trials):
         preds = [
             data_aided.analytic_nmse_da(
                 topo.beta_mbs[k], topo.beta_mbs, bers, cfg.p_train_mw,
-                cfg.p_data_mw, cfg.tau_t, cfg.tau_d, cfg.noise_power_mw, k
-            ).value_db
+                cfg.p_data_mw, cfg.tau_t, cfg.tau_d, cfg.noise_power_mw, k)
             for k in assoc.decoupled
         ]
         emp = table.value(method="da", ue_class="decoupled")
@@ -234,6 +233,44 @@ def check_nmse_dominance(master_seed: int = 1) -> list:
             threshold="> 15 dB",
         ),
     ]
+
+
+ORACLE_EPSREL = 1e-11      # the oracle's relative error target
+_ORACLE_TAIL = 1e-16       # Gamma mass left out above and (times the bound) below
+
+
+def oracle_ber_numeric(alpha: float, xi: float) -> float:
+    """Adaptive quadrature of the Gamma-weighted Gaussian tail integral;
+    the independent cross-check for the incomplete-beta closed form.
+
+    It integrates between Gamma quantiles with a break at the peak t = alpha,
+    so QUADPACK cannot step over the narrow mass of a large shape.  The
+    kernel is at most 1/2 below the range and at most the Jensen bound
+    Q(sqrt(alpha*xi)) above it, so the cut costs under _ORACLE_TAIL of a
+    result that is never below the bound; a result below it raises.
+    """
+    if alpha <= 0 or xi < 0:
+        raise ValueError("Gamma parameters must be positive")
+    if xi == 0.0:
+        return 0.5
+
+    # substitute x = xi * t so the Gamma mass sits near t = alpha for any xi
+    def integrand(t):
+        log_pdf = (alpha - 1.0) * np.log(t) - t - special.gammaln(alpha)
+        return np.exp(log_pdf) * ber_analytic.q_function(np.sqrt(xi * t))
+
+    bound = float(ber_analytic.q_function(math.sqrt(alpha * xi)))
+    lo = special.gammaincinv(alpha, _ORACLE_TAIL * bound)
+    hi = special.gammainccinv(alpha, _ORACLE_TAIL)    # 1 - tail would round to 1
+    value, err = integrate.quad(integrand, lo, hi, points=[alpha], epsabs=0.0,
+                                epsrel=ORACLE_EPSREL, limit=400)
+    if not math.isfinite(value) or err > 1e-6 * abs(value):
+        raise RuntimeError(f"quadrature failed at alpha={alpha}, xi={xi} (err={err})")
+    if value < bound:
+        raise RuntimeError(
+            f"quadrature gave {value:.3e} at alpha={alpha}, xi={xi}, "
+            f"below the Jensen bound {bound:.3e}")
+    return float(value)
 
 
 def check_ber_analytics(master_seed: int = 1) -> list:

@@ -10,17 +10,14 @@ from hetnetsim.data_aided import (
     DecodedSideInfo,
     analytic_nmse_da,
     da_combiner_matrix,
-    da_estimate,
     da_estimate_matrix,
     da_power_floor,
     delta_s_x,
-    empirical_nmse,
-    error_expectation,
     fold_ber,
     rho_data_aided,
 )
 from hetnetsim.detectors import Modulation, modulate, random_bits
-from hetnetsim.estimators import EstMethod, mmse_estimate_matrix
+from hetnetsim.estimators import mmse_estimate_matrix
 from hetnetsim.phy import Observation, Phase, joint_observation, make_pilots, observe
 
 
@@ -44,24 +41,12 @@ def test_fold_ber():
     assert np.allclose(fold_ber([0.0, 0.3, 0.5, 0.7, 1.0]), [0.0, 0.3, 0.5, 0.3, 0.0])
 
 
-def test_error_expectation_zero_ber():
-    exp = error_expectation([0.0, 0.0], [1.0, 2.0], 3, 4, 1.0, 0)
-    assert np.array_equal(exp.e_mean, np.ones(7))
-    assert exp.delta_s == 0.0
-
-
-def test_error_expectation_half_ber():
-    betas = [1.0, 2.0]
-    exp = error_expectation([0.5, 0.5], betas, 2, 3, 1.5, 1)
-    assert np.array_equal(exp.e_mean[:2], [1.0, 1.0])
-    assert np.array_equal(exp.e_mean[2:], [0.0, 0.0, 0.0])
-    assert exp.delta_s == pytest.approx(1.5 * 3.0)
-
-
-def test_error_expectation_arithmetic():
-    exp = error_expectation([0.1], [1.0], 2, 4, 1.0, 0)
-    assert np.allclose(exp.e_mean[2:], 0.8)
-    assert exp.delta_s == pytest.approx(1.0 - 0.64)
+def test_delta_s_x_values():
+    # no errors inject nothing; BER 1/2 injects the full P_D-weighted gain;
+    # BER 0.1 leaves 1 - (1 - 2*0.1)^2 of it
+    assert delta_s_x([0.0, 0.0], [1.0, 2.0], 1.0) == 0.0
+    assert delta_s_x([0.5, 0.5], [1.0, 2.0], 1.5) == pytest.approx(1.5 * 3.0)
+    assert delta_s_x([0.1], [1.0], 1.0) == pytest.approx(1.0 - 0.64)
 
 
 def _assemble_direct_combiner(pilots, side, betas, n0):
@@ -98,9 +83,6 @@ def test_da_estimate_toy_instance_matches_oracle():
     oracle = joint.y @ _assemble_direct_combiner(pilots, side, betas, n0)
     fast = da_estimate_matrix(joint, pilots, side, betas, n0)
     assert np.allclose(fast, oracle, rtol=1e-9)
-    est = da_estimate(joint, pilots, side, betas, n0, 1)
-    assert est.method is EstMethod.DATA_AIDED
-    assert np.allclose(est.g_hat, oracle[:, 1], rtol=1e-9)
 
 
 def test_woodbury_equals_direct_solve_on_random_instances():
@@ -181,9 +163,8 @@ def test_rho_da_monotonicity():
 
 def test_analytic_nmse_da_prediction_fields():
     pred = analytic_nmse_da(1e-9, [1e-9], [0.0], 2.0, 200.0, 30, 128, 8e-11, 0)
-    assert pred.kind is EstMethod.DATA_AIDED
-    assert pred.value_db == pytest.approx(
-        10 * math.log10(1 / (1 + pred.rho * 1e-9)))
+    rho = rho_data_aided([0.0], [1e-9], 2.0, 200.0, 30, 128, 8e-11, 0)
+    assert pred == pytest.approx(10 * math.log10(1 / (1 + rho * 1e-9)))
 
 
 def test_power_floor_arithmetic():
@@ -206,29 +187,18 @@ def test_power_floor_is_rho_increment_limit():
     assert increment == pytest.approx(floor, rel=1e-3)
 
 
-def test_empirical_nmse_paths():
-    truth = [np.array([1.0 + 0j, 2.0]), np.array([0.5 + 0j, 0.5])]
-    assert empirical_nmse(truth, truth) == -200.0
-    zeros = [np.zeros(2), np.zeros(2)]
-    assert empirical_nmse(truth, zeros) == pytest.approx(0.0)
-    with pytest.raises(ValueError, match="zero"):
-        empirical_nmse(zeros, zeros)
-    with pytest.raises(ValueError, match="at least one"):
-        empirical_nmse([], [])
-
-
 def test_empirical_nmse_tracks_ls_closed_form():
     # beta = 1, rho = tau_t P_T / N0 = 100 -> -20 dB
     rng = np.random.default_rng(11)
     pilots = make_pilots(1, 4, 25.0)
-    truth, estimates = [], []
+    err = power = 0.0
     for _ in range(800):
         g = phy.complex_gaussian(rng, (8, 1))
         obs = observe(g, pilots.s, 1.0, phy.awgn(rng, (8, 4), 1.0), Phase.TRAINING)
         est = obs.y @ pilots.s.conj().T / (4 * 25.0)
-        truth.append(g[:, 0])
-        estimates.append(est[:, 0])
-    assert empirical_nmse(truth, estimates) == pytest.approx(-20.0, abs=0.2)
+        err += float(np.sum(np.abs(g[:, 0] - est[:, 0]) ** 2))
+        power += float(np.sum(np.abs(g[:, 0]) ** 2))
+    assert 10.0 * math.log10(err / power) == pytest.approx(-20.0, abs=0.2)
 
 
 def test_da_estimates_take_one_ber_per_trial():

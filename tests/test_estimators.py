@@ -6,10 +6,8 @@ from hetnetsim import estimators, phy
 from hetnetsim.estimators import (
     EstMethod,
     analytic_nmse_pilot_only,
-    ls_estimate,
     ls_estimate_matrix,
     mmse_error_stats,
-    mmse_estimate,
     mmse_estimate_matrix,
 )
 from hetnetsim.phy import Phase, make_pilots, observe
@@ -43,16 +41,8 @@ def _mmse_normal_equations(obs, pilots, betas, n0):
 def test_ls_noiseless_recovers_channel():
     rng = np.random.default_rng(1)
     g, pilots, obs = _training_setup([1.0, 0.5], 4, 2.0, 0.0, 8, rng)
-    est = ls_estimate(obs, pilots, 0)
-    assert est.method is EstMethod.LS
-    assert np.allclose(est.g_hat, g[:, 0], atol=1e-12)
-
-
-def test_ls_index_out_of_range():
-    rng = np.random.default_rng(1)
-    _, pilots, obs = _training_setup([1.0], 4, 1.0, 0.0, 4, rng)
-    with pytest.raises(IndexError):
-        ls_estimate(obs, pilots, 3)
+    est = ls_estimate_matrix(obs, pilots)
+    assert np.allclose(est[:, 0], g[:, 0], atol=1e-12)
 
 
 def test_ls_error_variance_monte_carlo():
@@ -79,15 +69,6 @@ def test_mmse_matches_normal_equation_benchmark():
     fast = mmse_estimate_matrix(obs, pilots, betas, 0.8)
     slow = _mmse_normal_equations(obs, pilots, betas, 0.8)
     assert np.allclose(fast, slow, rtol=1e-10)
-
-
-def test_mmse_estimate_returns_per_ue_objects():
-    rng = np.random.default_rng(4)
-    _, pilots, obs = _training_setup([1.0, 0.5], 4, 1.0, 0.1, 6, rng)
-    ests = mmse_estimate(obs, pilots, [1.0, 0.5], 0.1)
-    assert len(ests) == 2
-    assert ests[1].method is EstMethod.MMSE
-    assert ests[1].target_beta == 0.5
 
 
 def test_mmse_high_energy_limit_recovers_channel():

@@ -3,24 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from hetnetsim import ber_analytic, detectors, downlink, estimators, experiments, phy, scenario
+from hetnetsim import (
+    ber_analytic, detectors, downlink, estimators, experiments, phy, scenario, validation,
+)
 from hetnetsim.ber_analytic import SinrGammaModel, analytic_ber, ber_lower_bound
 from hetnetsim.data_aided import BerSource
 from hetnetsim.detectors import Modulation
 from hetnetsim.experiments import (
     CSV_HEADER,
-    ORACLE_EPSREL,
     ExperimentSpec,
     Metric,
+    ResultRow,
     ResultTable,
     load_config,
-    oracle_ber_numeric,
     read_csv,
     run_sweep,
     split_config,
     write_csv,
 )
 from hetnetsim.scenario import SystemConfig, desk_config
+from hetnetsim.validation import ORACLE_EPSREL, oracle_ber_numeric
 
 
 def _tiny_spec(metric=Metric.NMSE, **kw):
@@ -147,8 +149,6 @@ def test_aggregation_matches_manual_recompute():
 def test_mutated_mmse_shrinkage_breaks_validation(monkeypatch):
     # sanity of the validation harness itself: a 2x shrinkage error in the
     # MMSE estimator must trip the closed-form agreement check
-    from hetnetsim import validation
-
     true_fn = estimators.mmse_estimate_matrix
 
     def tampered(obs, pilots, betas, noise_power):
@@ -170,6 +170,17 @@ def test_write_csv_round_trip(tmp_path):
     for row in table.rows:
         key = (row.sweep_value, row.method, row.ue_class)
         assert emitted[key] == float(f"{row.mean:.10e}")
+
+
+def test_write_csv_keeps_sweep_values_that_g_would_merge(tmp_path):
+    # :g keeps 6 significant digits, so both values would write as 2e+07
+    rows = tuple(ResultRow(sweep_param="bandwidth_hz", sweep_value=v, method="mmse",
+                           ue_class="decoupled", metric="ber", mean=0.1, stderr=0.0, n=1)
+                 for v in (20000000.0, 20000001.0))
+    path = tmp_path / "close.csv"
+    write_csv(ResultTable(rows=rows), path)
+    assert path.read_text().splitlines()[1].split(",")[1] == "2e+07"
+    assert [r.sweep_value for r in read_csv(path).rows] == [20000000.0, 20000001.0]
 
 
 def test_write_csv_empty_table(tmp_path):
@@ -223,7 +234,7 @@ def test_closed_form_ber_matches_quadrature_oracle(alpha, xi):
 def test_oracle_raises_below_the_jensen_bound(monkeypatch):
     # a quadrature that misses the Gamma peak returns a tiny value with a
     # tiny error estimate; the oracle must not pass it on
-    monkeypatch.setattr(experiments.integrate, "quad", lambda *a, **k: (4.3e-32, 1e-40))
+    monkeypatch.setattr(validation.integrate, "quad", lambda *a, **k: (4.3e-32, 1e-40))
     with pytest.raises(RuntimeError, match="Jensen bound"):
         oracle_ber_numeric(250.0, 0.05)
 
