@@ -41,11 +41,26 @@ def test_fold_ber():
     assert np.allclose(fold_ber([0.0, 0.3, 0.5, 0.7, 1.0]), [0.0, 0.3, 0.5, 0.3, 0.0])
 
 
-def test_delta_s_x_values():
-    # no errors inject nothing; BER 1/2 injects the full P_D-weighted gain;
-    # BER 0.1 leaves 1 - (1 - 2*0.1)^2 of it
+def _error_means(bers, tau_t, tau_d, k):
+    """Mean of UE k's decoding-error factor over the joint block, as the
+    DA combiner forms it: 1 on pilots, 1 - 2*BER on decoded data."""
+    return np.concatenate([np.ones(tau_t), np.full(tau_d, 1.0 - 2.0 * fold_ber(bers)[k])])
+
+
+def test_error_expectation_zero_ber():
+    assert np.array_equal(_error_means([0.0, 0.0], 3, 4, 0), np.ones(7))
     assert delta_s_x([0.0, 0.0], [1.0, 2.0], 1.0) == 0.0
+
+
+def test_error_expectation_half_ber():
+    e_mean = _error_means([0.5, 0.5], 2, 3, 1)
+    assert np.array_equal(e_mean[:2], [1.0, 1.0])
+    assert np.array_equal(e_mean[2:], [0.0, 0.0, 0.0])
     assert delta_s_x([0.5, 0.5], [1.0, 2.0], 1.5) == pytest.approx(1.5 * 3.0)
+
+
+def test_error_expectation_arithmetic():
+    assert np.allclose(_error_means([0.1], 2, 4, 0)[2:], 0.8)
     assert delta_s_x([0.1], [1.0], 1.0) == pytest.approx(1.0 - 0.64)
 
 
