@@ -11,7 +11,7 @@ import math
 import os
 import sys
 
-from . import data_aided, phy, scenario
+from . import data_aided
 from .experiments import (
     ExperimentSpec,
     Metric,
@@ -20,6 +20,7 @@ from .experiments import (
     load_config,
     run_sweep,
     split_config,
+    sweep_topology,
     write_csv,
 )
 from .scenario import SystemConfig
@@ -103,8 +104,7 @@ def _threads(args) -> int:
 
 
 def _run_floor(cfg: SystemConfig, seed: int) -> int:
-    topo = scenario.build_topology(cfg, phy.stream(seed, 0, 0))
-    assoc = scenario.associate(topo, cfg)
+    topo, assoc = sweep_topology(cfg, seed)
     if not len(assoc.decoupled):
         print("no decoupled UEs in this topology; nothing to report")
         return 0

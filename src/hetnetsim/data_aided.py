@@ -32,7 +32,6 @@ class DecodedSideInfo:
 
     x_hat: np.ndarray                  # ([T,] K, tau_d) decoded symbols
     ber: np.ndarray                    # ([T,] K) in [0, 0.5]
-    source: BerSource
     power: float                       # nominal symbol power P_D
 
 
@@ -120,13 +119,13 @@ def rho_data_aided(
 
 
 def analytic_nmse_da(
-    beta_k: float, betas, bers, p_t: float, p_d: float,
+    betas, bers, p_t: float, p_d: float,
     tau_t: int, tau_d: int, noise_power: float, k: int,
 ) -> float:
     """Closed-form DA NMSE in dB of UE k, the pilot-only form with rho
     raised to ``rho_data_aided``."""
     rho = rho_data_aided(bers, betas, p_t, p_d, tau_t, tau_d, noise_power, k)
-    return 10.0 * math.log10(1.0 / (1.0 + rho * beta_k))
+    return 10.0 * math.log10(1.0 / (1.0 + rho * betas[k]))
 
 
 def da_power_floor(tau_d: int, bers, betas, k: int) -> float:

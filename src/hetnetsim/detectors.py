@@ -4,15 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ber_analytic import effective_rho
 from .phy import Observation, Phase, as_rng
-
-log = logging.getLogger(__name__)
 
 
 class Modulation(str, enum.Enum):
@@ -138,6 +135,7 @@ def build_combiner(
     p_d: float,
     noise_power: float,
     ue_indices=None,
+    pad=None,
 ) -> Combiner:
     """Linear receive combiner from estimated channels.
 
@@ -146,43 +144,24 @@ def build_combiner(
     interference level, so ``betas`` must list every co-channel UE's gain.
     A leading BS axis, (B, antennas, n) estimates with (B, K) ``betas``,
     builds B combiners at once; ``c`` and ``gain`` then carry that axis.
-
-    A stacked call may instead pass every UE's column, (B, antennas, K),
-    with one ``ue_indices`` tuple per BS, the tuples of any lengths: BS b
-    then covers the columns ``ue_indices[b]``.  Shorter sets are padded
-    with zero columns, kept out of the ZF solve by an identity block and
-    out of the MRC norms by a unit norm; the padded rows are then dropped,
-    each shorter set repeating its last UE's row.  ZF falls back to MMSE
-    for the whole stack when any set is larger than the antenna count.
-
     A trial axis may lead the BS axis, (T, B, antennas, n): each trial
     then gets what a call on its own slice would.
+
+    ``pad``, a boolean mask over the columns, (n,) or (B, n), marks columns
+    that stand in for no UE, so that BSs serving fewer UEs share one stack.
+    Padded columns are zeroed and kept out of the ZF solve by an identity
+    block and out of the MRC norms by a unit norm; their rows are zero.
+    ZF needs no more columns than antennas.
     """
     kind = CombinerKind(kind)
     est = np.asarray(estimates)
-    ragged = (est.ndim >= 3 and ue_indices is not None and len(ue_indices) > 0
-              and np.ndim(ue_indices[0]) == 1)
-    pad = np.zeros(est.shape[-1], dtype=bool)       # the padded columns
-    if ragged:
-        sizes = np.array([len(u) for u in ue_indices])
-        last = np.minimum(np.arange(max(sizes)), sizes[:, None] - 1)
-        cols = np.array([np.asarray(u, dtype=int)[i] for u, i in zip(ue_indices, last)])
-        pad = last < np.arange(last.shape[1])                            # (B, n)
-        ue_indices = tuple(map(tuple, cols.tolist()))
-        picked = np.take_along_axis(est, _lead(cols[:, None, :], est.ndim), -1)
-        est = np.where(pad[:, None, :], 0.0, picked)
     n_ant, n_ue = est.shape[-2:]
-    if ue_indices is None:
-        ue_indices = tuple(range(n_ue))
-    elif not ragged:
-        ue_indices = tuple(int(i) for i in ue_indices)
-
+    ue_indices = tuple(range(n_ue)) if ue_indices is None else tuple(int(i) for i in ue_indices)
+    pad = np.zeros(n_ue, dtype=bool) if pad is None else np.asarray(pad, dtype=bool)
+    if pad.any():
+        est = np.where(pad[..., None, :], 0.0, est)
     if kind is CombinerKind.ZF and n_ue > n_ant:
-        log.warning(
-            "ZF needs served count <= antennas (%d > %d); falling back to MMSE",
-            n_ue, n_ant,
-        )
-        kind = CombinerKind.MMSE
+        raise ValueError(f"ZF cannot separate {n_ue} UEs with {n_ant} antennas")
 
     est_h = est.conj().swapaxes(-1, -2)
     if kind is CombinerKind.MRC:
@@ -206,16 +185,7 @@ def build_combiner(
             rows = np.linalg.solve(cov, est).conj().swapaxes(-1, -2)
 
     gain = np.einsum("...ij,...ji->...i", rows, est)
-    if ragged:
-        rows = np.take_along_axis(rows, _lead(last[..., None], rows.ndim), axis=-2)
-        gain = np.take_along_axis(gain, _lead(last, gain.ndim), axis=-1)
     return Combiner(c=rows, kind=kind, ue_indices=ue_indices, gain=gain)
-
-
-def _lead(index: np.ndarray, ndim: int) -> np.ndarray:
-    """``index`` with unit axes prepended up to ``ndim``, so that it
-    broadcasts over the leading trial axes in ``take_along_axis``."""
-    return index.reshape((1,) * (ndim - index.ndim) + index.shape)
 
 
 # decision edges of the 16-QAM levels {-3, -1, 1, 3} per axis, before scaling

@@ -17,6 +17,7 @@ import functools
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,9 +73,6 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.sweep_values:
             raise ValueError("sweep value list must be non-empty")
-        values = list(self.sweep_values)
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ValueError("sweep values must be sorted and distinct")
         for name in ("trials", "topologies"):
             count = getattr(self, name)
             if not isinstance(count, (int, float, np.integer)) or not float(count).is_integer():
@@ -87,12 +85,13 @@ class ExperimentSpec:
         object.__setattr__(self, "metric", Metric(self.metric))
         object.__setattr__(self, "modulation", Modulation(self.modulation))
         object.__setattr__(self, "ber_source", BerSource(self.ber_source))
-        for d in self.detectors:
-            if d not in DETECTOR_CHOICES:
-                raise ValueError(f"unknown detector {d!r}")
-        for e in self.estimators:
-            if e not in ESTIMATOR_CHOICES:
-                raise ValueError(f"unknown estimator {e!r}")
+        for name, choices in (("detector", DETECTOR_CHOICES), ("estimator", ESTIMATOR_CHOICES)):
+            chosen = getattr(self, f"{name}s")
+            if not chosen or len(set(chosen)) < len(chosen):
+                raise ValueError(f"{name}s must be distinct and non-empty, got {chosen!r}")
+            for c in chosen:
+                if c not in choices:
+                    raise ValueError(f"unknown {name} {c!r}")
         # build every point's config now, so a bad grid fails before any work
         for value in self.sweep_values:
             cfg = _apply_sweep(self.base, self.sweep_param, value)
@@ -100,6 +99,9 @@ class ExperimentSpec:
                 raise ValueError(
                     f"the BER metric scores decoupled UEs, which need an SBS, "
                     f"but {self.sweep_param}={value} has num_sbs=0")
+        values = list(self.sweep_values)
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValueError("sweep values must be sorted and distinct")
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,8 @@ def _apply_sweep(base: SystemConfig, name: str, value) -> SystemConfig:
         if not float(value).is_integer():
             raise ValueError(f"{name} takes whole numbers, got {value!r}")
         value = int(value)
+    elif not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} takes finite numbers, got {value!r}")
     return base.replace(**{name: value})
 
 
@@ -220,16 +224,19 @@ def _frozen(value):
 
 @dataclass(frozen=True)
 class _Part:
-    """One stacked combiner: detector ``det`` at the BSs ``rows`` of
-    listener group ``group``, keeping each BS's own scored UEs."""
+    """One stacked combiner of kind ``kind`` at the BSs ``rows`` of listener
+    group ``group``, keeping each BS's own scored UEs; its rows are
+    reported as method ``label``."""
 
     group: int
     rows: slice | list                 # positions in the group
-    det: str
-    served: list | None                # ZF's served set of each BS
+    kind: CombinerKind                 # MMSE for a ZF BS that serves more UEs than antennas
+    label: str                         # the detector, or "zf->mmse"
+    cols: np.ndarray | None            # (B, n) estimate columns of each BS; None for all
+    pad: np.ndarray | None             # (B, n) the padded columns among them
     pick: np.ndarray                   # (B, m) combiner rows each BS keeps
     ues: np.ndarray                    # (B, m) the UEs of those rows
-    pilot_only: bool                   # reads the estimates alone (MRC, ZF without fallback)
+    ue_indices: tuple                  # ``ues`` as one tuple per BS
 
 
 @dataclass(frozen=True)
@@ -359,20 +366,12 @@ def _data_side(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, channe
     return memo.stage(run.data_key, "data", make)
 
 
-def _own_rows(comb: detectors.Combiner, part: _Part) -> detectors.Combiner:
-    """Each BS's rows of its own scored UEs."""
-    bs = np.arange(len(part.pick))[:, None]
-    return dataclasses.replace(comb, c=comb.c[..., bs, part.pick, :],
-                               gain=comb.gain[..., bs, part.pick],
-                               ue_indices=tuple(map(tuple, part.ues.tolist())))
-
-
 def _detect(run: _TopologyRun, memo: _TrialMemo, pilot, data, block):
     """Stage 2: detection at each UL serving BS, one stacked combiner per
-    ``run.parts`` entry.  MRC and ZF combiners that need no fallback read
-    the estimates alone and come from the pilot side.  Returns the MMSE
-    decisions and each combiner's per-UE empirical BER of the scored UEs,
-    (T, K), NaN where it decided nothing."""
+    ``run.parts`` entry.  MRC and ZF combiners read the estimates alone and
+    come from the pilot side.  Returns the MMSE decisions and each
+    combiner's per-UE empirical BER of the scored UEs, (T, K), NaN where it
+    decided nothing."""
     cfg = run.cfg
     args = (cfg.p_train_mw, cfg.tau_t, cfg.p_data_mw, cfg.noise_power_mw)
     x_hat = np.zeros(block.symbols.shape, dtype=complex)
@@ -381,17 +380,23 @@ def _detect(run: _TopologyRun, memo: _TrialMemo, pilot, data, block):
         ids = run.groups[part.group][0][part.rows]
 
         def build(part=part, ids=ids):
-            comb = detectors.build_combiner(
-                CombinerKind(part.det), pilot[part.group].est[:, part.rows], run.betas[ids],
-                *args, ue_indices=part.served)
-            return _own_rows(comb, part)
-        comb = memo.stage(run.pilot_key, ("combiner", i), build) if part.pilot_only else build()
+            est = pilot[part.group].est[:, part.rows]
+            if part.cols is not None:
+                est = np.take_along_axis(est, part.cols[None, :, None], -1)
+            comb = detectors.build_combiner(part.kind, est, run.betas[ids], *args, pad=part.pad)
+            bs = np.arange(len(part.pick))[:, None]
+            return dataclasses.replace(comb, c=comb.c[..., bs, part.pick, :],
+                                       gain=comb.gain[..., bs, part.pick],
+                                       ue_indices=part.ue_indices)
+        if part.kind is CombinerKind.MMSE:         # reads the data power
+            comb = build()
+        else:
+            comb = memo.stage(run.pilot_key, ("combiner", i), build)
         obs = data[part.group]
         obs = dataclasses.replace(obs, y=obs.y[:, part.rows])
         _, symbols, ber = detectors.detect_all(obs, comb, block)
-        label = part.det if comb.kind.value == part.det else f"{part.det}->{comb.kind.value}"
-        bers.setdefault(label, np.full(block.symbols.shape[:-1], np.nan))[:, part.ues] = ber
-        if part.det == "mmse":
+        bers.setdefault(part.label, np.full(block.symbols.shape[:-1], np.nan))[:, part.ues] = ber
+        if part.label == "mmse":
             x_hat[:, part.ues] = symbols
     return x_hat, bers
 
@@ -442,40 +447,56 @@ def _fold(metric: Metric, acc: dict, labels) -> dict:
     return out
 
 
-def _own(covered, mine) -> tuple:
-    """The rows of each BS's own UEs ``mine[b]`` among the UEs its combiner
-    covers, ``covered[b]``, and those UEs; shorter row sets repeat their
-    last UE, so every BS keeps the same row count."""
+def _part(group: int, rows, det: str, served: list, scored, wide: bool) -> _Part:
+    """The combiner of detector ``det`` at BSs serving ``served``: ZF on
+    each BS's served columns, padded to the longest set (MMSE on them where
+    the BS is ``wide``), MRC and MMSE on every UE's column.  Each BS keeps
+    the rows of its own scored UEs; shorter row sets repeat their last UE,
+    so every BS keeps the same row count."""
+    mine = [s[scored[s]] for s in served]
     span = np.arange(max(map(len, mine)))
     ues = np.array([m[np.minimum(span, len(m) - 1)] for m in mine])
-    return np.array([np.searchsorted(c, u) for c, u in zip(covered, ues)]), ues
+    kind = CombinerKind.MMSE if wide else CombinerKind(det)
+    cols = pad = None
+    pick = ues
+    if det == "zf":
+        sizes = np.array([len(s) for s in served])
+        pad = np.arange(max(sizes)) >= sizes[:, None]
+        cols = np.zeros(pad.shape, dtype=int)
+        cols[~pad] = np.concatenate(served)
+        pick = np.array([np.searchsorted(s, u) for s, u in zip(served, ues)])
+    label = det if kind.value == det else f"{det}->{kind.value}"
+    return _Part(group, rows, kind, label, cols, pad, pick, ues, tuple(map(tuple, ues.tolist())))
 
 
-def _parts(cfg: SystemConfig, assoc, scored, dets, groups) -> list:
+def _parts(assoc, scored, dets, groups) -> list:
     """The stacked combiners of each listener group.  MRC and MMSE build on
     every UE's column (an MRC row depends on its own column alone; MMSE
     rows regularise with all of them), ZF on each BS's served columns.  A
     BS that serves more UEs than it has antennas cannot zero-force them:
-    it gets a ZF combiner of its own, which falls back to MMSE."""
+    it gets an MMSE combiner of its own, reported as ``zf->mmse``."""
     ul_bs = assoc.ul_serving[scored]
     parts = []
     for g, (ids, n_ant) in enumerate(groups):
         listening = np.flatnonzero(np.isin(ids, ul_bs))
         served = [np.flatnonzero(assoc.ul_serving == v) for v in ids[listening]]
-        mine = [s[scored[s]] for s in served]
         wide = np.array([len(s) > n_ant for s in served], dtype=bool)
         for det in dets:
-            zf = det == "zf"
             stacks = [np.arange(len(served))]
-            if zf:
+            if det == "zf":
                 stacks = [np.flatnonzero(~wide), *([i] for i in np.flatnonzero(wide))]
             for stack in (list(s) for s in stacks if len(s)):
                 rows = slice(None) if len(stack) == len(ids) else list(listening[stack])
-                covered = [served[i] if zf else np.arange(cfg.num_ue) for i in stack]
-                pick, ues = _own(covered, [mine[i] for i in stack])
-                parts.append(_Part(g, rows, det, covered if zf else None, pick, ues,
-                                   det == "mrc" or (zf and not wide[stack[0]])))
+                parts.append(_part(g, rows, det, [served[i] for i in stack], scored,
+                                   det == "zf" and wide[stack[0]]))
     return parts
+
+
+def sweep_topology(cfg: SystemConfig, master_seed: int, topo_idx: int = 0) -> tuple:
+    """(topology, association) of topology ``topo_idx`` in a sweep with
+    ``master_seed`` at ``cfg``: the one every trial there simulates."""
+    topo = scenario.build_topology(cfg, phy.stream(master_seed, topo_idx, PH_TOPOLOGY))
+    return topo, scenario.associate(topo, cfg)
 
 
 def _prepare(spec: ExperimentSpec, sweep_value, topo_idx: int) -> _TopologyRun:
@@ -484,8 +505,7 @@ def _prepare(spec: ExperimentSpec, sweep_value, topo_idx: int) -> _TopologyRun:
     or the side information needs it."""
     cfg = _apply_sweep(spec.base, spec.sweep_param, sweep_value)
     metric, n0 = spec.metric, cfg.noise_power_mw
-    topo = scenario.build_topology(cfg, phy.stream(spec.master_seed, topo_idx, PH_TOPOLOGY))
-    assoc = scenario.associate(topo, cfg)
+    topo, assoc = sweep_topology(cfg, spec.master_seed, topo_idx)
     ber_source = _effective_ber_source(spec)
     ones = np.ones(cfg.num_ue)
 
@@ -530,7 +550,7 @@ def _prepare(spec: ExperimentSpec, sweep_value, topo_idx: int) -> _TopologyRun:
         acc["mmse-lower"] = np.stack([analytic[1], ones])
     return _TopologyRun(
         cfg, topo, assoc, phy.make_pilots(cfg.num_ue, cfg.tau_t, cfg.p_train_mw),
-        _bs_betas(topo), labels, groups, _parts(cfg, assoc, scored, dets, groups), dl_sets,
+        _bs_betas(topo), labels, groups, _parts(assoc, scored, dets, groups), dl_sets,
         pilot_key, data_key, ber_source, analytic, acc)
 
 
@@ -553,8 +573,7 @@ def _uplink(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, channels,
         side_ber = run.analytic[0]
     else:
         side_ber = emp_bers.get("mmse", zeros)
-    side = data_aided.DecodedSideInfo(
-        x_hat=x_hat, ber=side_ber, source=run.ber_source, power=cfg.p_data_mw)
+    side = data_aided.DecodedSideInfo(x_hat=x_hat, ber=side_ber, power=cfg.p_data_mw)
     train = pilot[0].train
     joint = phy.joint_observation(dataclasses.replace(train, y=train.y[:, 0]),
                                   dataclasses.replace(data, y=data.y[:, 0]))

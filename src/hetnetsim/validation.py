@@ -24,6 +24,7 @@ from .experiments import (
     Metric,
     analytic_ber_vector,
     run_sweep,
+    sweep_topology,
 )
 from .phy import Phase
 from .scenario import desk_config
@@ -140,9 +141,7 @@ def _da_nmse_deviation(cfg, tag, mode, topologies, trials):
             ber_source=mode,
         )
         table = run_sweep(spec)
-        topo = scenario.build_topology(
-            cfg, phy.stream(spec.master_seed, 0, 0))
-        assoc = scenario.associate(topo, cfg)
+        topo, assoc = sweep_topology(cfg, spec.master_seed)
         if not len(assoc.decoupled):
             continue
         if mode is BerSource.ZERO_ERROR:
@@ -151,7 +150,7 @@ def _da_nmse_deviation(cfg, tag, mode, topologies, trials):
             bers, _ = analytic_ber_vector(cfg, topo, assoc)
         preds = [
             data_aided.analytic_nmse_da(
-                topo.beta_mbs[k], topo.beta_mbs, bers, cfg.p_train_mw,
+                topo.beta_mbs, bers, cfg.p_train_mw,
                 cfg.p_data_mw, cfg.tau_t, cfg.tau_d, cfg.noise_power_mw, k)
             for k in assoc.decoupled
         ]
@@ -452,15 +451,13 @@ def check_saturation_limits(master_seed: int = 1) -> list:
     pilot_only = estimators.mmse_estimate_matrix(train, pilots, topo.beta_mbs, n0)
 
     side_half = data_aided.DecodedSideInfo(
-        x_hat=block.symbols, ber=np.full(k_total, 0.5),
-        source=BerSource.EMPIRICAL_ORACLE, power=cfg.p_data_mw)
+        x_hat=block.symbols, ber=np.full(k_total, 0.5), power=cfg.p_data_mw)
     da_half = data_aided.da_estimate_matrix(joint, pilots, side_half, topo.beta_mbs, n0)
     rel_half = float(
         np.linalg.norm(da_half - pilot_only) / np.linalg.norm(pilot_only))
 
     side_empty = data_aided.DecodedSideInfo(
-        x_hat=np.zeros((k_total, 0)), ber=np.zeros(k_total),
-        source=BerSource.EMPIRICAL_ORACLE, power=cfg.p_data_mw)
+        x_hat=np.zeros((k_total, 0)), ber=np.zeros(k_total), power=cfg.p_data_mw)
     joint_empty = phy.Observation(y=train.y, phase=Phase.JOINT, noise_power=n0)
     da_empty = data_aided.da_estimate_matrix(
         joint_empty, pilots, side_empty, topo.beta_mbs, n0)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from hetnetsim import phy
 from hetnetsim.data_aided import (
-    BerSource,
     DecodedSideInfo,
     analytic_nmse_da,
     da_combiner_matrix,
@@ -32,8 +31,7 @@ def _setup(k=2, m=4, tau_t=2, tau_d=8, betas=(1.0, 0.4), n0=0.2,
     train = observe(h, pilots.s, n0, phy.awgn(rng, (m, tau_t), n0), Phase.TRAINING)
     data = observe(h, block.symbols, n0, phy.awgn(rng, (m, tau_d), n0), Phase.DATA)
     joint = joint_observation(train, data)
-    side = DecodedSideInfo(x_hat=block.symbols, ber=np.asarray(bers, dtype=float),
-                           source=BerSource.EMPIRICAL_ORACLE, power=p_d)
+    side = DecodedSideInfo(x_hat=block.symbols, ber=np.asarray(bers, dtype=float), power=p_d)
     return h, pilots, block, train, joint, side, betas, n0
 
 
@@ -117,8 +115,7 @@ def test_woodbury_equals_direct_solve_on_random_instances():
 
 def test_da_without_data_reduces_to_pilot_only():
     h, pilots, _, train, _, _, betas, n0 = _setup(tau_d=0)
-    side = DecodedSideInfo(x_hat=np.zeros((2, 0)), ber=np.zeros(2),
-                           source=BerSource.EMPIRICAL_ORACLE, power=2.0)
+    side = DecodedSideInfo(x_hat=np.zeros((2, 0)), ber=np.zeros(2), power=2.0)
     joint = Observation(y=train.y, phase=Phase.JOINT, noise_power=n0)
     da = da_estimate_matrix(joint, pilots, side, betas, n0)
     po = mmse_estimate_matrix(train, pilots, betas, n0)
@@ -127,8 +124,7 @@ def test_da_without_data_reduces_to_pilot_only():
 
 def test_da_with_half_ber_degrades_to_pilot_only():
     h, pilots, _, train, joint, side, betas, n0 = _setup(seed=5)
-    side_half = DecodedSideInfo(x_hat=side.x_hat, ber=np.full(2, 0.5),
-                                source=side.source, power=side.power)
+    side_half = DecodedSideInfo(x_hat=side.x_hat, ber=np.full(2, 0.5), power=side.power)
     da = da_estimate_matrix(joint, pilots, side_half, betas, n0)
     po = mmse_estimate_matrix(train, pilots, betas, n0)
     assert np.linalg.norm(da - po) / np.linalg.norm(po) < 1e-9
@@ -177,7 +173,7 @@ def test_rho_da_monotonicity():
 
 
 def test_analytic_nmse_da_prediction_fields():
-    pred = analytic_nmse_da(1e-9, [1e-9], [0.0], 2.0, 200.0, 30, 128, 8e-11, 0)
+    pred = analytic_nmse_da([1e-9], [0.0], 2.0, 200.0, 30, 128, 8e-11, 0)
     rho = rho_data_aided([0.0], [1e-9], 2.0, 200.0, 30, 128, 8e-11, 0)
     assert pred == pytest.approx(10 * math.log10(1 / (1 + rho * 1e-9)))
 
@@ -224,8 +220,7 @@ def test_da_estimates_take_one_ber_per_trial():
     _, pilots, _, _, _, _, betas, n0 = setups[0]
     joint = Observation(y=np.stack([s[4].y for s in setups]), phase=Phase.JOINT, noise_power=n0)
     side = DecodedSideInfo(x_hat=np.stack([s[5].x_hat for s in setups]),
-                           ber=np.stack([s[5].ber for s in setups]),
-                           source=BerSource.EMPIRICAL_ORACLE, power=setups[0][5].power)
+                           ber=np.stack([s[5].ber for s in setups]), power=setups[0][5].power)
     stacked = da_estimate_matrix(joint, pilots, side, betas, n0)
     for t, (_, _, _, _, joint_t, side_t, _, _) in enumerate(setups):
         assert np.array_equal(stacked[t], da_estimate_matrix(joint_t, pilots, side_t, betas, n0))

@@ -101,14 +101,6 @@ def test_mmse_limit_is_matched_filter():
     assert cosine == pytest.approx(1.0, abs=1e-9)
 
 
-def test_zf_falls_back_to_mmse_when_overloaded(caplog):
-    est = _toy_estimates(2, [1.0, 0.8, 0.5], 4)
-    with caplog.at_level(logging.WARNING):
-        comb = build_combiner(CombinerKind.ZF, est, [1.0, 0.8, 0.5], 1.0, 4, 1.0, 0.1)
-    assert comb.kind is CombinerKind.MMSE
-    assert any("falling back" in r.message for r in caplog.records)
-
-
 def test_noiseless_single_ue_detection_is_error_free():
     est = _toy_estimates(4, [1.0], 5)
     bits = random_bits(1, 128, Modulation.BPSK, 6)
@@ -255,9 +247,14 @@ def _stack_setup(n_bs, n_ant, k_total, seed):
 @pytest.mark.parametrize("kind", list(CombinerKind))
 @pytest.mark.parametrize("n_ant,k_total", [(16, 5), (4, 4), (3, 7)])
 def test_stacked_combiner_and_detection_equal_separate_calls(kind, n_ant, k_total):
-    # at 3 antennas and 7 UEs, ZF falls back to MMSE in both forms
     betas, est, block, obs = _stack_setup(3, n_ant, k_total, 21)
     args = (1.3, 8, 2.0, 0.05)
+    if kind is CombinerKind.ZF and k_total > n_ant:
+        # at 3 antennas and 7 UEs, ZF refuses in both forms
+        for e, b in ((est, betas), (est[0], betas[0])):
+            with pytest.raises(ValueError, match="7 UEs with 3 antennas"):
+                build_combiner(kind, e, b, *args)
+        return
     stacked = build_combiner(kind, est, betas, *args)
     bits, symbols, ber = detect_all(obs, stacked, block)
     for b in range(3):
@@ -300,9 +297,18 @@ def test_mmse_rows_equal_the_antenna_domain_solve(n_ant, k_total):
     np.testing.assert_allclose(comb.c, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
-# served sets of four BSs with 4 antennas: lengths 1, 3, 4 (ragged), and a
-# fifth BS that serves 6 UEs and must fall back to MMSE on its own
+# served sets of four BSs with 4 antennas: lengths 1, 3, 4 and 2 (ragged),
+# and a fifth BS that serves 6 UEs and cannot zero-force them
 _SERVED = [(2,), (0, 5, 7), (1, 3, 4, 8), (6, 9), (0, 1, 2, 3, 4, 5)]
+
+
+def _padded(est, served):
+    """Each BS's served columns of ``est``, padded to the longest set with
+    column 0, and the mask of the padded columns."""
+    width = max(map(len, served))
+    cols = np.array([list(u) + [0] * (width - len(u)) for u in served])
+    pad = np.arange(width) >= np.array([len(u) for u in served])[:, None]
+    return np.take_along_axis(est, cols[:, None, :], -1), pad
 
 
 @pytest.mark.parametrize("kind", list(CombinerKind))
@@ -310,20 +316,25 @@ def test_ragged_served_sets_equal_per_bs_calls(kind):
     betas, est, block, obs = _stack_setup(4, 4, 10, 24)
     args = (1.3, 8, 2.0, 0.05)
     served = _SERVED[:4]
-    stacked = build_combiner(kind, est, betas, *args, ue_indices=served)
+    padded, pad = _padded(est, served)
+    stacked = build_combiner(kind, padded, betas, *args, pad=pad)
     assert stacked.kind is kind
-    bits, symbols, ber = detect_all(obs, stacked, block)
+    # each BS keeps its served rows, shorter sets repeating their last row
     width = max(map(len, served))
+    pick = np.array([np.minimum(np.arange(width), len(u) - 1) for u in served])
+    kept = dataclasses.replace(
+        stacked, c=np.take_along_axis(stacked.c, pick[..., None], axis=1),
+        gain=np.take_along_axis(stacked.gain, pick, axis=1),
+        ue_indices=tuple(tuple(np.array(u)[i]) for u, i in zip(served, pick)))
+    bits, symbols, ber = detect_all(obs, kept, block)
     for b, ues in enumerate(served):
-        # padded rows repeat the BS's last UE
-        assert stacked.ue_indices[b] == ues + ues[-1:] * (width - len(ues))
         single = build_combiner(kind, est[b][:, list(ues)], betas[b], *args, ue_indices=ues)
         n = len(ues)
-        for rows in (slice(0, n), [n - 1] * (width - n)):
-            want = single.c[rows]
-            np.testing.assert_allclose(stacked.c[b][rows], want, rtol=0,
-                                       atol=1e-12 * np.abs(single.c).max())
-            np.testing.assert_allclose(stacked.gain[b][rows], single.gain[rows], rtol=1e-12)
+        np.testing.assert_allclose(stacked.c[b][:n], single.c, rtol=0,
+                                   atol=1e-12 * np.abs(single.c).max())
+        np.testing.assert_allclose(stacked.gain[b][:n], single.gain, rtol=1e-12)
+        # the padded rows are zero
+        assert not np.any(stacked.c[b][n:]) and not np.any(stacked.gain[b][n:])
         obs_b = Observation(y=obs.y[b], phase=Phase.DATA, noise_power=obs.noise_power)
         bits_b, symbols_b, ber_b = detect_all(obs_b, single, block)
         assert np.array_equal(bits[b][:n], bits_b)
@@ -343,24 +354,25 @@ def test_mrc_rows_on_every_column_equal_served_rows():
                                    atol=1e-12 * np.abs(single.c).max())
 
 
-def test_ragged_zf_falls_back_for_the_whole_stack(caplog):
-    # a BS with more UEs than antennas cannot zero-force; on its own it
-    # falls back exactly as a 2-D call does
+def test_zf_raises_when_overloaded(caplog):
+    # ZF cannot separate more UEs than it has antennas: a 2-D call, a
+    # stack of one and a padded stack holding such a BS all refuse, as
+    # zf_precode does, with nothing logged; MMSE is built only when asked
     betas, est, block, obs = _stack_setup(5, 4, 10, 26)
     args = (1.3, 8, 2.0, 0.05)
-    ues = _SERVED[4]
-    with caplog.at_level(logging.WARNING, logger="hetnetsim.detectors"):
-        alone = build_combiner(CombinerKind.ZF, est[4:], betas[4:], *args, ue_indices=[ues])
-        single = build_combiner(CombinerKind.ZF, est[4][:, list(ues)], betas[4], *args,
-                                ue_indices=ues)
-        mixed = build_combiner(CombinerKind.ZF, est, betas, *args, ue_indices=_SERVED)
-    assert alone.kind is single.kind is mixed.kind is CombinerKind.MMSE
-    np.testing.assert_allclose(alone.c[0], single.c, rtol=0,
-                               atol=1e-12 * np.abs(single.c).max())
-    obs_4 = Observation(y=obs.y[4], phase=Phase.DATA, noise_power=obs.noise_power)
-    obs_alone = Observation(y=obs.y[4:], phase=Phase.DATA, noise_power=obs.noise_power)
-    assert np.array_equal(detect_all(obs_alone, alone, block)[0][0],
-                          detect_all(obs_4, single, block)[0])
+    ues = list(_SERVED[4])
+    padded, pad = _padded(est, _SERVED)
+    with caplog.at_level(logging.DEBUG, logger="hetnetsim.detectors"):
+        for e, b, mask in ((est[4][:, ues], betas[4], None), (est[4:, :, ues], betas[4:], None),
+                           (padded, betas, pad)):
+            with pytest.raises(ValueError, match="6 UEs with 4 antennas"):
+                build_combiner(CombinerKind.ZF, e, b, *args, pad=mask)
+        with pytest.raises(ValueError, match="3 UEs with 2 antennas"):
+            build_combiner(CombinerKind.ZF, _toy_estimates(2, [1.0, 0.8, 0.5], 4),
+                           [1.0, 0.8, 0.5], 1.0, 4, 1.0, 0.1)
+        mmse = build_combiner(CombinerKind.MMSE, est[4][:, ues], betas[4], *args)
+    assert mmse.kind is CombinerKind.MMSE
+    assert not caplog.records
 
 
 def test_mmse_sinr_and_modulate_take_leading_axes():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hetnetsim import (
-    ber_analytic, detectors, downlink, estimators, experiments, phy, scenario, validation,
+    ber_analytic, cli, detectors, downlink, estimators, experiments, phy, scenario, validation,
 )
 from hetnetsim.ber_analytic import SinrGammaModel, analytic_ber, ber_lower_bound
 from hetnetsim.data_aided import BerSource
@@ -64,6 +64,24 @@ def test_spec_rejects_repeated_sweep_values():
 def test_spec_rejects_non_integral_counts(field, value):
     with pytest.raises(ValueError, match=field):
         _tiny_spec(**{field: value})
+
+
+@pytest.mark.parametrize("param,values", [("pathloss_model", ("simple_nlos", "3gpp")),
+                                          ("p_train_dbm", (math.nan,)),
+                                          ("p_train_dbm", (3.0, math.inf))])
+def test_spec_rejects_non_numeric_or_non_finite_sweep_values(param, values):
+    with pytest.raises(ValueError, match="finite numbers"):
+        _tiny_spec(sweep_param=param, sweep_values=values)
+
+
+@pytest.mark.parametrize("metric,field,value", [(Metric.BER, "detectors", ()),
+                                                (Metric.NMSE, "estimators", ()),
+                                                (Metric.BER, "detectors", ("zf", "mmse", "zf")),
+                                                (Metric.NMSE, "estimators", ("da", "da"))])
+def test_spec_rejects_empty_or_repeated_methods(metric, field, value):
+    # an empty list would run every trial and return no rows
+    with pytest.raises(ValueError, match=f"{field} must be distinct and non-empty"):
+        _tiny_spec(metric, **{field: value})
 
 
 def test_spec_accepts_integral_float_counts():
@@ -278,6 +296,36 @@ def test_zf_fallback_rows_are_labelled_zf_to_mmse():
     assert {r.method for r in run_sweep(spec).rows} == {"zf", "zf->mmse"}
 
 
+def test_parts_give_a_wide_bs_its_own_mmse_part():
+    # desk scale with 2 SBS antennas and 20 UEs: topology 0 has UL SBSs
+    # serving 1, 2 and 3 UEs; the ZF stack pads the shorter served sets,
+    # and each SBS serving 3 gets an MMSE part of its own, on its served
+    # columns, reported as zf->mmse
+    spec = ExperimentSpec(base=desk_config(num_ue=20, sbs_antennas=2),
+                          sweep_param="p_data_dbm", sweep_values=(13.0,), metric=Metric.BER,
+                          detectors=("zf",), trials=1, topologies=1, master_seed=1)
+    run = experiments._prepare(spec, 13.0, 0)
+    ul = run.assoc.ul_serving
+    labels = [part.label for part in run.parts]
+    assert labels.count("zf") == 1 and labels.count("zf->mmse") >= 2
+    for part in run.parts:
+        ids, n_ant = run.groups[part.group]
+        ids = ids[part.rows]
+        served = [np.flatnonzero(ul == v) for v in ids]
+        wide = part.label == "zf->mmse"
+        assert part.kind is (detectors.CombinerKind.MMSE if wide else detectors.CombinerKind.ZF)
+        assert all((len(s) > n_ant) == wide for s in served)
+        if wide:
+            assert len(ids) == 1
+        width = max(map(len, served))
+        assert part.cols.shape == part.pad.shape == (len(ids), width)
+        for b, s in enumerate(served):
+            assert np.array_equal(part.cols[b, :len(s)], s)
+            assert np.array_equal(part.pad[b], np.arange(width) >= len(s))
+            assert np.array_equal(s[part.pick[b]], part.ues[b])
+        assert part.ue_indices == tuple(map(tuple, part.ues.tolist()))
+
+
 def test_analytic_ber_vector_equals_one_gamma_model_per_ue():
     cfg = desk_config()
     topo = scenario.build_topology(cfg, phy.stream(3, 0, experiments.PH_TOPOLOGY))
@@ -439,6 +487,32 @@ def test_stages_are_kept_only_when_points_share_them():
     assert memo.stage("b", "s", make) is not memo.stage("b", "s", make) and len(made) == 3
 
 
+def test_topology_substream_key_moves_every_caller(monkeypatch):
+    # the sweep, the DA-NMSE check and the floor command rebuild one
+    # topology from one key; moving PH_TOPOLOGY must move all three
+    cfg, seed = desk_config(), 11
+    before = experiments.sweep_topology(cfg, seed)[0]
+    monkeypatch.setattr(experiments, "PH_TOPOLOGY", 9)
+    want = scenario.build_topology(cfg, phy.stream(seed, 0, 9))
+    assert not np.array_equal(want.beta_mbs, before.beta_mbs)
+    built = []
+    build = scenario.build_topology
+
+    def spy(*args):
+        built.append(build(*args))
+        return built[-1]
+    monkeypatch.setattr(scenario, "build_topology", spy)
+    spec = ExperimentSpec(base=cfg, sweep_param="p_train_dbm", sweep_values=(cfg.p_train_dbm,),
+                          metric=Metric.NMSE, estimators=("da",), trials=1, topologies=1,
+                          master_seed=seed)
+    experiments._prepare(spec, cfg.p_train_dbm, 0)
+    validation._da_nmse_deviation(cfg, seed, BerSource.ANALYTIC_PROP1, topologies=1, trials=1)
+    cli._run_floor(cfg, seed)
+    assert len(built) == 4          # _prepare, the check's sweep and its prediction, the floor
+    for topo in built:
+        assert np.array_equal(topo.beta_mbs, want.beta_mbs)
+
+
 def test_blanked_config_keys_ignore_only_the_blanked_fields():
     cfg = desk_config()
     blank = experiments._blank
@@ -464,7 +538,7 @@ def test_stacked_detection_equals_one_combiner_per_bs():
     scored = run.labels == "decoupled"
     args = (cfg.p_train_mw, cfg.tau_t, cfg.p_data_mw, cfg.noise_power_mw)
     want = {}
-    for (ids, _), heard, obs in zip(run.groups, pilot, data):
+    for (ids, n_ant), heard, obs in zip(run.groups, pilot, data):
         for i, v in enumerate(ids):
             if v not in ul[scored]:
                 continue
@@ -476,10 +550,12 @@ def test_stacked_detection_equals_one_combiner_per_bs():
                                               block.power)
                 for det in ("mrc", "zf", "mmse"):
                     cols = served if det != "mmse" else np.arange(cfg.num_ue)
+                    # a BS that serves more UEs than antennas cannot zero-force
+                    kind = "mmse" if det == "zf" and len(served) > n_ant else det
                     comb = detectors.build_combiner(
-                        det, heard.est[t, i][:, cols], run.betas[v], *args, ue_indices=cols)
+                        kind, heard.est[t, i][:, cols], run.betas[v], *args, ue_indices=cols)
                     _, _, ber = detectors.detect_all(one, comb, payload)
-                    label = det if comb.kind.value == det else f"{det}->{comb.kind.value}"
+                    label = det if kind == det else f"{det}->{kind}"
                     want.setdefault(label, np.full((2, cfg.num_ue), np.nan))[t, mine] = \
                         ber[np.searchsorted(cols, mine)]
     assert set(got) == {"mrc", "zf", "zf->mmse", "mmse"}
