@@ -358,7 +358,7 @@ def test_zf_raises_when_overloaded(caplog):
     # ZF cannot separate more UEs than it has antennas: a 2-D call, a
     # stack of one and a padded stack holding such a BS all refuse, as
     # zf_precode does, with nothing logged; MMSE is built only when asked
-    betas, est, block, obs = _stack_setup(5, 4, 10, 26)
+    betas, est, _, _ = _stack_setup(5, 4, 10, 26)
     args = (1.3, 8, 2.0, 0.05)
     ues = list(_SERVED[4])
     padded, pad = _padded(est, _SERVED)
