@@ -1,10 +1,11 @@
 import dataclasses
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hetnetsim import phy
+from hetnetsim import experiments, phy
 from hetnetsim.ber_analytic import effective_rho, q_function
 from hetnetsim.detectors import (
     CombinerKind,
@@ -354,25 +355,66 @@ def test_mrc_rows_on_every_column_equal_served_rows():
                                    atol=1e-12 * np.abs(single.c).max())
 
 
-def test_zf_raises_when_overloaded(caplog):
-    # ZF cannot separate more UEs than it has antennas: a 2-D call, a
-    # stack of one and a padded stack holding such a BS all refuse, as
-    # zf_precode does, with nothing logged; MMSE is built only when asked
-    betas, est, _, _ = _stack_setup(5, 4, 10, 26)
-    args = (1.3, 8, 2.0, 0.05)
-    ues = list(_SERVED[4])
-    padded, pad = _padded(est, _SERVED)
-    with caplog.at_level(logging.DEBUG, logger="hetnetsim.detectors"):
-        for e, b, mask in ((est[4][:, ues], betas[4], None), (est[4:, :, ues], betas[4:], None),
-                           (padded, betas, pad)):
-            with pytest.raises(ValueError, match="6 UEs with 4 antennas"):
-                build_combiner(CombinerKind.ZF, e, b, *args, pad=mask)
+def _sweep_combiners(est, betas, ul_serving, n_ant, args):
+    """The ZF parts the sweep prepares for one listener group of BSs
+    1..B with ``n_ant`` antennas serving ``ul_serving``, each with the
+    combiner it builds from the group's estimates ``est`` (B, n_ant, K)."""
+    assoc = SimpleNamespace(ul_serving=np.asarray(ul_serving))
+    groups = [(np.arange(1, len(est) + 1), n_ant)]
+    scored = np.ones(len(ul_serving), dtype=bool)
+    out = []
+    for part in experiments._parts(assoc, scored, ("zf",), groups):
+        heard = np.take_along_axis(est[part.rows], part.cols[:, None, :], -1)
+        out.append((part, build_combiner(part.kind, heard, betas[part.rows], *args,
+                                         pad=part.pad)))
+    return out
+
+
+def test_zf_falls_back_to_mmse_when_overloaded(caplog):
+    # ZF cannot separate 3 UEs with 2 antennas: build_combiner refuses, as
+    # zf_precode does, and the sweep builds MMSE for that BS instead,
+    # reported as zf->mmse, with nothing logged
+    betas = np.array([[1.0, 0.8, 0.5]])
+    est = _toy_estimates(2, betas[0], 4)
+    args = (1.0, 4, 1.0, 0.1)
+    with caplog.at_level(logging.DEBUG, logger="hetnetsim"):
         with pytest.raises(ValueError, match="3 UEs with 2 antennas"):
-            build_combiner(CombinerKind.ZF, _toy_estimates(2, [1.0, 0.8, 0.5], 4),
-                           [1.0, 0.8, 0.5], 1.0, 4, 1.0, 0.1)
-        mmse = build_combiner(CombinerKind.MMSE, est[4][:, ues], betas[4], *args)
-    assert mmse.kind is CombinerKind.MMSE
+            build_combiner(CombinerKind.ZF, est, betas[0], *args)
+        [(part, comb)] = _sweep_combiners(est[None], betas, [1, 1, 1], 2, args)
+        mmse = build_combiner(CombinerKind.MMSE, est, betas[0], *args)
+    assert part.label == "zf->mmse"
+    assert comb.kind is mmse.kind is CombinerKind.MMSE
+    np.testing.assert_allclose(comb.c[0], mmse.c, rtol=0, atol=1e-12 * np.abs(mmse.c).max())
     assert not caplog.records
+
+
+def test_ragged_zf_falls_back_for_the_whole_stack(caplog):
+    # a padded ZF stack holding a BS with more UEs than antennas refuses as
+    # a whole, as does that BS's stack of one; the sweep stacks ZF on the
+    # other BSs and gives that BS an MMSE stack of its own, equal to the
+    # 2-D MMSE call in combiner and decisions
+    betas, est, block, obs = _stack_setup(5, 4, 10, 26)
+    args = (1.3, 8, 2.0, 0.05)
+    ul = np.array([5, 1, 2, 5, 5, 2, 3, 5, 4, 5])
+    served = [tuple(np.flatnonzero(ul == v)) for v in range(1, 6)]
+    padded, pad = _padded(est, served)
+    with caplog.at_level(logging.DEBUG, logger="hetnetsim"):
+        for rows in (slice(None), slice(4, None)):
+            with pytest.raises(ValueError, match="5 UEs with 4 antennas"):
+                build_combiner(CombinerKind.ZF, padded[rows], betas[rows], *args, pad=pad[rows])
+        (zf, stacked), (wide, alone) = _sweep_combiners(est, betas, ul, 4, args)
+        single = build_combiner(CombinerKind.MMSE, est[4][:, list(served[4])], betas[4], *args,
+                                ue_indices=served[4])
+    assert not caplog.records
+    assert (zf.label, zf.rows, stacked.kind) == ("zf", [0, 1, 2, 3], CombinerKind.ZF)
+    assert (wide.label, wide.rows, alone.kind) == ("zf->mmse", [4], CombinerKind.MMSE)
+    np.testing.assert_allclose(alone.c[0], single.c, rtol=0,
+                               atol=1e-12 * np.abs(single.c).max())
+    obs_4 = Observation(y=obs.y[4], phase=Phase.DATA, noise_power=obs.noise_power)
+    obs_alone = Observation(y=obs.y[4:], phase=Phase.DATA, noise_power=obs.noise_power)
+    alone = dataclasses.replace(alone, ue_indices=(served[4],))
+    assert np.array_equal(detect_all(obs_alone, alone, block)[0][0],
+                          detect_all(obs_4, single, block)[0])
 
 
 def test_mmse_sinr_and_modulate_take_leading_axes():
