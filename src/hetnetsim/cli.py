@@ -97,10 +97,19 @@ def _effective_config(args):
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("HETNET_THREADS")
-    return max(1, int(env)) if env else 1
+    """Worker processes: ``--threads``, else ``HETNET_THREADS``, else 1."""
+    count, source = args.threads, "--threads"
+    if count is None:
+        env, source = os.environ.get("HETNET_THREADS"), "HETNET_THREADS"
+        if not env:
+            return 1
+        try:
+            count = int(env)
+        except ValueError:
+            raise ValueError(f"{source} takes a whole number >= 1, got {env!r}") from None
+    if count < 1:
+        raise ValueError(f"{source} takes a whole number >= 1, got {count}")
+    return count
 
 
 def _run_floor(cfg: SystemConfig, seed: int) -> int:
@@ -108,7 +117,7 @@ def _run_floor(cfg: SystemConfig, seed: int) -> int:
     if not len(assoc.decoupled):
         print("no decoupled UEs in this topology; nothing to report")
         return 0
-    bers, _ = analytic_ber_vector(cfg, topo, assoc)
+    (bers,), _ = analytic_ber_vector([cfg], topo, assoc)
     rho_con = cfg.tau_t * cfg.p_train_mw / cfg.noise_power_mw
     print(f"data-power saturation limit of the DA SNR-like increment "
           f"(tau_d={cfg.tau_d}, P_T={cfg.p_train_dbm:g} dBm):")
@@ -144,11 +153,16 @@ def parse_and_dispatch(argv) -> int:
     if args.command == "floor":
         return _run_floor(cfg, args.seed)
 
+    try:
+        threads = _threads(args)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+
     if args.command == "validate":
         from . import validation
 
-        report = validation.run_validation(master_seed=args.seed,
-                                           threads=_threads(args))
+        report = validation.run_validation(master_seed=args.seed, threads=threads)
         for line in report.lines():
             print(line)
         return 0 if report.passed else 1
@@ -168,7 +182,7 @@ def parse_and_dispatch(argv) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        table = run_sweep(spec, threads=_threads(args))
+        table = run_sweep(spec, threads=threads)
         write_csv(table, args.out)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,22 +159,31 @@ def _bs_betas(topo) -> np.ndarray:
     return np.vstack([topo.beta_mbs, topo.beta_sbs])
 
 
-def analytic_ber_vector(cfg: SystemConfig, topo, assoc) -> tuple:
-    """Predicted uplink BPSK BER of every UE at its UL serving BS, and the
-    Jensen lower bound of each.
+def analytic_ber_vector(cfgs, topo, assoc) -> tuple:
+    """Predicted uplink BPSK BER of every UE at its UL serving BS under
+    each config in ``cfgs``, and the Jensen lower bound of each: two
+    (len(cfgs), K) arrays, row p from ``cfgs[p]``.
 
-    effective_rho and beta_hat are taken once per BS; one fixed point solve
-    then covers every UE, each row seeing its serving BS's gains.
+    effective_rho and beta_hat are taken once per config and BS; one fixed
+    point solve then covers every UE under every config, each row seeing
+    its serving BS's gains.  A row's Newton steps and sums read that row
+    alone, so each config's rows are bit for bit what a call with that
+    config alone gives.
     """
     betas = _bs_betas(topo)
-    args = (cfg.p_train_mw, cfg.tau_t, cfg.noise_power_mw)
-    rho = ber_analytic.effective_rho(betas, *args, cfg.p_data_mw)
-    bh = ber_analytic.beta_hat(betas, *args)
     v = assoc.ul_serving
-    n_ant = np.where(v == 0, cfg.mbs_antennas, cfg.sbs_antennas)
-    model = ber_analytic.bpsk_detection_model(
-        ber_analytic.sinr_gamma_models(n_ant, rho[v], bh[v], np.arange(topo.num_ue)))
-    return ber_analytic.analytic_ber(model), ber_analytic.ber_lower_bound(model)
+    rho, bh, n_ant = [], [], []
+    for cfg in cfgs:
+        args = (cfg.p_train_mw, cfg.tau_t, cfg.noise_power_mw)
+        rho.append(ber_analytic.effective_rho(betas, *args, cfg.p_data_mw)[v])
+        bh.append(ber_analytic.beta_hat(betas, *args)[v])
+        n_ant.append(np.where(v == 0, cfg.mbs_antennas, cfg.sbs_antennas))
+    model = ber_analytic.bpsk_detection_model(ber_analytic.sinr_gamma_models(
+        np.concatenate(n_ant), np.concatenate(rho), np.concatenate(bh),
+        np.tile(np.arange(topo.num_ue), len(cfgs))))
+    shape = (len(cfgs), topo.num_ue)
+    return (ber_analytic.analytic_ber(model).reshape(shape),
+            ber_analytic.ber_lower_bound(model).reshape(shape))
 
 
 # trials stacked along a leading axis in every stage call; two keep a
@@ -186,6 +196,10 @@ _CHUNK = 2
 # the payload and the data observations.
 _PILOT_BLIND = ("p_data_dbm", "tau_d")
 _DATA_BLIND = ("p_train_dbm", "tau_t")
+# the config fields a topology's layout never reads: placement and
+# association read neither the UE powers, the symbol counts nor the noise
+_LAYOUT_BLIND = ("p_train_dbm", "p_data_dbm", "tau_t", "tau_d", "noise_density_dbm_hz",
+                 "bandwidth_hz")
 
 
 def _blank(cfg: SystemConfig, fields) -> tuple:
@@ -240,19 +254,29 @@ class _Part:
 
 
 @dataclass(frozen=True)
-class _TopologyRun:
-    """One sweep point of one topology: what its trials share, and the
-    per-UE (numerator, denominator) sums of each method in ``acc``."""
+class _Layout:
+    """What a topology's sweep points share unless they differ in a field
+    it reads: the topology, the association, what the trials listen to and
+    the index bookkeeping of their stages."""
 
-    cfg: SystemConfig
     topo: scenario.Topology
     assoc: scenario.Association
-    pilots: phy.PilotMatrix
     betas: np.ndarray                  # (S + 1, K) gains, row 0 the MBS
     labels: np.ndarray                 # UE class of each UE
     groups: list                       # (BS ids, antennas) of each listener group
     parts: list                        # the _Part of each stacked combiner
     dl_sets: list                      # (BS, group, position, served UEs), SBSs then MBS
+
+
+@dataclass(frozen=True)
+class _TopologyRun:
+    """One sweep point of one topology: its config and layout, what its
+    trials share, and the per-UE (numerator, denominator) sums of each
+    method in ``acc``."""
+
+    cfg: SystemConfig
+    layout: _Layout
+    pilots: phy.PilotMatrix
     pilot_key: tuple                   # what the pilot side reads
     data_key: tuple                    # what the data side reads
     ber_source: BerSource
@@ -313,7 +337,7 @@ class _TrialMemo:
 
 def _group_channels(run: _TopologyRun, channels):
     """Each listener group's BS ids and channels, (T, B, antennas, K)."""
-    for ids, _ in run.groups:
+    for ids, _ in run.layout.groups:
         yield ids, (channels.h_mbs[:, None] if ids[0] == 0 else channels.g_sbs[:, ids - 1])
 
 
@@ -331,7 +355,7 @@ def _pilot_side(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, chann
     every listener, one stacked call per antenna group (the MBS, then the
     SBSs), and the MBS's LS estimates from the same despread block where
     the metric scores them.  It reads neither p_data_dbm nor tau_d."""
-    cfg, n0 = run.cfg, run.cfg.noise_power_mw
+    cfg, n0, betas = run.cfg, run.cfg.noise_power_mw, run.layout.betas
     want_ls = spec.metric is Metric.NMSE and "ls" in spec.estimators
     keep = not memo.shares(run.pilot_key)      # a shared side reads its noise once
 
@@ -341,7 +365,7 @@ def _pilot_side(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, chann
             noise = memo.noise(PH_NOISE_TRAIN, ids, (chan.shape[-2], cfg.tau_t), n0, keep)
             train = phy.observe(chan, run.pilots.s, n0, noise, Phase.TRAINING)
             despread = estimators.despread(train, run.pilots)
-            est = estimators.mmse_estimate_matrix(train, run.pilots, run.betas[ids], n0, despread)
+            est = estimators.mmse_estimate_matrix(train, run.pilots, betas[ids], n0, despread)
             ls = None
             if want_ls and ids[0] == 0:
                 ls = estimators.ls_estimate_matrix(train, run.pilots, despread)[:, 0]
@@ -368,22 +392,22 @@ def _data_side(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, channe
 
 def _detect(run: _TopologyRun, memo: _TrialMemo, pilot, data, block):
     """Stage 2: detection at each UL serving BS, one stacked combiner per
-    ``run.parts`` entry.  MRC and ZF combiners read the estimates alone and
-    come from the pilot side.  Returns the MMSE decisions and each
-    combiner's per-UE empirical BER of the scored UEs, (T, K), NaN where it
-    decided nothing."""
-    cfg = run.cfg
+    entry of the layout's ``parts``.  MRC and ZF combiners read the
+    estimates alone and come from the pilot side.  Returns the MMSE
+    decisions and each combiner's per-UE empirical BER of the scored UEs,
+    (T, K), NaN where it decided nothing."""
+    cfg, layout = run.cfg, run.layout
     args = (cfg.p_train_mw, cfg.tau_t, cfg.p_data_mw, cfg.noise_power_mw)
     x_hat = np.zeros(block.symbols.shape, dtype=complex)
     bers = {}
-    for i, part in enumerate(run.parts if cfg.tau_d else ()):
-        ids = run.groups[part.group][0][part.rows]
+    for i, part in enumerate(layout.parts if cfg.tau_d else ()):
+        ids = layout.groups[part.group][0][part.rows]
 
         def build(part=part, ids=ids):
             est = pilot[part.group].est[:, part.rows]
             if part.cols is not None:
                 est = np.take_along_axis(est, part.cols[None, :, None], -1)
-            comb = detectors.build_combiner(part.kind, est, run.betas[ids], *args, pad=part.pad)
+            comb = detectors.build_combiner(part.kind, est, layout.betas[ids], *args, pad=part.pad)
             bs = np.arange(len(part.pick))[:, None]
             return dataclasses.replace(comb, c=comb.c[..., bs, part.pick, :],
                                        gain=comb.gain[..., bs, part.pick],
@@ -405,22 +429,22 @@ def _downlink(run: _TopologyRun, memo: _TrialMemo, channels, pilot, h_da) -> dic
     """Stage 4: per-UE downlink rates, (T, K), under pilot-only and
     data-aided ZF.  The SBS precoders and the pilot-only rates come from
     the pilot side."""
-    cfg, n0 = run.cfg, run.cfg.noise_power_mw
+    cfg, n0, assoc = run.cfg, run.cfg.noise_power_mw, run.layout.assoc
 
     def pilot_only():
         precoders = {}
-        for v, group, pos, idx in run.dl_sets:
+        for v, group, pos, idx in run.layout.dl_sets:
             power = cfg.p_mbs_mw if v == 0 else cfg.p_sbs_mw
             precoders[v] = downlink.zf_precode(pilot[group].est[:, pos][..., idx], power,
                                                ue_indices=idx)
-        return precoders, downlink.dl_rate(channels, precoders, run.assoc, n0).rate
+        return precoders, downlink.dl_rate(channels, precoders, assoc, n0).rate
     precoders, po = memo.stage(run.pilot_key, "downlink", pilot_only)
     if 0 not in precoders:
         return {"po": po, "da": po}
     idx = np.asarray(precoders[0].ue_indices)
     precoders = {**precoders, 0: downlink.zf_precode(h_da[..., idx], cfg.p_mbs_mw,
                                                      ue_indices=idx)}
-    return {"po": po, "da": downlink.dl_rate(channels, precoders, run.assoc, n0).rate}
+    return {"po": po, "da": downlink.dl_rate(channels, precoders, assoc, n0).rate}
 
 
 def _add(acc: dict, method: str, num, den) -> None:
@@ -499,19 +523,16 @@ def sweep_topology(cfg: SystemConfig, master_seed: int, topo_idx: int = 0) -> tu
     return topo, scenario.associate(topo, cfg)
 
 
-def _prepare(spec: ExperimentSpec, sweep_value, topo_idx: int) -> _TopologyRun:
-    """The topology at one sweep point, what its trials listen to, the
-    index bookkeeping of its stages, and the analytic BER where the metric
-    or the side information needs it."""
-    cfg = _apply_sweep(spec.base, spec.sweep_param, sweep_value)
-    metric, n0 = spec.metric, cfg.noise_power_mw
+def _layout(spec: ExperimentSpec, cfg: SystemConfig, topo_idx: int) -> _Layout:
+    """The layout of topology ``topo_idx`` at ``cfg``: the topology, what its
+    trials listen to and the index bookkeeping of their stages.  It reads
+    no field of ``_LAYOUT_BLIND``."""
+    metric = spec.metric
     topo, assoc = sweep_topology(cfg, spec.master_seed, topo_idx)
-    ber_source = _effective_ber_source(spec)
-    ones = np.ones(cfg.num_ue)
 
     # the BER metric scores decoupled UEs only and never listens at the MBS
     labels = scenario.ue_classes(assoc)
-    scored = labels == "decoupled" if metric is Metric.BER else ones > 0
+    scored = labels == "decoupled" if metric is Metric.BER else np.full(cfg.num_ue, True)
     dl_sbs = sorted({int(b) for b in assoc.dl_serving if b != 0})
     listeners = {int(v) for v in assoc.ul_serving[scored]}
     if metric is not Metric.BER:
@@ -530,28 +551,41 @@ def _prepare(spec: ExperimentSpec, sweep_value, topo_idx: int) -> _TopologyRun:
         mbs_idx = np.flatnonzero(assoc.dl_serving == 0)
         if len(mbs_idx):
             dl_sets.append((0, 0, 0, mbs_idx))
-    channel_key = _channel_key(topo, cfg)
-    pilot_key = ("pilot", _blank(cfg, _PILOT_BLIND), channel_key, tuple(
-        _noise_key(PH_NOISE_TRAIN, ids, (n, cfg.tau_t), n0) for ids, n in groups))
-    data_key = ("data", _blank(cfg, _DATA_BLIND), channel_key,
-                _bits_key(cfg, spec.modulation), tuple(
-                    _noise_key(PH_NOISE_DATA, ids, (n, cfg.tau_d), n0) for ids, n in groups))
+    return _Layout(topo, assoc, _bs_betas(topo), labels, groups,
+                   _parts(assoc, scored, dets, groups), dl_sets)
 
-    analytic = None
+
+def _point_runs(spec: ExperimentSpec, layout: _Layout, cfgs) -> list:
+    """The sweep points ``cfgs`` of one layout: each one's pilots, stage
+    keys and sums, with the analytic BERs of all of them from one solve
+    where the metric or the side information needs them."""
+    metric, topo = spec.metric, layout.topo
+    ber_source = _effective_ber_source(spec)
+    analytic = [None] * len(cfgs)
     if spec.modulation is Modulation.BPSK and (
             metric is Metric.BER or ber_source is BerSource.ANALYTIC_PROP1):
-        analytic = analytic_ber_vector(cfg, topo, assoc)
-
+        analytic = list(zip(*analytic_ber_vector(cfgs, topo, layout.assoc)))
     methods = {Metric.NMSE: spec.estimators, Metric.BER: spec.detectors,
                Metric.RATE: ("po", "da")}[metric]
-    acc = {m: np.zeros((2, cfg.num_ue)) for m in methods}
-    if metric is Metric.BER and analytic is not None and "mmse" in spec.detectors:
-        acc["mmse-analytic"] = np.stack([analytic[0], ones])
-        acc["mmse-lower"] = np.stack([analytic[1], ones])
-    return _TopologyRun(
-        cfg, topo, assoc, phy.make_pilots(cfg.num_ue, cfg.tau_t, cfg.p_train_mw),
-        _bs_betas(topo), labels, groups, _parts(assoc, scored, dets, groups), dl_sets,
-        pilot_key, data_key, ber_source, analytic, acc)
+    runs = []
+    for cfg, rows in zip(cfgs, analytic):
+        n0 = cfg.noise_power_mw
+        channel_key = _channel_key(topo, cfg)
+        pilot_key = ("pilot", _blank(cfg, _PILOT_BLIND), channel_key, tuple(
+            _noise_key(PH_NOISE_TRAIN, ids, (n, cfg.tau_t), n0) for ids, n in layout.groups))
+        data_key = ("data", _blank(cfg, _DATA_BLIND), channel_key,
+                    _bits_key(cfg, spec.modulation), tuple(
+                        _noise_key(PH_NOISE_DATA, ids, (n, cfg.tau_d), n0)
+                        for ids, n in layout.groups))
+        acc = {m: np.zeros((2, cfg.num_ue)) for m in methods}
+        if metric is Metric.BER and rows is not None and "mmse" in spec.detectors:
+            ones = np.ones(cfg.num_ue)
+            acc["mmse-analytic"] = np.stack([rows[0], ones])
+            acc["mmse-lower"] = np.stack([rows[1], ones])
+        runs.append(_TopologyRun(
+            cfg, layout, phy.make_pilots(cfg.num_ue, cfg.tau_t, cfg.p_train_mw),
+            pilot_key, data_key, ber_source, rows, acc))
+    return runs
 
 
 def _uplink(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, channels, pilot):
@@ -578,8 +612,8 @@ def _uplink(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, channels,
     joint = phy.joint_observation(dataclasses.replace(train, y=train.y[:, 0]),
                                   dataclasses.replace(data, y=data.y[:, 0]))
     del data
-    return emp_bers, data_aided.da_estimate_matrix(joint, run.pilots, side, run.topo.beta_mbs,
-                                                   cfg.noise_power_mw)
+    return emp_bers, data_aided.da_estimate_matrix(
+        joint, run.pilots, side, run.layout.topo.beta_mbs, cfg.noise_power_mw)
 
 
 def _trial(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo) -> None:
@@ -587,7 +621,7 @@ def _trial(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo) -> None:
     (training at each listening BS, detection at the UL serving BSs, the
     data-aided solve at the MBS, the downlink), summed into ``run.acc``."""
     cfg, metric, acc = run.cfg, spec.metric, run.acc
-    channels = memo.channels(run.topo, cfg)
+    channels = memo.channels(run.layout.topo, cfg)
     pilot = _pilot_side(spec, run, memo, channels)
     emp_bers, h_da = _uplink(spec, run, memo, channels, pilot)
     if metric is Metric.BER:
@@ -618,17 +652,25 @@ def _topology_metrics(spec: ExperimentSpec, topo_idx: int) -> dict:
     """One topology's contribution at every sweep point:
     {sweep_value: {(method, ue_class): value}}.
 
-    Trials run outer, in stacked chunks of ``_CHUNK``, and sweep points
-    inner, so every point takes a chunk's draws, and the stages it shares
-    with another point, from one ``_TrialMemo``; each point sums a per-UE
-    (numerator, denominator) pair per method over the trials.  A failure
-    names the sweep value, the topology and the master seed.
+    Points whose configs differ only in ``_LAYOUT_BLIND`` fields share one
+    layout, built once, and one analytic solve.  Trials run outer, in
+    stacked chunks of ``_CHUNK``, and sweep points inner, so every point
+    takes a chunk's draws, and the stages it shares with another point,
+    from one ``_TrialMemo``; each point sums a per-UE (numerator,
+    denominator) pair per method over the trials.  A failure names the
+    sweep value, the topology and the master seed.
     """
     value = spec.sweep_values[0]
     try:
-        runs = {}
+        points = collections.defaultdict(dict)        # layout key -> {value: config}
         for value in spec.sweep_values:
-            runs[value] = _prepare(spec, value, topo_idx)
+            cfg = _apply_sweep(spec.base, spec.sweep_param, value)
+            points[_blank(cfg, _LAYOUT_BLIND)][value] = cfg
+        runs = {}
+        for group in points.values():
+            value, cfg = next(iter(group.items()))
+            layout = _layout(spec, cfg, topo_idx)
+            runs.update(zip(group, _point_runs(spec, layout, list(group.values()))))
         uses = collections.Counter(k for run in runs.values()
                                    for k in (run.pilot_key, run.data_key))
         shared = frozenset(k for k, n in uses.items() if n > 1)
@@ -642,20 +684,29 @@ def _topology_metrics(spec: ExperimentSpec, topo_idx: int) -> dict:
             f"sweep {spec.sweep_param}={value}, topology {topo_idx}, "
             f"master seed {spec.master_seed}: {exc}"
         ) from exc
-    return {value: _fold(spec.metric, run.acc, run.labels) for value, run in runs.items()}
+    return {value: _fold(spec.metric, run.acc, run.layout.labels)
+            for value, run in runs.items()}
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def run_sweep(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     """Run the configured sweep and aggregate per (value, method, class).
 
-    One task per topology covers every sweep point.  Per-topology means
-    feed the reported mean and standard error; trial and topology
-    substreams are keyed by index, so output is identical for any
-    ``threads`` value.
+    One task per topology covers every sweep point, on at most ``threads``
+    worker processes, and never more than there are topologies or usable
+    CPUs.  Per-topology means feed the reported mean and standard error;
+    trial and topology substreams are keyed by index, so output is
+    identical for any worker count.
     """
     topologies = range(spec.topologies)
-    if threads > 1:
-        workers = min(threads, spec.topologies)
+    workers = min(threads, spec.topologies, _usable_cpus())
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_topo = list(pool.map(functools.partial(_topology_metrics, spec), topologies))
     else:

@@ -147,7 +147,7 @@ def _da_nmse_deviation(cfg, tag, mode, topologies, trials):
         if mode is BerSource.ZERO_ERROR:
             bers = np.zeros(cfg.num_ue)
         else:
-            bers, _ = analytic_ber_vector(cfg, topo, assoc)
+            (bers,), _ = analytic_ber_vector([cfg], topo, assoc)
         preds = [
             data_aided.analytic_nmse_da(
                 topo.beta_mbs, bers, cfg.p_train_mw,
@@ -408,7 +408,7 @@ def check_power_floor(master_seed: int = 1) -> CheckResult:
     cfg = desk_config(p_train_dbm=-7.0)
     topo = scenario.build_topology(cfg, phy.stream(master_seed, _TAG_C1))
     assoc = scenario.associate(topo, cfg)
-    bers, _ = analytic_ber_vector(cfg, topo, assoc)
+    (bers,), _ = analytic_ber_vector([cfg], topo, assoc)
     if not np.any(bers > 0):
         return CheckResult("da-power-floor", False,
                            "all analytic BERs are zero at the pilot point", "n/a")

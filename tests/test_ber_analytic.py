@@ -222,6 +222,24 @@ def test_fixed_point_raises_at_the_iteration_cap(monkeypatch):
         stieltjes_moments([8, 8], [[0.0, 0.0], [0.5, 20.0]])
 
 
+def test_a_row_gives_the_same_bits_alone_and_in_a_stack_of_slower_rows(monkeypatch):
+    # a converged row freezes while the others take more Newton steps, and
+    # every sum runs along its own row
+    from hetnetsim import ber_analytic
+
+    n = np.array([8, 2])
+    gains = np.array([[0.001, 0.002, 0.003], [100.0, 100.0, 100.0]])
+    mu, sigma2 = stieltjes_moments(n, gains)
+    alone = [stieltjes_moments(n[r], gains[r]) for r in range(2)]
+    assert [(mu[r], sigma2[r]) for r in range(2)] == alone
+    # the rows need different step counts: a cap the first row converges
+    # within stops the second
+    monkeypatch.setattr(ber_analytic, "_MAX_FIXED_POINT_ITERS", 3)
+    assert stieltjes_moments(n[0], gains[0]) == alone[0]
+    with pytest.raises(ber_analytic.FixedPointError):
+        stieltjes_moments(n[1], gains[1])
+
+
 def test_gamma_models_of_many_ues_equal_one_ue_at_a_time():
     rng = phy.stream(44)
     betas = 10.0 ** rng.uniform(-13, -9, size=(3, 12))

@@ -120,3 +120,20 @@ def test_env_var_thread_fallback(tiny_config, tmp_path, monkeypatch):
         "--sweep", "p_train_dbm=3:8:5", "--seed", "5", "--out", str(out2),
     ]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("flag,env,name", [
+    ([], "two", "HETNET_THREADS"), ([], "0", "HETNET_THREADS"),
+    (["--threads", "0"], None, "--threads"), (["--threads", "-2"], "2", "--threads")])
+def test_bad_thread_count_is_a_usage_error(tiny_config, tmp_path, monkeypatch, capsys, flag,
+                                           env, name):
+    if env is None:
+        monkeypatch.delenv("HETNET_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("HETNET_THREADS", env)
+    out = tmp_path / "never.csv"
+    assert cli.main(["ber-sweep", "--config", str(tiny_config), "--sweep",
+                     "p_data_dbm=3:8:5", "--out", str(out), *flag]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not out.exists()

@@ -39,6 +39,13 @@ def _tiny_spec(metric=Metric.NMSE, **kw):
     return ExperimentSpec(**defaults)
 
 
+def _point(spec, value, topo_idx=0):
+    """The layout and the run of one sweep point, as _topology_metrics builds them."""
+    cfg = experiments._apply_sweep(spec.base, spec.sweep_param, value)
+    layout = experiments._layout(spec, cfg, topo_idx)
+    return layout, experiments._point_runs(spec, layout, [cfg])[0]
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="non-empty"):
         _tiny_spec(sweep_values=())
@@ -304,12 +311,12 @@ def test_parts_give_a_wide_bs_its_own_mmse_part():
     spec = ExperimentSpec(base=desk_config(num_ue=20, sbs_antennas=2),
                           sweep_param="p_data_dbm", sweep_values=(13.0,), metric=Metric.BER,
                           detectors=("zf",), trials=1, topologies=1, master_seed=1)
-    run = experiments._prepare(spec, 13.0, 0)
-    ul = run.assoc.ul_serving
-    labels = [part.label for part in run.parts]
+    layout, _ = _point(spec, 13.0)
+    ul = layout.assoc.ul_serving
+    labels = [part.label for part in layout.parts]
     assert labels.count("zf") == 1 and labels.count("zf->mmse") >= 2
-    for part in run.parts:
-        ids, n_ant = run.groups[part.group]
+    for part in layout.parts:
+        ids, n_ant = layout.groups[part.group]
         ids = ids[part.rows]
         served = [np.flatnonzero(ul == v) for v in ids]
         wide = part.label == "zf->mmse"
@@ -330,7 +337,7 @@ def test_analytic_ber_vector_equals_one_gamma_model_per_ue():
     cfg = desk_config()
     topo = scenario.build_topology(cfg, phy.stream(3, 0, experiments.PH_TOPOLOGY))
     assoc = scenario.associate(topo, cfg)
-    bers, bounds = experiments.analytic_ber_vector(cfg, topo, assoc)
+    (bers,), (bounds,) = experiments.analytic_ber_vector([cfg], topo, assoc)
     assert len(set(assoc.ul_serving.tolist())) > 1
     for k in range(cfg.num_ue):
         v = int(assoc.ul_serving[k])
@@ -340,6 +347,20 @@ def test_analytic_ber_vector_equals_one_gamma_model_per_ue():
             n_ant, betas, k, cfg.p_train_mw, cfg.tau_t, cfg.noise_power_mw, cfg.p_data_mw))
         assert bers[k] == pytest.approx(analytic_ber(model), rel=1e-12)
         assert bounds[k] == pytest.approx(ber_lower_bound(model), rel=1e-12)
+
+
+def test_analytic_ber_vector_over_many_configs_equals_one_call_per_config():
+    # full scale, UEs at the MBS and at SBSs; one stacked solve over data
+    # powers from -20 to 40 dBm gives each config's rows bit for bit
+    cfg = SystemConfig()
+    topo, assoc = experiments.sweep_topology(cfg, 3)
+    assert 0 in assoc.ul_serving and np.any(assoc.ul_serving > 0)
+    cfgs = [cfg.replace(p_data_dbm=float(p)) for p in range(-20, 41, 5)]
+    bers, bounds = experiments.analytic_ber_vector(cfgs, topo, assoc)
+    assert bers.shape == bounds.shape == (len(cfgs), cfg.num_ue)
+    for p, one in enumerate(cfgs):
+        (ber,), (bound,) = experiments.analytic_ber_vector([one], topo, assoc)
+        assert np.array_equal(bers[p], ber) and np.array_equal(bounds[p], bound)
 
 
 # --- one task per topology: shared draws, stacked detection, pointed errors
@@ -409,6 +430,11 @@ def _observe_calls(spec):
     # ZF falls back to MMSE at overloaded SBSs, which reads p_data_dbm
     pytest.param(Metric.BER, "p_data_dbm", (3.0, 23.0), 1, 3, "pilot",
                  desk_config(num_ue=20, sbs_antennas=2), id="ber-p_data_dbm-zf-fallback"),
+    # the path-loss exponent and the antenna counts move the layout
+    pytest.param(Metric.NMSE, "alpha", (3.5, 4.0), 2, 3, None, desk_config(),
+                 id="nmse-alpha-no-layout-shared"),
+    pytest.param(Metric.BER, "mbs_antennas", (64, 128), 2, 3, None, desk_config(),
+                 id="ber-mbs_antennas-no-layout-shared"),
 ])
 def test_multi_point_sweep_equals_its_one_point_sweeps(monkeypatch, metric, param, values,
                                                        draws_per_chunk, trials, shared, base):
@@ -428,6 +454,75 @@ def test_multi_point_sweep_equals_its_one_point_sweeps(monkeypatch, metric, para
         assert shared != side or len(set(counts)) == 1
 
 
+@pytest.mark.parametrize("metric,param,values,layouts", [
+    (Metric.BER, "p_data_dbm", (3.0, 13.0, 23.0), 1),
+    (Metric.NMSE, "p_train_dbm", (-7.0, 3.0, 13.0), 1),
+    (Metric.NMSE, "tau_d", (0, 16, 64), 1),
+    (Metric.RATE, "p_sbs_dbm", (14.0, 24.0, 34.0), 3),
+    (Metric.RATE, "num_ue", (6, 8, 10), 3),
+    (Metric.NMSE, "alpha", (3.5, 4.0, 4.5), 3),
+])
+def test_each_topology_builds_one_layout_per_layout_key(monkeypatch, metric, param, values,
+                                                         layouts):
+    # points that differ only in fields the layout never reads share one
+    # association and one analytic solve; any other field moves the layout
+    spec = ExperimentSpec(base=desk_config(), sweep_param=param, sweep_values=values,
+                          metric=metric, trials=1, topologies=2, master_seed=5)
+    assoc, solves = [], []
+    _counted(monkeypatch, scenario, "associate", assoc)
+    _counted(monkeypatch, experiments, "analytic_ber_vector", solves)
+    for p in range(spec.topologies):
+        experiments._topology_metrics(spec, p)
+        assert len(assoc) == len(solves) == layouts
+        assert sum(len(args[0]) for args, _ in solves) == len(values)
+        assoc.clear()
+        solves.clear()
+
+
+def test_threads_give_equal_output_on_a_multi_layout_sweep():
+    # three topologies over two workers, one layout per point
+    spec = ExperimentSpec(base=desk_config(), sweep_param="p_sbs_dbm",
+                          sweep_values=(14.0, 34.0), metric=Metric.RATE, trials=2,
+                          topologies=3, master_seed=5)
+    assert run_sweep(spec, threads=2).rows == run_sweep(spec, threads=1).rows
+
+
+@pytest.mark.parametrize("threads,topologies,cpus,workers", [
+    (8, 3, 4, 3), (8, 5, 2, 2), (2, 5, 4, 2), (4, 3, 1, None), (1, 3, 4, None)])
+def test_run_sweep_starts_no_more_workers_than_topologies_or_cpus(monkeypatch, threads,
+                                                                  topologies, cpus, workers):
+    spec = _tiny_spec(topologies=topologies, trials=1)
+    serial = run_sweep(spec)
+    started = []
+
+    class Recorder:
+        """An executor that records its worker count and runs tasks in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert run_sweep(spec, threads=threads).rows == serial.rows
+    assert started == ([] if workers is None else [workers])
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    assert experiments._usable_cpus() == 3
+
+
 def test_pilot_only_precoders_are_built_once_per_chunk(monkeypatch):
     # a p_data_dbm rate sweep: the SBS precoders and the pilot-only MBS
     # precoder come from the pilot side; only the data-aided MBS precoder is
@@ -435,13 +530,13 @@ def test_pilot_only_precoders_are_built_once_per_chunk(monkeypatch):
     spec = ExperimentSpec(base=desk_config(p_sbs_dbm=40.0), sweep_param="p_data_dbm",
                           sweep_values=(3.0, 23.0), metric=Metric.RATE, trials=5, topologies=1,
                           master_seed=5, ber_source=BerSource.EMPIRICAL_ORACLE)
-    run = experiments._prepare(spec, 3.0, 0)
-    assert any(v == 0 for v, *_ in run.dl_sets) and len(run.dl_sets) > 1
+    layout, _ = _point(spec, 3.0)
+    assert any(v == 0 for v, *_ in layout.dl_sets) and len(layout.dl_sets) > 1
     calls = []
     _counted(monkeypatch, downlink, "zf_precode", calls)
     experiments._topology_metrics(spec, 0)
     chunks = 3
-    assert len(calls) == chunks * (len(run.dl_sets) + len(spec.sweep_values))
+    assert len(calls) == chunks * (len(layout.dl_sets) + len(spec.sweep_values))
     assert all(args[0].shape[0] in (2, 1) for args, _ in calls)   # one stacked call per chunk
 
 
@@ -505,10 +600,10 @@ def test_topology_substream_key_moves_every_caller(monkeypatch):
     spec = ExperimentSpec(base=cfg, sweep_param="p_train_dbm", sweep_values=(cfg.p_train_dbm,),
                           metric=Metric.NMSE, estimators=("da",), trials=1, topologies=1,
                           master_seed=seed)
-    experiments._prepare(spec, cfg.p_train_dbm, 0)
+    experiments._layout(spec, cfg, 0)
     validation._da_nmse_deviation(cfg, seed, BerSource.ANALYTIC_PROP1, topologies=1, trials=1)
     cli._run_floor(cfg, seed)
-    assert len(built) == 4          # _prepare, the check's sweep and its prediction, the floor
+    assert len(built) == 4          # the layout, the check's sweep and its prediction, the floor
     for topo in built:
         assert np.array_equal(topo.beta_mbs, want.beta_mbs)
 
@@ -527,18 +622,18 @@ def test_stacked_detection_equals_one_combiner_per_bs():
     spec = ExperimentSpec(base=desk_config(num_ue=20, sbs_antennas=2),
                           sweep_param="p_data_dbm", sweep_values=(13.0,), metric=Metric.BER,
                           trials=2, topologies=1, master_seed=1)
-    run = experiments._prepare(spec, 13.0, 0)
+    layout, run = _point(spec, 13.0)
     memo = experiments._TrialMemo(1, 0, range(2))
-    channels = memo.channels(run.topo, run.cfg)
+    channels = memo.channels(layout.topo, run.cfg)
     pilot = experiments._pilot_side(spec, run, memo, channels)
     block, data = experiments._data_side(spec, run, memo, channels)
     _, got = experiments._detect(run, memo, pilot, data, block)
 
-    cfg, ul = run.cfg, run.assoc.ul_serving
-    scored = run.labels == "decoupled"
+    cfg, ul = run.cfg, layout.assoc.ul_serving
+    scored = layout.labels == "decoupled"
     args = (cfg.p_train_mw, cfg.tau_t, cfg.p_data_mw, cfg.noise_power_mw)
     want = {}
-    for (ids, n_ant), heard, obs in zip(run.groups, pilot, data):
+    for (ids, n_ant), heard, obs in zip(layout.groups, pilot, data):
         for i, v in enumerate(ids):
             if v not in ul[scored]:
                 continue
@@ -553,7 +648,7 @@ def test_stacked_detection_equals_one_combiner_per_bs():
                     # a BS that serves more UEs than antennas cannot zero-force
                     kind = "mmse" if det == "zf" and len(served) > n_ant else det
                     comb = detectors.build_combiner(
-                        kind, heard.est[t, i][:, cols], run.betas[v], *args, ue_indices=cols)
+                        kind, heard.est[t, i][:, cols], layout.betas[v], *args, ue_indices=cols)
                     _, _, ber = detectors.detect_all(one, comb, payload)
                     label = det if kind == det else f"{det}->{kind}"
                     want.setdefault(label, np.full((2, cfg.num_ue), np.nan))[t, mine] = \
