@@ -78,7 +78,7 @@ def _parse_sweep(text: str):
         raise ValueError(f"malformed sweep {text!r}, expected NAME=MIN:MAX:STEP")
     name, grid = text.split("=", 1)
     lo, hi, step = (float(x) for x in grid.split(":"))
-    if step <= 0 or hi < lo:
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ValueError(f"bad sweep grid {grid!r}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return name.strip(), tuple(lo + i * step for i in range(count))

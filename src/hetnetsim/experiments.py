@@ -9,7 +9,6 @@ ExperimentSpec; the worker count never changes the output.
 
 from __future__ import annotations
 
-import collections
 import concurrent.futures
 import dataclasses
 import enum
@@ -57,6 +56,14 @@ _CLASSES = {
 }
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int, if it is a whole number >= 1."""
+    if (not isinstance(value, (int, float, np.integer)) or not float(value).is_integer()
+            or value < 1):
+        raise ValueError(f"{name} takes a whole number >= 1, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     base: SystemConfig
@@ -75,12 +82,7 @@ class ExperimentSpec:
         if not self.sweep_values:
             raise ValueError("sweep value list must be non-empty")
         for name in ("trials", "topologies"):
-            count = getattr(self, name)
-            if not isinstance(count, (int, float, np.integer)) or not float(count).is_integer():
-                raise ValueError(f"{name} takes whole numbers, got {count!r}")
-            object.__setattr__(self, name, int(count))
-        if self.trials < 1 or self.topologies < 1:
-            raise ValueError("trials and topologies must be >= 1")
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.sweep_param not in {f.name for f in dataclasses.fields(SystemConfig)}:
             raise ValueError(f"unknown sweep parameter {self.sweep_param!r}")
         object.__setattr__(self, "metric", Metric(self.metric))
@@ -190,23 +192,19 @@ def analytic_ber_vector(cfgs, topo, assoc) -> tuple:
 # full-scale chunk's working set within a few MB
 _CHUNK = 2
 
-# the config fields each side of a trial never reads.  The pilot side is
-# the training observations, the estimates, the MRC and ZF combiners, the
-# SBS precoders and the pilot-only MBS precoder and rates; the data side is
-# the payload and the data observations.
-_PILOT_BLIND = ("p_data_dbm", "tau_d")
-_DATA_BLIND = ("p_train_dbm", "tau_t")
-# the config fields a topology's layout never reads: placement and
-# association read neither the UE powers, the symbol counts nor the noise
-_LAYOUT_BLIND = ("p_train_dbm", "p_data_dbm", "tau_t", "tau_d", "noise_density_dbm_hz",
-                 "bandwidth_hz")
-
-
-def _blank(cfg: SystemConfig, fields) -> tuple:
-    """``cfg`` as a key with ``fields`` set to None, so that configs which
-    differ only there give the same key."""
-    return tuple(None if f.name in fields else getattr(cfg, f.name)
-                 for f in dataclasses.fields(cfg))
+# the config fields each part of a sweep point never reads.  The layout is
+# the topology, the association and their bookkeeping: placement and
+# association read neither the UE powers, the symbol counts nor the noise.
+# The pilot side is the training observations, the estimates, the MRC and
+# ZF combiners, the SBS precoders and the pilot-only MBS precoder and
+# rates; the data side is the payload and the data observations.  Each
+# side's set lies within the layout's, so a shared side sees one layout.
+_BLIND = {
+    "layout": ("p_train_dbm", "p_data_dbm", "tau_t", "tau_d", "noise_density_dbm_hz",
+               "bandwidth_hz"),
+    "pilot": ("p_data_dbm", "tau_d"),
+    "data": ("p_train_dbm", "tau_t"),
+}
 
 
 def _channel_key(topo, cfg: SystemConfig) -> tuple:
@@ -277,8 +275,6 @@ class _TopologyRun:
     cfg: SystemConfig
     layout: _Layout
     pilots: phy.PilotMatrix
-    pilot_key: tuple                   # what the pilot side reads
-    data_key: tuple                    # what the data side reads
     ber_source: BerSource
     analytic: tuple | None             # analytic BERs and their lower bounds
     acc: dict
@@ -292,9 +288,9 @@ class _TrialMemo:
     substreams.  A draw is kept under its substream key and every argument
     that shapes it, so a repeat request gets exactly what a fresh draw
     would give; a sweep that changes a shape (``num_ue``, the antenna
-    counts) misses and draws afresh.  A stage is kept under the config with
-    the fields it never reads blanked and the draw keys it consumed, and
-    only when another point has the same key.  Kept arrays are read-only.
+    counts) misses and draws afresh.  A stage is kept under its side and
+    name, and only when every point shares that side; the noise a shared
+    side reads is then read once, and not kept.  Kept arrays are read-only.
     """
 
     def __init__(self, master_seed: int, topo_idx: int, trials, shared=frozenset()):
@@ -311,13 +307,10 @@ class _TrialMemo:
             self._kept[key] = value
         return value
 
-    def shares(self, key: tuple) -> bool:
-        return key in self._shared
-
-    def stage(self, key: tuple, name, make):
-        """Stage ``name`` of the side ``key`` names, computed once per chunk
-        if another sweep point shares ``key``, else afresh."""
-        return self._get((key, name), make, self.shares(key))
+    def stage(self, side: str, name, make):
+        """Stage ``name`` of ``side``, computed once per chunk if every
+        sweep point shares ``side``, else afresh."""
+        return self._get((side, name), make, side in self._shared)
 
     def channels(self, topo, cfg: SystemConfig) -> phy.ChannelSet:
         return self._get(_channel_key(topo, cfg), lambda: phy.draw_channels(
@@ -328,9 +321,10 @@ class _TrialMemo:
             detectors.random_bits(cfg.num_ue, cfg.tau_d, modulation, s(PH_BITS))
             for s in self._streams]))
 
-    def noise(self, phase: int, ids, shape, noise_power: float, keep=True) -> np.ndarray:
+    def noise(self, phase: int, ids, shape, noise_power: float) -> np.ndarray:
         """The AWGN blocks of BSs ``ids``, (T, B, *shape), each from its own
-        substream; ``keep`` false when no other point will ask for them."""
+        substream; kept unless the side that reads them is shared."""
+        keep = ("pilot" if phase == PH_NOISE_TRAIN else "data") not in self._shared
         return self._get(_noise_key(phase, ids, shape, noise_power), lambda: phy.awgn(
             [[s(phase, v) for v in ids] for s in self._streams], shape, noise_power), keep)
 
@@ -357,12 +351,11 @@ def _pilot_side(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, chann
     the metric scores them.  It reads neither p_data_dbm nor tau_d."""
     cfg, n0, betas = run.cfg, run.cfg.noise_power_mw, run.layout.betas
     want_ls = spec.metric is Metric.NMSE and "ls" in spec.estimators
-    keep = not memo.shares(run.pilot_key)      # a shared side reads its noise once
 
     def make():
         out = []
         for ids, chan in _group_channels(run, channels):
-            noise = memo.noise(PH_NOISE_TRAIN, ids, (chan.shape[-2], cfg.tau_t), n0, keep)
+            noise = memo.noise(PH_NOISE_TRAIN, ids, (chan.shape[-2], cfg.tau_t), n0)
             train = phy.observe(chan, run.pilots.s, n0, noise, Phase.TRAINING)
             despread = estimators.despread(train, run.pilots)
             est = estimators.mmse_estimate_matrix(train, run.pilots, betas[ids], n0, despread)
@@ -371,23 +364,22 @@ def _pilot_side(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, chann
                 ls = estimators.ls_estimate_matrix(train, run.pilots, despread)[:, 0]
             out.append(_Pilot(train, est, ls))
         return out
-    return memo.stage(run.pilot_key, "pilot", make)
+    return memo.stage("pilot", "pilot", make)
 
 
 def _data_side(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, channels):
     """Stage 1, data side: the payload and the data observations at every
     listener.  It reads neither p_train_dbm nor tau_t."""
     cfg, n0 = run.cfg, run.cfg.noise_power_mw
-    keep = not memo.shares(run.data_key)
 
     def make():
         block = detectors.modulate(memo.bits(cfg, spec.modulation), spec.modulation,
                                    cfg.p_data_mw)
         data = [phy.observe(chan, block.symbols[:, None], n0, memo.noise(
-                    PH_NOISE_DATA, ids, (chan.shape[-2], cfg.tau_d), n0, keep), Phase.DATA)
+                    PH_NOISE_DATA, ids, (chan.shape[-2], cfg.tau_d), n0), Phase.DATA)
                 for ids, chan in _group_channels(run, channels)]
         return block, data
-    return memo.stage(run.data_key, "data", make)
+    return memo.stage("data", "data", make)
 
 
 def _detect(run: _TopologyRun, memo: _TrialMemo, pilot, data, block):
@@ -415,7 +407,7 @@ def _detect(run: _TopologyRun, memo: _TrialMemo, pilot, data, block):
         if part.kind is CombinerKind.MMSE:         # reads the data power
             comb = build()
         else:
-            comb = memo.stage(run.pilot_key, ("combiner", i), build)
+            comb = memo.stage("pilot", ("combiner", i), build)
         obs = data[part.group]
         obs = dataclasses.replace(obs, y=obs.y[:, part.rows])
         _, symbols, ber = detectors.detect_all(obs, comb, block)
@@ -438,7 +430,7 @@ def _downlink(run: _TopologyRun, memo: _TrialMemo, channels, pilot, h_da) -> dic
             precoders[v] = downlink.zf_precode(pilot[group].est[:, pos][..., idx], power,
                                                ue_indices=idx)
         return precoders, downlink.dl_rate(channels, precoders, assoc, n0).rate
-    precoders, po = memo.stage(run.pilot_key, "downlink", pilot_only)
+    precoders, po = memo.stage("pilot", "downlink", pilot_only)
     if 0 not in precoders:
         return {"po": po, "da": po}
     idx = np.asarray(precoders[0].ue_indices)
@@ -526,7 +518,7 @@ def sweep_topology(cfg: SystemConfig, master_seed: int, topo_idx: int = 0) -> tu
 def _layout(spec: ExperimentSpec, cfg: SystemConfig, topo_idx: int) -> _Layout:
     """The layout of topology ``topo_idx`` at ``cfg``: the topology, what its
     trials listen to and the index bookkeeping of their stages.  It reads
-    no field of ``_LAYOUT_BLIND``."""
+    no field of ``_BLIND["layout"]``."""
     metric = spec.metric
     topo, assoc = sweep_topology(cfg, spec.master_seed, topo_idx)
 
@@ -556,9 +548,9 @@ def _layout(spec: ExperimentSpec, cfg: SystemConfig, topo_idx: int) -> _Layout:
 
 
 def _point_runs(spec: ExperimentSpec, layout: _Layout, cfgs) -> list:
-    """The sweep points ``cfgs`` of one layout: each one's pilots, stage
-    keys and sums, with the analytic BERs of all of them from one solve
-    where the metric or the side information needs them."""
+    """The sweep points ``cfgs`` of one layout: each one's pilots and sums,
+    with the analytic BERs of all of them from one solve where the metric
+    or the side information needs them."""
     metric, topo = spec.metric, layout.topo
     ber_source = _effective_ber_source(spec)
     analytic = [None] * len(cfgs)
@@ -569,14 +561,6 @@ def _point_runs(spec: ExperimentSpec, layout: _Layout, cfgs) -> list:
                Metric.RATE: ("po", "da")}[metric]
     runs = []
     for cfg, rows in zip(cfgs, analytic):
-        n0 = cfg.noise_power_mw
-        channel_key = _channel_key(topo, cfg)
-        pilot_key = ("pilot", _blank(cfg, _PILOT_BLIND), channel_key, tuple(
-            _noise_key(PH_NOISE_TRAIN, ids, (n, cfg.tau_t), n0) for ids, n in layout.groups))
-        data_key = ("data", _blank(cfg, _DATA_BLIND), channel_key,
-                    _bits_key(cfg, spec.modulation), tuple(
-                        _noise_key(PH_NOISE_DATA, ids, (n, cfg.tau_d), n0)
-                        for ids, n in layout.groups))
         acc = {m: np.zeros((2, cfg.num_ue)) for m in methods}
         if metric is Metric.BER and rows is not None and "mmse" in spec.detectors:
             ones = np.ones(cfg.num_ue)
@@ -584,7 +568,7 @@ def _point_runs(spec: ExperimentSpec, layout: _Layout, cfgs) -> list:
             acc["mmse-lower"] = np.stack([rows[1], ones])
         runs.append(_TopologyRun(
             cfg, layout, phy.make_pilots(cfg.num_ue, cfg.tau_t, cfg.p_train_mw),
-            pilot_key, data_key, ber_source, rows, acc))
+            ber_source, rows, acc))
     return runs
 
 
@@ -639,7 +623,7 @@ def _trial(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo) -> None:
                 if m in spec.estimators:
                     errors[m] = np.sum(np.abs(h_est - truth) ** 2, axis=-2)
             return errors
-        errors = memo.stage(run.pilot_key, "nmse", pilot_only)
+        errors = memo.stage("pilot", "nmse", pilot_only)
         for m in spec.estimators:
             err = np.sum(np.abs(h_da - truth) ** 2, axis=-2) if m == "da" else errors[m]
             _add(acc, m, err, errors["power"])
@@ -652,32 +636,31 @@ def _topology_metrics(spec: ExperimentSpec, topo_idx: int) -> dict:
     """One topology's contribution at every sweep point:
     {sweep_value: {(method, ue_class): value}}.
 
-    Points whose configs differ only in ``_LAYOUT_BLIND`` fields share one
-    layout, built once, and one analytic solve.  Trials run outer, in
-    stacked chunks of ``_CHUNK``, and sweep points inner, so every point
-    takes a chunk's draws, and the stages it shares with another point,
-    from one ``_TrialMemo``; each point sums a per-UE (numerator,
-    denominator) pair per method over the trials.  A failure names the
-    sweep value, the topology and the master seed.
+    Where every point shares the layout, it is built once, with one
+    analytic solve for all of them.  Trials run outer, in stacked chunks of
+    ``_CHUNK``, and sweep points inner, so every point takes a chunk's
+    draws, and the stages of the sides all points share, from one
+    ``_TrialMemo``; each point sums a per-UE (numerator, denominator) pair
+    per method over the trials.  A failure names the sweep value, the
+    topology and the master seed.
     """
-    value = spec.sweep_values[0]
+    values = spec.sweep_values
+    # points differ in the swept field alone, so with more than one point a
+    # part is shared exactly when it never reads that field
+    shared = frozenset(part for part, blind in _BLIND.items()
+                       if len(values) > 1 and spec.sweep_param in blind)
+    value = values[0]
     try:
-        points = collections.defaultdict(dict)        # layout key -> {value: config}
-        for value in spec.sweep_values:
-            cfg = _apply_sweep(spec.base, spec.sweep_param, value)
-            points[_blank(cfg, _LAYOUT_BLIND)][value] = cfg
-        runs = {}
-        for group in points.values():
-            value, cfg = next(iter(group.items()))
-            layout = _layout(spec, cfg, topo_idx)
-            runs.update(zip(group, _point_runs(spec, layout, list(group.values()))))
-        uses = collections.Counter(k for run in runs.values()
-                                   for k in (run.pilot_key, run.data_key))
-        shared = frozenset(k for k, n in uses.items() if n > 1)
+        cfgs = [_apply_sweep(spec.base, spec.sweep_param, v) for v in values]
+        step = len(cfgs) if "layout" in shared else 1
+        runs = []
+        for i in range(0, len(cfgs), step):
+            value = values[i]
+            runs += _point_runs(spec, _layout(spec, cfgs[i], topo_idx), cfgs[i:i + step])
         for start in range(0, spec.trials, _CHUNK):
             trials = range(start, min(start + _CHUNK, spec.trials))
             memo = _TrialMemo(spec.master_seed, topo_idx, trials, shared)
-            for value, run in runs.items():
+            for value, run in zip(values, runs):
                 _trial(spec, run, memo)
     except Exception as exc:
         raise RuntimeError(
@@ -685,7 +668,7 @@ def _topology_metrics(spec: ExperimentSpec, topo_idx: int) -> dict:
             f"master seed {spec.master_seed}: {exc}"
         ) from exc
     return {value: _fold(spec.metric, run.acc, run.layout.labels)
-            for value, run in runs.items()}
+            for value, run in zip(values, runs)}
 
 
 def _usable_cpus() -> int:
@@ -705,7 +688,7 @@ def run_sweep(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     identical for any worker count.
     """
     topologies = range(spec.topologies)
-    workers = min(threads, spec.topologies, _usable_cpus())
+    workers = min(_count("threads", threads), spec.topologies, _usable_cpus())
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_topo = list(pool.map(functools.partial(_topology_metrics, spec), topologies))
@@ -792,6 +775,8 @@ def split_config(raw: dict):
     system = {k: v for k, v in raw.items() if k in _SYSTEM_KEYS}
     experiment = {k: v for k, v in raw.items() if k in _EXPERIMENT_KEYS}
     for key in ("detectors", "estimators"):
+        if isinstance(experiment.get(key), str):
+            raise ValueError(f"{key} takes a JSON list such as {json.dumps([experiment[key]])}")
         if key in experiment:
             experiment[key] = tuple(experiment[key])
     return system, experiment

@@ -47,6 +47,31 @@ def test_malformed_sweep_rejected(tiny_config, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("grid", ["0:inf:1", "-inf:1:1", "0:1:inf", "nan:1:1"])
+def test_non_finite_sweep_grid_is_a_config_error(tiny_config, tmp_path, capsys, grid):
+    out = tmp_path / "never.csv"
+    assert cli.main(["nmse-sweep", "--config", str(tiny_config), "--sweep",
+                     f"p_train_dbm={grid}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad sweep grid {grid!r}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["detectors", "estimators"])
+@pytest.mark.parametrize("via", ["config", "set"])
+def test_a_method_string_is_a_config_error(tiny_config, tmp_path, capsys, key, via):
+    # a string would otherwise split into its letters
+    if via == "config":
+        path = tmp_path / "methods.json"
+        path.write_text(json.dumps({**json.loads(TINY), key: "mmse"}))
+        argv = ["--config", str(path)]
+    else:
+        argv = ["--config", str(tiny_config), "--set", f"{key}=mmse"]
+    assert cli.main(["floor", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f'{key} takes a JSON list such as ["mmse"]' in err
+
+
 def test_unreadable_config_rejected(tmp_path):
     assert cli.main(["floor", "--config", str(tmp_path / "missing.json")]) == 2
 

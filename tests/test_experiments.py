@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -435,6 +436,16 @@ def _observe_calls(spec):
                  id="nmse-alpha-no-layout-shared"),
     pytest.param(Metric.BER, "mbs_antennas", (64, 128), 2, 3, None, desk_config(),
                  id="ber-mbs_antennas-no-layout-shared"),
+    pytest.param(Metric.RATE, "tau_t", (10, 20, 40), 1, 3, "data", desk_config(),
+                 id="rate-tau_t-data-side-shared"),
+    # the noise power reaches both sides, but not the layout or the channels
+    pytest.param(Metric.NMSE, "noise_density_dbm_hz", (-180.0, -170.0), 1, 3, None,
+                 desk_config(), id="nmse-noise_density_dbm_hz-no-side-shared"),
+    pytest.param(Metric.BER, "bandwidth_hz", (5e6, 20e6), 1, 3, None, desk_config(),
+                 id="ber-bandwidth_hz-no-side-shared"),
+    # the MBS power moves the association but not the channels
+    pytest.param(Metric.RATE, "p_mbs_dbm", (40.0, 46.0), 1, 3, None, desk_config(),
+                 id="rate-p_mbs_dbm-nothing-shared-one-draw"),
 ])
 def test_multi_point_sweep_equals_its_one_point_sweeps(monkeypatch, metric, param, values,
                                                        draws_per_chunk, trials, shared, base):
@@ -461,10 +472,14 @@ def test_multi_point_sweep_equals_its_one_point_sweeps(monkeypatch, metric, para
     (Metric.RATE, "p_sbs_dbm", (14.0, 24.0, 34.0), 3),
     (Metric.RATE, "num_ue", (6, 8, 10), 3),
     (Metric.NMSE, "alpha", (3.5, 4.0, 4.5), 3),
+    (Metric.NMSE, "noise_density_dbm_hz", (-180.0, -174.0, -170.0), 1),
+    (Metric.BER, "bandwidth_hz", (5e6, 10e6, 20e6), 1),
+    (Metric.RATE, "tau_t", (10, 20, 40), 1),
+    (Metric.RATE, "p_mbs_dbm", (40.0, 43.0, 46.0), 3),
 ])
 def test_each_topology_builds_one_layout_per_layout_key(monkeypatch, metric, param, values,
                                                          layouts):
-    # points that differ only in fields the layout never reads share one
+    # the points of a sweep over a field the layout never reads share one
     # association and one analytic solve; any other field moves the layout
     spec = ExperimentSpec(base=desk_config(), sweep_param=param, sweep_values=values,
                           metric=metric, trials=1, topologies=2, master_seed=5)
@@ -487,12 +502,10 @@ def test_threads_give_equal_output_on_a_multi_layout_sweep():
     assert run_sweep(spec, threads=2).rows == run_sweep(spec, threads=1).rows
 
 
-@pytest.mark.parametrize("threads,topologies,cpus,workers", [
-    (8, 3, 4, 3), (8, 5, 2, 2), (2, 5, 4, 2), (4, 3, 1, None), (1, 3, 4, None)])
-def test_run_sweep_starts_no_more_workers_than_topologies_or_cpus(monkeypatch, threads,
-                                                                  topologies, cpus, workers):
-    spec = _tiny_spec(topologies=topologies, trials=1)
-    serial = run_sweep(spec)
+@pytest.fixture
+def started(monkeypatch):
+    """The worker count of every executor run_sweep starts; each runs its
+    tasks in-process."""
     started = []
 
     class Recorder:
@@ -511,10 +524,29 @@ def test_run_sweep_starts_no_more_workers_than_topologies_or_cpus(monkeypatch, t
             return map(fn, items)
 
     monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", Recorder)
+    return started
+
+
+@pytest.mark.parametrize("threads,topologies,cpus,workers", [
+    (8, 3, 4, 3), (8, 5, 2, 2), (2, 5, 4, 2), (4, 3, 1, None), (1, 3, 4, None)])
+def test_run_sweep_starts_no_more_workers_than_topologies_or_cpus(monkeypatch, started, threads,
+                                                                  topologies, cpus, workers):
+    spec = _tiny_spec(topologies=topologies, trials=1)
+    serial = run_sweep(spec)
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     assert run_sweep(spec, threads=threads).rows == serial.rows
     assert started == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("threads", [0, -3, 1.5, math.inf, "2"])
+def test_run_sweep_rejects_a_bad_thread_count_before_any_topology_runs(monkeypatch, started,
+                                                                       threads):
+    ran = []
+    monkeypatch.setattr(experiments, "_topology_metrics", lambda spec, p: ran.append(p))
+    with pytest.raises(ValueError, match="threads takes a whole number >= 1"):
+        run_sweep(_tiny_spec(), threads=threads)
+    assert started == [] and ran == []
 
 
 def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
@@ -569,17 +601,35 @@ def test_shared_draws_are_read_only_and_reused():
 
 
 def test_stages_are_kept_only_when_points_share_them():
-    memo = experiments._TrialMemo(1, 0, range(2), shared=frozenset({"a"}))
+    memo = experiments._TrialMemo(1, 0, range(2), shared=frozenset({"pilot"}))
     made = []
 
     def make():
         made.append(1)
         return [np.zeros(3)]
 
-    kept = memo.stage("a", "s", make)
-    assert memo.stage("a", "s", make) is kept and len(made) == 1
+    kept = memo.stage("pilot", "s", make)
+    assert memo.stage("pilot", "s", make) is kept and len(made) == 1
     assert not kept[0].flags.writeable
-    assert memo.stage("b", "s", make) is not memo.stage("b", "s", make) and len(made) == 3
+    assert memo.stage("data", "s", make) is not memo.stage("data", "s", make) and len(made) == 3
+    # the shared pilot side reads its training noise once, so that is not
+    # kept; the data noise is, for the other points of an unshared data side
+    args = ([0, 2], (8, 4), 0.5)
+    train = memo.noise(experiments.PH_NOISE_TRAIN, *args)
+    assert memo.noise(experiments.PH_NOISE_TRAIN, *args) is not train
+    data = memo.noise(experiments.PH_NOISE_DATA, *args)
+    assert memo.noise(experiments.PH_NOISE_DATA, *args) is data
+
+
+def test_blind_fields_are_config_fields():
+    # a misspelt field would never match the swept one and silently share nothing
+    fields = {f.name for f in dataclasses.fields(SystemConfig)}
+    assert set(experiments._BLIND) == {"layout", "pilot", "data"}
+    for part, blind in experiments._BLIND.items():
+        assert set(blind) <= fields, part
+    # a shared side must see one layout
+    for side in ("pilot", "data"):
+        assert set(experiments._BLIND[side]) <= set(experiments._BLIND["layout"])
 
 
 def test_topology_substream_key_moves_every_caller(monkeypatch):
@@ -606,13 +656,6 @@ def test_topology_substream_key_moves_every_caller(monkeypatch):
     assert len(built) == 4          # the layout, the check's sweep and its prediction, the floor
     for topo in built:
         assert np.array_equal(topo.beta_mbs, want.beta_mbs)
-
-
-def test_blanked_config_keys_ignore_only_the_blanked_fields():
-    cfg = desk_config()
-    blank = experiments._blank
-    assert blank(cfg, ("p_data_dbm",)) == blank(cfg.replace(p_data_dbm=-7.0), ("p_data_dbm",))
-    assert blank(cfg, ("p_data_dbm",)) != blank(cfg.replace(p_train_dbm=-7.0), ("p_data_dbm",))
 
 
 def test_stacked_detection_equals_one_combiner_per_bs():
