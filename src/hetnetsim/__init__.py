@@ -4,10 +4,10 @@ Modules
 -------
 scenario     cell geometry, path loss, modified-MARP association
 phy          fading channels, orthogonal pilots, noisy observations
-estimators   pilot-only LS/MMSE estimation and closed-form NMSE
+estimators   pilot-only LS/MMSE estimation, SNR-like term and NMSE map
 detectors    modulation, MRC/ZF/MMSE combining, symbol decisions
 ber_analytic Gamma-matched SINR law and closed-form BER
-data_aided   BER-aware data-aided MMSE estimation and its NMSE predictors
+data_aided   BER-aware data-aided MMSE estimation and its SNR-like term
 downlink     ZF beamforming and the average-rate metric
 experiments  seeded parallel sweep harness, CSV output
 cli          command-line front end
@@ -41,8 +41,9 @@ from .phy import (
 from .estimators import (
     EstimateStats,
     EstMethod,
-    analytic_nmse_pilot_only,
+    analytic_nmse,
     mmse_error_stats,
+    pilot_snr,
 )
 from .detectors import (
     Combiner,
@@ -66,8 +67,8 @@ from .ber_analytic import (
 from .data_aided import (
     BerSource,
     DecodedSideInfo,
-    analytic_nmse_da,
     da_power_floor,
+    rho_data_aided,
 )
 from .downlink import DownlinkRates, Precoder, dl_rate, zf_precode
 from .experiments import (

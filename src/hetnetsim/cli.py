@@ -11,7 +11,7 @@ import math
 import os
 import sys
 
-from . import data_aided
+from . import data_aided, estimators
 from .experiments import (
     ExperimentSpec,
     Metric,
@@ -32,6 +32,12 @@ _SWEEP_COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"takes a whole number >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hetnetsim",
@@ -44,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat JSON config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
-        p.add_argument("--seed", type=int, default=1, help="master seed")
+        p.add_argument("--seed", type=_seed, default=1, help="master seed (>= 0)")
         p.add_argument("--threads", type=int, default=None,
                        help="worker processes (default: HETNET_THREADS or 1)")
         p.add_argument("--dump-config", action="store_true",
@@ -118,18 +124,17 @@ def _run_floor(cfg: SystemConfig, seed: int) -> int:
         print("no decoupled UEs in this topology; nothing to report")
         return 0
     (bers,), _ = analytic_ber_vector([cfg], topo, assoc)
-    rho_con = cfg.tau_t * cfg.p_train_mw / cfg.noise_power_mw
+    floor = data_aided.da_power_floor(cfg.tau_d, bers, topo.beta_mbs)
     print(f"data-power saturation limit of the DA SNR-like increment "
           f"(tau_d={cfg.tau_d}, P_T={cfg.p_train_dbm:g} dBm):")
+    if math.isinf(floor[0]):
+        print("  BER = 0 everywhere, no floor (increment unbounded)")
+        return 0
+    rho = estimators.pilot_snr(cfg.p_train_mw, cfg.tau_t, cfg.noise_power_mw) + floor
+    nmse_floor = estimators.analytic_nmse(estimators.EstMethod.DATA_AIDED, rho, topo.beta_mbs)
     for k in assoc.decoupled:
-        floor = data_aided.da_power_floor(cfg.tau_d, bers, topo.beta_mbs, k)
-        if math.isinf(floor):
-            print(f"  ue {k:3d}: BER = 0 everywhere, no floor (increment unbounded)")
-            continue
-        nmse_floor = 10.0 * math.log10(
-            1.0 / (1.0 + (rho_con + floor) * topo.beta_mbs[k]))
-        print(f"  ue {k:3d}: BER = {bers[k]:.3e}, increment floor = {floor:.6g}, "
-              f"NMSE floor = {nmse_floor:.2f} dB")
+        print(f"  ue {k:3d}: BER = {bers[k]:.3e}, increment floor = {floor[k]:.6g}, "
+              f"NMSE floor = {nmse_floor[k]:.2f} dB")
     return 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import mmse_estimate_matrix
+from .estimators import mmse_estimate_matrix, pilot_snr
 from .phy import Observation, Phase, PilotMatrix
 
 
@@ -107,34 +107,21 @@ def da_estimate_matrix(
 
 
 def rho_data_aided(
-    bers, betas, p_t: float, p_d: float, tau_t: int, tau_d: int,
-    noise_power: float, k: int,
-) -> float:
-    """SNR-like term of the DA estimator: the pilot term plus the decoded-data
-    increment discounted by the BER shrinkage and residual interference."""
+    bers, betas, p_t: float, p_d: float, tau_t: int, tau_d: int, noise_power: float,
+) -> np.ndarray:
+    """Each UE's DA SNR-like term: the pilot term plus the decoded-data increment
+    discounted by the BER shrinkage and residual interference."""
     bers = fold_ber(bers)
     ds = delta_s_x(bers, betas, p_d)
-    increment = tau_d * p_d * (1.0 - 2.0 * bers[k]) ** 2 / (ds + noise_power)
-    return tau_t * p_t / noise_power + increment
+    increment = tau_d * p_d * (1.0 - 2.0 * bers) ** 2 / (ds + noise_power)
+    return pilot_snr(p_t, tau_t, noise_power) + increment
 
 
-def analytic_nmse_da(
-    betas, bers, p_t: float, p_d: float,
-    tau_t: int, tau_d: int, noise_power: float, k: int,
-) -> float:
-    """Closed-form DA NMSE in dB of UE k, the pilot-only form with rho
-    raised to ``rho_data_aided``."""
-    rho = rho_data_aided(bers, betas, p_t, p_d, tau_t, tau_d, noise_power, k)
-    return 10.0 * math.log10(1.0 / (1.0 + rho * betas[k]))
-
-
-def da_power_floor(tau_d: int, bers, betas, k: int) -> float:
-    """Limit of the DA increment as the data power grows without bound.
-
-    With every BER at zero there is no floor; that case returns inf.
-    """
+def da_power_floor(tau_d: int, bers, betas) -> np.ndarray:
+    """Limit of each UE's DA increment as the data power grows without bound;
+    with every BER at zero there is no floor, and every UE gets inf."""
     bers = fold_ber(bers)
     denom = float(delta_s_x(bers, betas, 1.0))
     if denom == 0.0:
-        return math.inf
-    return tau_d * (1.0 - 2.0 * bers[k]) ** 2 / denom
+        return np.full(bers.shape, math.inf)
+    return tau_d * (1.0 - 2.0 * bers) ** 2 / denom

@@ -1,9 +1,8 @@
-"""Pilot-only LS and MMSE channel estimators with their closed-form NMSE."""
+"""Pilot-only LS and MMSE channel estimators, the pilot SNR-like term and the NMSE map."""
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,14 +89,16 @@ def mmse_error_stats(beta, p_t: float, tau_t: int, noise_power: float) -> Estima
     return EstimateStats(estimate_var=energy * shrink, error_var=noise_power * shrink)
 
 
-def analytic_nmse_pilot_only(
-    kind: EstMethod, beta: float, p_t: float, tau_t: int, noise_power: float
-) -> float:
-    """Closed-form NMSE in dB; rho = tau_t*P_T/N0 is the SNR-like term."""
-    rho = tau_t * p_t / noise_power
-    kind = EstMethod(kind)
-    if kind is EstMethod.LS:
-        return 10.0 * math.log10(1.0 / (rho * beta))
-    if kind is EstMethod.MMSE:
-        return 10.0 * math.log10(1.0 / (1.0 + rho * beta))
-    raise ValueError(f"no pilot-only closed form for {kind}")
+def pilot_snr(p_t: float, tau_t: int, noise_power: float) -> float:
+    """The pilot SNR-like term rho = tau_t*P_T/N0 that every estimator starts from."""
+    return tau_t * p_t / noise_power
+
+
+def analytic_nmse(kind: EstMethod, rho, beta) -> float | np.ndarray:
+    """Closed-form NMSE in dB at SNR-like term(s) rho and gain(s) beta,
+    elementwise over UEs: 1/(rho*beta) for LS and 1/(1 + rho*beta) for MMSE
+    and DA.  MMSE takes ``pilot_snr``; DA takes ``data_aided.rho_data_aided``."""
+    snr = np.asarray(rho, dtype=float) * np.asarray(beta, dtype=float)
+    if EstMethod(kind) is EstMethod.LS:
+        return 10.0 * np.log10(1.0 / snr)
+    return 10.0 * np.log10(1.0 / (1.0 + snr))

@@ -56,11 +56,11 @@ _CLASSES = {
 }
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int, if it is a whole number >= 1."""
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int, if it is a whole number >= ``least``."""
     if (not isinstance(value, (int, float, np.integer)) or not float(value).is_integer()
-            or value < 1):
-        raise ValueError(f"{name} takes a whole number >= 1, got {value!r}")
+            or value < least):
+        raise ValueError(f"{name} takes a whole number >= {least}, got {value!r}")
     return int(value)
 
 
@@ -81,8 +81,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.sweep_values:
             raise ValueError("sweep value list must be non-empty")
-        for name in ("trials", "topologies"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        for name, least in (("trials", 1), ("topologies", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), least))
         if self.sweep_param not in {f.name for f in dataclasses.fields(SystemConfig)}:
             raise ValueError(f"unknown sweep parameter {self.sweep_param!r}")
         object.__setattr__(self, "metric", Metric(self.metric))
@@ -138,11 +138,8 @@ class ResultTable:
 
 
 def _apply_sweep(base: SystemConfig, name: str, value) -> SystemConfig:
-    if name in ("tau_t", "tau_d", "num_sbs", "num_ue", "mbs_antennas", "sbs_antennas"):
-        if not float(value).is_integer():
-            raise ValueError(f"{name} takes whole numbers, got {value!r}")
-        value = int(value)
-    elif not isinstance(value, numbers.Real) or not math.isfinite(value):
+    # SystemConfig checks the value against the field's type
+    if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} takes finite numbers, got {value!r}")
     return base.replace(**{name: value})
 

@@ -105,12 +105,10 @@ def check_pilot_only_closed_forms(master_seed: int = 1) -> CheckResult:
         cfg = cfg0.replace(p_train_dbm=pt_dbm)
         measured = _pilot_only_nmse_run(
             cfg, topo, assoc, master_seed, _TAG_C1, point, trials=1000)
+        rho = estimators.pilot_snr(cfg.p_train_mw, cfg.tau_t, cfg.noise_power_mw)
         for method in ("ls", "mmse"):
-            for k in dec:
-                predicted = estimators.analytic_nmse_pilot_only(
-                    estimators.EstMethod(method), topo.beta_mbs[k],
-                    cfg.p_train_mw, cfg.tau_t, cfg.noise_power_mw)
-                worst = max(worst, abs(measured[method][k] - predicted))
+            predicted = estimators.analytic_nmse(method, rho, topo.beta_mbs[dec])
+            worst = np.max(np.abs(measured[method][dec] - predicted), initial=worst)
     return CheckResult(
         name="nmse-pilot-only-closed-form",
         passed=worst <= 0.2,
@@ -148,18 +146,15 @@ def _da_nmse_deviation(cfg, tag, mode, topologies, trials):
             bers = np.zeros(cfg.num_ue)
         else:
             (bers,), _ = analytic_ber_vector([cfg], topo, assoc)
-        preds = [
-            data_aided.analytic_nmse_da(
-                topo.beta_mbs, bers, cfg.p_train_mw,
-                cfg.p_data_mw, cfg.tau_t, cfg.tau_d, cfg.noise_power_mw, k)
-            for k in assoc.decoupled
-        ]
+        rho = data_aided.rho_data_aided(bers, topo.beta_mbs, cfg.p_train_mw, cfg.p_data_mw,
+                                        cfg.tau_t, cfg.tau_d, cfg.noise_power_mw)
+        preds = estimators.analytic_nmse(estimators.EstMethod.DATA_AIDED, rho, topo.beta_mbs)
         emp = table.value(method="da", ue_class="decoupled")
-        deviations.append(abs(emp - float(np.mean(preds))))
+        deviations.append(abs(emp - float(np.mean(preds[assoc.decoupled]))))
     return float(np.mean(deviations))
 
 
-def check_da_analytic_agreement(master_seed: int = 1) -> CheckResult:
+def check_da_analytic_agreement() -> CheckResult:
     """Criterion 2a: DA NMSE with the Prop-1-fed combiner tracks the
     closed-form prediction at the desk-scale default point."""
     dev = _da_nmse_deviation(
@@ -173,7 +168,7 @@ def check_da_analytic_agreement(master_seed: int = 1) -> CheckResult:
     )
 
 
-def check_da_zero_error_agreement(master_seed: int = 1) -> CheckResult:
+def check_da_zero_error_agreement() -> CheckResult:
     """Criterion 2b: with error-free decoded data the DA NMSE matches the
     total-energy prediction (the identity-Gram regime, evaluated at the
     data-length study point P_T = P_D = 13 dBm)."""
@@ -412,15 +407,12 @@ def check_power_floor(master_seed: int = 1) -> CheckResult:
     if not np.any(bers > 0):
         return CheckResult("da-power-floor", False,
                            "all analytic BERs are zero at the pilot point", "n/a")
-    p_d_60 = scenario.dbm_to_mw(60.0)
-    rho_con = cfg.tau_t * cfg.p_train_mw / cfg.noise_power_mw
-    worst = 0.0
-    for k in assoc.decoupled:
-        floor = data_aided.da_power_floor(cfg.tau_d, bers, topo.beta_mbs, k)
-        increment = data_aided.rho_data_aided(
-            bers, topo.beta_mbs, cfg.p_train_mw, p_d_60, cfg.tau_t, cfg.tau_d,
-            cfg.noise_power_mw, k) - rho_con
-        worst = max(worst, abs(increment - floor) / floor)
+    n0, dec = cfg.noise_power_mw, assoc.decoupled
+    rho_con = estimators.pilot_snr(cfg.p_train_mw, cfg.tau_t, n0)
+    rho_60 = data_aided.rho_data_aided(bers, topo.beta_mbs, cfg.p_train_mw,
+                                       scenario.dbm_to_mw(60.0), cfg.tau_t, cfg.tau_d, n0)
+    floor = data_aided.da_power_floor(cfg.tau_d, bers, topo.beta_mbs)[dec]
+    worst = np.max(np.abs(rho_60[dec] - rho_con - floor) / floor, initial=0.0)
     return CheckResult(
         name="da-power-floor",
         passed=worst <= 0.005,
@@ -464,8 +456,7 @@ def check_saturation_limits(master_seed: int = 1) -> list:
     tau_d_zero_exact = bool(np.array_equal(da_empty, pilot_only))
 
     rho = data_aided.rho_data_aided(
-        np.zeros(k_total), topo.beta_mbs, cfg.p_train_mw, cfg.p_data_mw,
-        cfg.tau_t, cfg.tau_d, n0, 0)
+        np.zeros(k_total), topo.beta_mbs, cfg.p_train_mw, cfg.p_data_mw, cfg.tau_t, cfg.tau_d, n0)
     total_energy = (cfg.tau_t * cfg.p_train_mw / n0
                     + cfg.tau_d * cfg.p_data_mw / n0)
     return [
@@ -483,8 +474,8 @@ def check_saturation_limits(master_seed: int = 1) -> list:
         ),
         CheckResult(
             name="da-zero-ber-total-energy",
-            passed=rho == total_energy,
-            measured=f"rho_DA = {rho:.6e}, total-energy value = {total_energy:.6e}",
+            passed=bool(np.all(rho == total_energy)),
+            measured=f"rho_DA = {rho[0]:.6e}, total-energy value = {total_energy:.6e}",
             threshold="exact equality",
         ),
     ]
@@ -658,8 +649,8 @@ ALL_CHECK_NAMES = (
 def run_validation(master_seed: int = 1, threads: int = 1) -> ValidationReport:
     checks = []
     checks.append(check_pilot_only_closed_forms(master_seed))
-    checks.append(check_da_analytic_agreement(master_seed))
-    checks.append(check_da_zero_error_agreement(master_seed))
+    checks.append(check_da_analytic_agreement())
+    checks.append(check_da_zero_error_agreement())
     checks.extend(check_nmse_dominance(master_seed))
     checks.extend(check_ber_analytics(master_seed))
     checks.append(check_lemma1_moments())

@@ -29,8 +29,8 @@ def test_criterion_2_proposition_2_agreement():
     # DA NMSE vs the closed-form prediction: 1.0 dB analytic-fed,
     # 0.3 dB with error-free side information
     _assert_all([
-        validation.check_da_analytic_agreement(SEED),
-        validation.check_da_zero_error_agreement(SEED),
+        validation.check_da_analytic_agreement(),
+        validation.check_da_zero_error_agreement(),
     ])
 
 

@@ -72,6 +72,32 @@ def test_a_method_string_is_a_config_error(tiny_config, tmp_path, capsys, key, v
     assert f'{key} takes a JSON list such as ["mmse"]' in err
 
 
+@pytest.mark.parametrize("command", ["nmse-sweep", "floor"])
+@pytest.mark.parametrize("override", ["num_ue=6.5", "tau_d=2.5", "p_data_dbm=NaN"])
+def test_a_bad_base_value_is_a_config_error(tiny_config, tmp_path, capsys, command, override):
+    # these once passed config parsing and failed in the worker
+    out = tmp_path / "never.csv"
+    argv = [command, "--config", str(tiny_config), "--set", override]
+    if command != "floor":
+        argv += ["--sweep", "p_train_dbm=3:8:5", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {override.split('=')[0]} takes" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["nmse-sweep", "ber-sweep", "rate-sweep", "validate", "floor"])
+def test_a_negative_seed_is_a_usage_error(tiny_config, tmp_path, capsys, command):
+    out = tmp_path / "never.csv"
+    argv = [command, "--config", str(tiny_config), "--seed", "-1"]
+    if command.endswith("-sweep"):
+        argv += ["--sweep", "p_train_dbm=3:8:5", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--seed: takes a whole number >= 0, got '-1'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unreadable_config_rejected(tmp_path):
     assert cli.main(["floor", "--config", str(tmp_path / "missing.json")]) == 2
 

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from hetnetsim import phy
 from hetnetsim.data_aided import (
     DecodedSideInfo,
-    analytic_nmse_da,
     da_combiner_matrix,
     da_estimate_matrix,
     da_power_floor,
@@ -16,7 +15,7 @@ from hetnetsim.data_aided import (
     rho_data_aided,
 )
 from hetnetsim.detectors import Modulation, modulate, random_bits
-from hetnetsim.estimators import mmse_estimate_matrix
+from hetnetsim.estimators import EstMethod, analytic_nmse, mmse_estimate_matrix
 from hetnetsim.phy import Observation, Phase, joint_observation, make_pilots, observe
 
 
@@ -140,12 +139,12 @@ def test_da_rejects_bad_joint_shape():
 
 
 def test_rho_da_zero_ber_is_total_energy():
-    rho = rho_data_aided(np.zeros(3), [1e-9, 2e-9, 3e-10], 2.0, 200.0, 30, 128, 8e-11, 0)
+    rho = rho_data_aided(np.zeros(3), [1e-9, 2e-9, 3e-10], 2.0, 200.0, 30, 128, 8e-11)[0]
     assert rho == 30 * 2.0 / 8e-11 + 128 * 200.0 / 8e-11
 
 
 def test_rho_da_half_ber_is_pilot_term():
-    rho = rho_data_aided(np.full(2, 0.5), [1e-9, 1e-9], 2.0, 200.0, 30, 128, 8e-11, 0)
+    rho = rho_data_aided(np.full(2, 0.5), [1e-9, 1e-9], 2.0, 200.0, 30, 128, 8e-11)[0]
     assert rho == pytest.approx(30 * 2.0 / 8e-11)
 
 
@@ -157,45 +156,60 @@ def test_rho_da_half_ber_is_pilot_term():
 )
 def test_rho_da_never_below_pilot_only(ber, other, p_d, tau_d):
     betas = [1e-9, 5e-10]
-    rho = rho_data_aided([ber, other], betas, 2.0, p_d, 30, tau_d, 8e-11, 0)
+    rho = rho_data_aided([ber, other], betas, 2.0, p_d, 30, tau_d, 8e-11)[0]
     assert rho >= 30 * 2.0 / 8e-11 - 1e-6
 
 
 def test_rho_da_monotonicity():
     betas = [1e-9, 5e-10]
     args = dict(betas=betas, p_t=2.0, p_d=200.0, tau_t=30, tau_d=128,
-                noise_power=8e-11, k=0)
-    base = rho_data_aided([0.1, 0.1], **args)
-    assert rho_data_aided([0.05, 0.1], **args) > base          # own BER down
-    assert rho_data_aided([0.1, 0.1], **{**args, "p_t": 4.0}) > base
-    assert rho_data_aided([0.1, 0.1], **{**args, "tau_d": 256}) > base
-    assert rho_data_aided([0.1, 0.1], **{**args, "tau_t": 60}) > base
+                noise_power=8e-11)
+    base = rho_data_aided([0.1, 0.1], **args)[0]
+    assert rho_data_aided([0.05, 0.1], **args)[0] > base          # own BER down
+    assert rho_data_aided([0.1, 0.1], **{**args, "p_t": 4.0})[0] > base
+    assert rho_data_aided([0.1, 0.1], **{**args, "tau_d": 256})[0] > base
+    assert rho_data_aided([0.1, 0.1], **{**args, "tau_t": 60})[0] > base
 
 
 def test_analytic_nmse_da_prediction_fields():
-    pred = analytic_nmse_da([1e-9], [0.0], 2.0, 200.0, 30, 128, 8e-11, 0)
-    rho = rho_data_aided([0.0], [1e-9], 2.0, 200.0, 30, 128, 8e-11, 0)
+    rho = rho_data_aided([0.0], [1e-9], 2.0, 200.0, 30, 128, 8e-11)[0]
+    pred = analytic_nmse(EstMethod.DATA_AIDED, rho, 1e-9)
     assert pred == pytest.approx(10 * math.log10(1 / (1 + rho * 1e-9)))
 
 
 def test_power_floor_arithmetic():
     # single UE: tau_d (1-2b)^2 / (beta (1-(1-2b)^2))
-    floor = da_power_floor(128, [0.1], [1.0], 0)
+    floor = da_power_floor(128, [0.1], [1.0])[0]
     assert floor == pytest.approx(128 * 0.64 / 0.36, rel=1e-12)
 
 
 def test_power_floor_no_errors_signals_unbounded():
-    assert math.isinf(da_power_floor(128, [0.0, 0.0], [1.0, 2.0], 0))
+    assert math.isinf(da_power_floor(128, [0.0, 0.0], [1.0, 2.0])[0])
 
 
 def test_power_floor_is_rho_increment_limit():
     betas = np.array([1e-9, 4e-10, 2e-10])
     bers = np.array([0.02, 0.003, 0.2])
     n0, p_t, tau_t, tau_d = 8e-11, 2.0, 30, 128
-    floor = da_power_floor(tau_d, bers, betas, 0)
-    increment = rho_data_aided(bers, betas, p_t, 1e6, tau_t, tau_d, n0, 0) \
+    floor = da_power_floor(tau_d, bers, betas)[0]
+    increment = rho_data_aided(bers, betas, p_t, 1e6, tau_t, tau_d, n0)[0] \
         - tau_t * p_t / n0
     assert increment == pytest.approx(floor, rel=1e-3)
+
+
+def test_per_ue_terms_equal_a_per_ue_loop_bit_for_bit():
+    rng = np.random.default_rng(4)
+    betas = 10.0 ** rng.uniform(-12, -8, size=6)
+    bers = rng.uniform(0.0, 0.7, size=6)          # some fold back below 0.5
+    n0, p_t, p_d, tau_t, tau_d = 8e-11, 2.0, 200.0, 30, 128
+    rho = rho_data_aided(bers, betas, p_t, p_d, tau_t, tau_d, n0)
+    floor = da_power_floor(tau_d, bers, betas)
+    folded = fold_ber(bers)
+    for k in range(len(betas)):
+        ds = delta_s_x(folded, betas, p_d)
+        assert rho[k] == tau_t * p_t / n0 + tau_d * p_d * (1.0 - 2.0 * folded[k]) ** 2 / (ds + n0)
+        denom = float(delta_s_x(folded, betas, 1.0))
+        assert floor[k] == tau_d * (1.0 - 2.0 * folded[k]) ** 2 / denom
 
 
 def test_empirical_nmse_tracks_ls_closed_form():

@@ -5,10 +5,11 @@ from hypothesis import given, strategies as st
 from hetnetsim import estimators, phy
 from hetnetsim.estimators import (
     EstMethod,
-    analytic_nmse_pilot_only,
+    analytic_nmse,
     ls_estimate_matrix,
     mmse_error_stats,
     mmse_estimate_matrix,
+    pilot_snr,
 )
 from hetnetsim.phy import Phase, make_pilots, observe
 
@@ -133,19 +134,28 @@ def test_mmse_estimate_error_orthogonality():
 
 
 def test_analytic_nmse_values():
-    assert analytic_nmse_pilot_only(EstMethod.MMSE, 1.0, 0.0, 4, 1.0) == 0.0
+    assert analytic_nmse(EstMethod.MMSE, pilot_snr(0.0, 4, 1.0), 1.0) == 0.0
     # rho*beta = 100 -> LS at -20 dB
-    assert analytic_nmse_pilot_only(EstMethod.LS, 1.0, 25.0, 4, 1.0) == pytest.approx(-20.0)
-    with pytest.raises(ValueError):
-        analytic_nmse_pilot_only(EstMethod.DATA_AIDED, 1.0, 1.0, 1, 1.0)
+    assert analytic_nmse(EstMethod.LS, pilot_snr(25.0, 4, 1.0), 1.0) == pytest.approx(-20.0)
+
+
+@pytest.mark.parametrize("kind,expected", [
+    (EstMethod.LS, [-20.0, 0.0, 10.0]),
+    (EstMethod.MMSE, [-10 * np.log10(101.0), -10 * np.log10(2.0), -10 * np.log10(1.1)]),
+    (EstMethod.DATA_AIDED, [-10 * np.log10(101.0), -10 * np.log10(2.0), -10 * np.log10(1.1)]),
+])
+def test_analytic_nmse_at_known_rho_beta(kind, expected):
+    # rho*beta = 100, 1 and 0.1, one UE each
+    nmse = analytic_nmse(kind, 100.0, np.array([1.0, 0.01, 0.001]))
+    assert nmse == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_ls_mmse_gap_closes_at_high_snr():
-    gap = analytic_nmse_pilot_only(EstMethod.LS, 1.0, 1e4, 30, 1.0) - \
-        analytic_nmse_pilot_only(EstMethod.MMSE, 1.0, 1e4, 30, 1.0)
+    gap = analytic_nmse(EstMethod.LS, pilot_snr(1e4, 30, 1.0), 1.0) - \
+        analytic_nmse(EstMethod.MMSE, pilot_snr(1e4, 30, 1.0), 1.0)
     assert 0.0 < gap < 1e-4
-    low_gap = analytic_nmse_pilot_only(EstMethod.LS, 1.0, 0.01, 1, 1.0) - \
-        analytic_nmse_pilot_only(EstMethod.MMSE, 1.0, 0.01, 1, 1.0)
+    low_gap = analytic_nmse(EstMethod.LS, pilot_snr(0.01, 1, 1.0), 1.0) - \
+        analytic_nmse(EstMethod.MMSE, pilot_snr(0.01, 1, 1.0), 1.0)
     assert low_gap > 10.0
 
 
@@ -163,7 +173,7 @@ def test_empirical_nmse_tracks_closed_forms():
         den += np.sum(np.abs(g[:, 0]) ** 2)
     for method in ("ls", "mmse"):
         empirical = 10 * np.log10(num[method] / den)
-        predicted = analytic_nmse_pilot_only(EstMethod(method), beta, p_t, tau_t, n0)
+        predicted = analytic_nmse(EstMethod(method), pilot_snr(p_t, tau_t, n0), beta)
         assert abs(empirical - predicted) < 0.2
         if method == "mmse":
             assert empirical <= 10 * np.log10(num["ls"] / den) + 1e-9

@@ -92,6 +92,12 @@ def test_spec_rejects_empty_or_repeated_methods(metric, field, value):
         _tiny_spec(metric, **{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, math.nan, "3"])
+def test_spec_rejects_a_negative_or_fractional_seed(seed):
+    with pytest.raises(ValueError, match="master_seed takes a whole number >= 0"):
+        _tiny_spec(master_seed=seed)
+
+
 def test_spec_accepts_integral_float_counts():
     spec = _tiny_spec(trials=3.0, topologies=np.int64(2))
     assert (spec.trials, spec.topologies) == (3, 2)

@@ -1,5 +1,9 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate
 
 from hetnetsim.scenario import (
@@ -24,6 +28,33 @@ def test_config_defaults_match_full_scale():
 def test_config_rejects_short_pilots():
     with pytest.raises(ValueError, match="tau_t"):
         SystemConfig(num_ue=31, tau_t=30)
+
+
+_INT_FIELDS = [f.name for f in dataclasses.fields(SystemConfig) if f.type == "int"]
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(SystemConfig) if f.type == "float"]
+_NOT_A_NUMBER = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]),
+                          st.booleans(), st.text(max_size=4))
+
+
+@given(field=st.sampled_from(_INT_FIELDS),
+       value=st.one_of(_NOT_A_NUMBER,
+                       st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer())))
+def test_config_int_field_rejects_a_fractional_or_non_numeric_value(field, value):
+    with pytest.raises(ValueError, match=f"{field} takes whole numbers"):
+        SystemConfig(**{field: value})
+
+
+@given(field=st.sampled_from(_FLOAT_FIELDS), value=_NOT_A_NUMBER)
+def test_config_float_field_rejects_a_non_finite_or_non_numeric_value(field, value):
+    with pytest.raises(ValueError, match=f"{field} takes finite numbers"):
+        SystemConfig(**{field: value})
+
+
+@given(field=st.sampled_from(_INT_FIELDS), value=st.integers(1, 8),
+       as_float=st.sampled_from([float, np.float64]))
+def test_config_stores_an_integral_float_as_an_int(field, value, as_float):
+    cfg = SystemConfig(**{"num_ue": 1, "tau_t": 8, field: as_float(value)})
+    assert getattr(cfg, field) == value and type(getattr(cfg, field)) is int
 
 
 def test_noise_power_is_density_times_bandwidth():
