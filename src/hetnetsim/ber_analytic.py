@@ -9,7 +9,6 @@ lower bound.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -128,24 +127,26 @@ def sinr_gamma_params(
     )
 
 
-def analytic_ber(model: SinrGammaModel):
-    """Ergodic BER of a Gamma(alpha, xi) SINR under the Q(sqrt(x)) kernel.
+def analytic_ber(model: SinrGammaModel, c2: float = 1.0):
+    """Ergodic BER of a Gamma(alpha, xi) SINR X under the Q(sqrt(c2 X))
+    kernel; c2 turns the SINR into the decision-point SNR (2 for BPSK).
 
     E[Q(sqrt(X))] = 1/2 I_{2/(2+xi)}(alpha, 1/2), a regularised incomplete
-    beta function.  Q(sqrt(x)) = 1/2 P(Z > x) for an independent Z ~ chi2_1,
-    which is 2 G_b with G_b ~ Gamma(1/2, 1); with X = xi G_a the event
-    Z > X is G_a/(G_a + G_b) < 2/(2 + xi), and that ratio is
-    Beta(alpha, 1/2)-distributed.  Elementwise for a model of arrays.
+    beta function, and c2 X is Gamma(alpha, c2 xi).  Q(sqrt(x)) = 1/2 P(Z > x)
+    for an independent Z ~ chi2_1, which is 2 G_b with G_b ~ Gamma(1/2, 1);
+    with X = xi G_a the event Z > X is G_a/(G_a + G_b) < 2/(2 + xi), and
+    that ratio is Beta(alpha, 1/2)-distributed.  Elementwise for a model of
+    arrays.
     """
     alpha, xi = model.alpha, model.xi
     if np.any(np.asarray(alpha) <= 0) or np.any(np.asarray(xi) < 0):
         raise ValueError("Gamma parameters must be positive")
-    return 0.5 * special.betainc(alpha, 0.5, 2.0 / (2.0 + xi))
+    return 0.5 * special.betainc(alpha, 0.5, 2.0 / (2.0 + c2 * xi))
 
 
-def ber_lower_bound(model: SinrGammaModel):
-    """Jensen bound Q(sqrt(E[SINR])); the BER kernel is strictly convex."""
-    return q_function(np.sqrt(model.alpha * model.xi))
+def ber_lower_bound(model: SinrGammaModel, c2: float = 1.0):
+    """Jensen bound Q(sqrt(c2 E[SINR])); the BER kernel is strictly convex."""
+    return q_function(np.sqrt(model.alpha * (c2 * model.xi)))
 
 
 def gamma_model_for_ue(
@@ -179,13 +180,3 @@ def sinr_gamma_models(n_antennas, rho_v, beta_hats, k) -> SinrGammaModel:
     own = np.take_along_axis(beta_hats, target, axis=-1)[..., 0]
     return sinr_gamma_params(n_antennas, rho_v[()], own[()], mu, sigma2)
 
-
-def bpsk_detection_model(model: SinrGammaModel) -> SinrGammaModel:
-    """Gamma law of the BPSK decision-point SNR.
-
-    A real BPSK decision only fights the in-phase half of the combiner
-    output noise, so the Q-argument variable is twice the complex-output
-    SINR; scaling a Gamma variate by two doubles its scale parameter.
-    """
-    return dataclasses.replace(
-        model, mean=2.0 * model.mean, variance=4.0 * model.variance, xi=2.0 * model.xi)

@@ -19,7 +19,7 @@ class Modulation(str, enum.Enum):
 
     @property
     def bits_per_symbol(self) -> int:
-        return {"bpsk": 1, "qam4": 2, "qam16": 4}[self.value]
+        return _GRAY[self].bits.shape[1]
 
 
 class CombinerKind(str, enum.Enum):
@@ -28,34 +28,39 @@ class CombinerKind(str, enum.Enum):
     MMSE = "mmse"
 
 
-# Gray-coded amplitude levels per 2 bits: 00 01 11 10
-_GRAY_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])
-_GRAY_ORDER = np.array([0, 1, 3, 2])
+# Gray PAM per axis: unit levels in listing order, which is monotone, and
+# the bit code of each level
+_PAM2 = (np.array([1.0, -1.0]), np.array([0, 1]))
+_PAM4 = (np.array([-3.0, -1.0, 1.0, 3.0]), np.array([0, 1, 3, 2]))
+
+
+class _Gray:
+    """A modulation at unit scale from its axes, I then Q.  Points list the
+    I level major and the Q level minor; a point's bit pattern is its I
+    code's bits, then its Q code's, most significant first."""
+
+    def __init__(self, *axes):
+        levels = [lv for lv, _ in axes]
+        grid = np.indices([len(lv) for lv in levels]).reshape(len(axes), -1)
+        self.points = sum((unit * lv[i] for unit, lv, i in zip((1, 1j), levels, grid)), 0j)
+        self.bits = np.hstack([codes[i, None] >> np.arange(len(codes).bit_length() - 1)[::-1] & 1
+                               for (_, codes), i in zip(axes, grid)])
+        self.place = 1 << np.arange(self.bits.shape[1])[::-1]      # a pattern read as binary
+        self.coded = self.points[np.argsort(self.bits @ self.place)]   # the points by code
+        self.energy = sum(np.mean(lv ** 2) for lv in levels)       # mean |point|^2
+        # per axis, the comparison that carries a value past an edge, and the edges
+        self.axes = [(np.greater if lv[1] > lv[0] else np.less, (lv[:-1] + lv[1:]) / 2)
+                     for lv in levels]
+
+
+_GRAY = {Modulation.BPSK: _Gray(_PAM2), Modulation.QAM4: _Gray(_PAM2, _PAM2),
+         Modulation.QAM16: _Gray(_PAM4, _PAM4)}
 
 
 def _constellation(scheme: Modulation, p_d: float):
     """(points, bit patterns) with the average symbol power normalised to p_d."""
-    if scheme is Modulation.BPSK:
-        points = np.sqrt(p_d) * np.array([1.0, -1.0], dtype=complex)
-        bits = np.array([[0], [1]])
-        return points, bits
-    if scheme is Modulation.QAM4:
-        amp = np.sqrt(p_d / 2.0)
-        points, bits = [], []
-        for b0 in (0, 1):
-            for b1 in (0, 1):
-                points.append(amp * ((1 - 2 * b0) + 1j * (1 - 2 * b1)))
-                bits.append([b0, b1])
-        return np.array(points), np.array(bits)
-    if scheme is Modulation.QAM16:
-        scale = np.sqrt(p_d / 10.0)     # E[l^2] = 5 per axis for levels {+-1,+-3}
-        points, bits = [], []
-        for gi, i_lvl in zip(_GRAY_ORDER, _GRAY_LEVELS):
-            for gq, q_lvl in zip(_GRAY_ORDER, _GRAY_LEVELS):
-                points.append(scale * (i_lvl + 1j * q_lvl))
-                bits.append([gi >> 1, gi & 1, gq >> 1, gq & 1])
-        return np.array(points), np.array(bits)
-    raise ValueError(f"unknown modulation {scheme}")
+    gray = _GRAY[scheme]
+    return np.sqrt(p_d / gray.energy) * gray.points, gray.bits
 
 
 @dataclass(frozen=True)
@@ -104,19 +109,9 @@ def modulate(bits, scheme: Modulation, p_d: float) -> DataBlock:
         raise ValueError(
             f"bit count per UE must be a multiple of {bps} for {scheme.value}"
         )
-    points, table = _constellation(scheme, p_d)
+    gray = _GRAY[scheme]
     groups = bits.reshape(*bits.shape[:-1], -1, bps)
-    idx = np.zeros(groups.shape[:-1], dtype=int)
-    for b in range(bps):
-        idx = (idx << 1) | groups[..., b]
-    # map bit patterns to constellation indices
-    lut = np.empty(2 ** bps, dtype=int)
-    for row, pattern in enumerate(table):
-        code = 0
-        for b in pattern:
-            code = (code << 1) | int(b)
-        lut[code] = row
-    symbols = points[lut[idx]]
+    symbols = (np.sqrt(p_d / gray.energy) * gray.coded)[groups @ gray.place]
     return DataBlock(bits=bits, symbols=symbols, modulation=scheme, power=float(p_d))
 
 
@@ -188,10 +183,6 @@ def build_combiner(
     return Combiner(c=rows, kind=kind, ue_indices=ue_indices, gain=gain)
 
 
-# decision edges of the 16-QAM levels {-3, -1, 1, 3} per axis, before scaling
-_QAM16_EDGES = np.array([-2.0, 0.0, 2.0])
-
-
 def _slice(symbols: np.ndarray, scheme: Modulation, p_d: float):
     """Nearest-point decisions; returns (bits, constellation symbols).
 
@@ -199,17 +190,13 @@ def _slice(symbols: np.ndarray, scheme: Modulation, p_d: float):
     levels.  A symbol on a boundary goes to the constellation point listed
     first, as an argmin over the constellation would break the tie.
     """
-    points, table = _constellation(scheme, p_d)
-    re, im = symbols.real, symbols.imag
-    if scheme is Modulation.BPSK:               # points +a, -a
-        idx = (re < 0).astype(int)
-    elif scheme is Modulation.QAM4:             # I sign major, Q sign minor, + first
-        idx = 2 * (re < 0) + (im < 0)
-    else:                                       # I level major, Q level minor, ascending
-        edges = np.sqrt(p_d / 10.0) * _QAM16_EDGES
-        idx = 4 * np.searchsorted(edges, re) + np.searchsorted(edges, im)
-    bits = table[idx].reshape(*idx.shape[:-1], -1)
-    return bits, points[idx]
+    gray = _GRAY[scheme]
+    scale = np.sqrt(p_d / gray.energy)
+    idx = 0
+    for (passed, edges), x in zip(gray.axes, (symbols.real, symbols.imag)):
+        idx = idx * (len(edges) + 1) + sum(passed(x, e) for e in scale * edges)
+    bits = np.take(gray.bits, idx, axis=0).reshape(*idx.shape[:-1], -1)
+    return bits, np.take(scale * gray.points, idx)
 
 
 def detect(obs: Observation, combiner: Combiner, block: DataBlock, k: int):

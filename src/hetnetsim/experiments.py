@@ -96,15 +96,33 @@ class ExperimentSpec:
                 if c not in choices:
                     raise ValueError(f"unknown {name} {c!r}")
         # build every point's config now, so a bad grid fails before any work
-        for value in self.sweep_values:
+        for i, value in enumerate(self.sweep_values):
             cfg = _apply_sweep(self.base, self.sweep_param, value)
             if self.metric is Metric.BER and cfg.num_sbs == 0:
                 raise ValueError(
                     f"the BER metric scores decoupled UEs, which need an SBS, "
                     f"but {self.sweep_param}={value} has num_sbs=0")
+            # downlink ZF serves no more UEs than antennas at any BS; points
+            # that share the layout share the DL association
+            if self.metric is Metric.RATE and (i == 0 or self.sweep_param
+                                               not in _BLIND["layout"]):
+                self._check_dl_load(cfg, value)
         values = list(self.sweep_values)
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep values must be sorted and distinct")
+
+    def _check_dl_load(self, cfg: SystemConfig, value) -> None:
+        antennas = np.r_[cfg.mbs_antennas, np.full(cfg.num_sbs, cfg.sbs_antennas)]
+        for t in range(self.topologies):
+            _, assoc = sweep_topology(cfg, self.master_seed, t)
+            load = np.bincount(assoc.dl_serving, minlength=len(antennas))
+            over = np.flatnonzero(load > antennas)
+            if len(over):
+                b = over[0]
+                raise ValueError(
+                    f"sweep {self.sweep_param}={value}, topology {t}: "
+                    f"{'the MBS' if b == 0 else f'SBS {b}'} serves {load[b]} DL UEs "
+                    f"with {antennas[b]} antennas, more than downlink ZF can separate")
 
 
 @dataclass(frozen=True)
@@ -177,12 +195,13 @@ def analytic_ber_vector(cfgs, topo, assoc) -> tuple:
         rho.append(ber_analytic.effective_rho(betas, *args, cfg.p_data_mw)[v])
         bh.append(ber_analytic.beta_hat(betas, *args)[v])
         n_ant.append(np.where(v == 0, cfg.mbs_antennas, cfg.sbs_antennas))
-    model = ber_analytic.bpsk_detection_model(ber_analytic.sinr_gamma_models(
+    model = ber_analytic.sinr_gamma_models(
         np.concatenate(n_ant), np.concatenate(rho), np.concatenate(bh),
-        np.tile(np.arange(topo.num_ue), len(cfgs))))
+        np.tile(np.arange(topo.num_ue), len(cfgs)))
     shape = (len(cfgs), topo.num_ue)
-    return (ber_analytic.analytic_ber(model).reshape(shape),
-            ber_analytic.ber_lower_bound(model).reshape(shape))
+    # a real BPSK decision sees only the in-phase half of the output noise
+    return (ber_analytic.analytic_ber(model, 2.0).reshape(shape),
+            ber_analytic.ber_lower_bound(model, 2.0).reshape(shape))
 
 
 # trials stacked along a leading axis in every stage call; two keep a

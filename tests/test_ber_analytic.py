@@ -10,7 +10,6 @@ from hetnetsim.ber_analytic import (
     analytic_ber,
     ber_lower_bound,
     beta_hat,
-    bpsk_detection_model,
     effective_rho,
     gamma_model_for_ue,
     q_function,
@@ -156,11 +155,14 @@ def test_lower_bound_values_and_order():
         assert ber_lower_bound(model) <= analytic_ber(model) + 1e-15
 
 
-def test_bpsk_detection_model_doubles_scale():
-    model = _model(4.0, 1.5)
-    doubled = bpsk_detection_model(model)
-    assert doubled.xi == 3.0 and doubled.alpha == 4.0
-    assert doubled.mean == 2 * model.mean and doubled.variance == 4 * model.variance
+def test_decision_scale_two_is_the_kernel_at_doubled_xi_bit_for_bit():
+    # BPSK's decision SNR is twice the SINR; doubling is exact in floating
+    # point, so c2 = 2 gives what the kernel gives a model of scale 2 xi
+    alpha = np.array([0.5, 4.0, 30.0, 241.03, 1000.0])
+    xi = np.array([1e-3, 1.5, 0.184, 0.0123456789, 7.3])
+    model, doubled = _model(alpha, xi), _model(alpha, 2.0 * xi)
+    assert np.array_equal(analytic_ber(model, 2.0), analytic_ber(doubled))
+    assert np.array_equal(ber_lower_bound(model, 2.0), ber_lower_bound(doubled))
 
 
 def test_gamma_model_for_ue_composes():

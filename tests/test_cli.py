@@ -86,6 +86,19 @@ def test_a_bad_base_value_is_a_config_error(tiny_config, tmp_path, capsys, comma
     assert not out.exists()
 
 
+def test_a_dl_overload_is_a_config_error(tmp_path, capsys):
+    # this once failed in the worker, partway through the sweep
+    out = tmp_path / "never.csv"
+    argv = ["rate-sweep", "--set", "num_sbs=10", "--set", "num_ue=10",
+            "--set", "mbs_antennas=4", "--set", "trials=2", "--set", "topologies=3",
+            "--sweep", "p_data_dbm=3:13:10", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert ("config error: sweep p_data_dbm=3.0, topology 0: the MBS serves 7 DL UEs "
+            "with 4 antennas" in err and "Traceback" not in err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["nmse-sweep", "ber-sweep", "rate-sweep", "validate", "floor"])
 def test_a_negative_seed_is_a_usage_error(tiny_config, tmp_path, capsys, command):
     out = tmp_path / "never.csv"

@@ -54,6 +54,57 @@ def test_modulation_round_trip_through_slicer():
         assert np.allclose(symbols, block.symbols)
 
 
+# 16-QAM at P_D = 10 has unit scale.  Each axis maps the Gray codes 00, 01,
+# 11, 10 to -3, -1, 1, 3; the first two bits pick I, the last two Q.  Listed
+# I level major and Q level minor, as the constellation lists its points.
+_QAM16_AT_10 = {
+    "0000": -3 - 3j, "0001": -3 - 1j, "0011": -3 + 1j, "0010": -3 + 3j,
+    "0100": -1 - 3j, "0101": -1 - 1j, "0111": -1 + 1j, "0110": -1 + 3j,
+    "1100": 1 - 3j, "1101": 1 - 1j, "1111": 1 + 1j, "1110": 1 + 3j,
+    "1000": 3 - 3j, "1001": 3 - 1j, "1011": 3 + 1j, "1010": 3 + 3j,
+}
+
+
+def _bits_of(patterns):
+    return np.array([[int(b) for b in "".join(patterns)]])
+
+
+def test_qam16_gray_map_at_unit_scale():
+    patterns, points = list(_QAM16_AT_10), list(_QAM16_AT_10.values())
+    block = modulate(_bits_of(patterns), Modulation.QAM16, 10.0)
+    assert np.array_equal(block.symbols[0], points)
+    listed, table = _constellation(Modulation.QAM16, 10.0)
+    assert np.array_equal(listed, points)
+    assert ["".join(map(str, row)) for row in table] == patterns
+
+
+@pytest.mark.parametrize("scheme,p_d", [(Modulation.BPSK, 1.0), (Modulation.QAM4, 2.0)])
+def test_binary_axes_decide_plus_at_zero(scheme, p_d):
+    # unit scale; a zero of either sign on an axis decides +1 there
+    symbols = np.array([[complex(0.0, 0.0), complex(-0.0, -0.0), complex(-0.0, 0.0),
+                         complex(0.0, -0.0), complex(-0.0, -0.7), complex(-0.7, 0.0)]])
+    bits, points = _slice(symbols, scheme, p_d)
+    if scheme is Modulation.BPSK:
+        assert np.array_equal(points[0], [1, 1, 1, 1, 1, -1])
+        assert np.array_equal(bits, [[0, 0, 0, 0, 0, 1]])
+    else:
+        assert np.array_equal(points[0], [1 + 1j, 1 + 1j, 1 + 1j, 1 + 1j, 1 - 1j, -1 + 1j])
+        assert np.array_equal(bits, [[0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0]])
+
+
+def test_qam16_decides_the_lower_level_on_every_edge():
+    # unit scale; each edge, of either zero sign, against itself, the other
+    # edges and ordinary coordinates
+    decided = {-2.0: -3, 0.0: -1, 2.0: 1, -3.3: -3, 0.4: 1, 2.6: 3}
+    axis = [-2.0, 0.0, -0.0, 2.0, -3.3, 0.4, 2.6]
+    symbols = np.array([[complex(i, q) for i in axis for q in axis]])
+    expected = [complex(decided[i], decided[q]) for i in axis for q in axis]
+    pattern = {point: bits for bits, point in _QAM16_AT_10.items()}
+    bits, points = _slice(symbols, Modulation.QAM16, 10.0)
+    assert np.array_equal(points[0], expected)
+    assert np.array_equal(bits, _bits_of(pattern[p] for p in expected))
+
+
 def _toy_estimates(n_ant, betas, seed):
     rng = np.random.default_rng(seed)
     betas = np.asarray(betas, dtype=float)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetnetsim import (
     ber_analytic, cli, detectors, downlink, estimators, experiments, phy, scenario, validation,
@@ -350,10 +351,10 @@ def test_analytic_ber_vector_equals_one_gamma_model_per_ue():
         v = int(assoc.ul_serving[k])
         n_ant, betas = ((cfg.mbs_antennas, topo.beta_mbs) if v == 0
                         else (cfg.sbs_antennas, topo.beta_sbs[v - 1]))
-        model = ber_analytic.bpsk_detection_model(ber_analytic.gamma_model_for_ue(
-            n_ant, betas, k, cfg.p_train_mw, cfg.tau_t, cfg.noise_power_mw, cfg.p_data_mw))
-        assert bers[k] == pytest.approx(analytic_ber(model), rel=1e-12)
-        assert bounds[k] == pytest.approx(ber_lower_bound(model), rel=1e-12)
+        model = ber_analytic.gamma_model_for_ue(
+            n_ant, betas, k, cfg.p_train_mw, cfg.tau_t, cfg.noise_power_mw, cfg.p_data_mw)
+        assert bers[k] == pytest.approx(analytic_ber(model, 2.0), rel=1e-12)
+        assert bounds[k] == pytest.approx(ber_lower_bound(model, 2.0), rel=1e-12)
 
 
 def test_analytic_ber_vector_over_many_configs_equals_one_call_per_config():
@@ -384,9 +385,55 @@ def test_ber_spec_without_an_sbs_is_rejected_up_front(base, param, values):
     ExperimentSpec(base=base, sweep_param=param, sweep_values=values, metric=Metric.RATE)
 
 
-def test_worker_failure_names_sweep_value_topology_and_seed():
-    # downlink ZF cannot serve the MBS's UEs with 4 antennas
-    spec = ExperimentSpec(base=desk_config(), sweep_param="mbs_antennas",
+@pytest.mark.parametrize("base,param,values,seed,match", [
+    # the MBS, checked once per topology for points that share the layout
+    (desk_config(mbs_antennas=4), "p_data_dbm", (3.0, 13.0), 1,
+     r"sweep p_data_dbm=3.0, topology 0: the MBS serves 7 DL UEs with 4 antennas"),
+    # an SBS's, found at the second topology
+    (desk_config(sbs_antennas=1, p_sbs_dbm=46.0), "p_data_dbm", (3.0,), 2,
+     r"sweep p_data_dbm=3.0, topology 1: SBS 3 serves 2 DL UEs with 1 antennas"),
+    # a swept SBS power moves the association: only the second point overloads
+    (desk_config(sbs_antennas=1), "p_sbs_dbm", (24.0, 46.0), 2,
+     r"sweep p_sbs_dbm=46.0, topology 1: SBS 3 serves 2 DL UEs with 1 antennas"),
+])
+def test_rate_spec_with_a_dl_overload_is_rejected_up_front(base, param, values, seed, match):
+    with pytest.raises(ValueError, match=match):
+        ExperimentSpec(base=base, sweep_param=param, sweep_values=values,
+                       metric=Metric.RATE, topologies=2, master_seed=seed)
+    # only the rate metric runs the downlink
+    for metric in (Metric.NMSE, Metric.BER):
+        ExperimentSpec(base=base, sweep_param=param, sweep_values=values,
+                       metric=metric, topologies=2, master_seed=seed)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(num_ue=st.integers(1, 8), num_sbs=st.integers(0, 3),
+       mbs_antennas=st.integers(1, 8), sbs_antennas=st.integers(1, 4),
+       param=st.sampled_from(["p_data_dbm", "mbs_antennas", "sbs_antennas"]),
+       ber_source=st.sampled_from(list(BerSource)))
+def test_a_rate_spec_is_rejected_up_front_or_runs_to_finite_rows(
+        num_ue, num_sbs, mbs_antennas, sbs_antennas, param, ber_source):
+    base = SystemConfig(num_ue=num_ue, num_sbs=num_sbs, mbs_antennas=mbs_antennas,
+                        sbs_antennas=sbs_antennas, tau_t=8, tau_d=8)
+    values = (3.0, 13.0) if param == "p_data_dbm" else (getattr(base, param), 9)
+    try:
+        spec = ExperimentSpec(base=base, sweep_param=param, sweep_values=values,
+                              metric=Metric.RATE, trials=1, topologies=2,
+                              ber_source=ber_source)
+    except ValueError as exc:
+        assert "DL UEs with" in str(exc)
+        return
+    rows = run_sweep(spec).rows
+    assert rows and all(math.isfinite(r.mean) and math.isfinite(r.stderr) for r in rows)
+
+
+def test_worker_failure_names_sweep_value_topology_and_seed(monkeypatch):
+    # a downlink precoder that fails inside the worker, at the first point
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("ZF precoder failed")
+
+    monkeypatch.setattr(downlink, "zf_precode", failing)
+    spec = ExperimentSpec(base=desk_config(num_ue=3), sweep_param="mbs_antennas",
                           sweep_values=(4, 64), metric=Metric.RATE, trials=1,
                           topologies=1, master_seed=3,
                           ber_source=BerSource.EMPIRICAL_ORACLE)
