@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .estimators import mmse_error_stats
 
@@ -26,6 +25,8 @@ class FixedPointError(RuntimeError):
 
 def q_function(x):
     """Gaussian tail probability Q(x)."""
+    from scipy import special   # loaded on first use: it adds ~24 MB to every import
+
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
@@ -141,6 +142,8 @@ def analytic_ber(model: SinrGammaModel, c2: float = 1.0):
     alpha, xi = model.alpha, model.xi
     if np.any(np.asarray(alpha) <= 0) or np.any(np.asarray(xi) < 0):
         raise ValueError("Gamma parameters must be positive")
+    from scipy import special   # loaded on first use: it adds ~24 MB to every import
+
     return 0.5 * special.betainc(alpha, 0.5, 2.0 / (2.0 + c2 * xi))
 
 

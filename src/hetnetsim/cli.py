@@ -6,10 +6,12 @@ Exit codes: 0 success, 1 validation failures, 2 usage or config errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
 import sys
+from pathlib import Path
 
 from . import data_aided, estimators
 from .experiments import (
@@ -118,6 +120,18 @@ def _threads(args) -> int:
     return count
 
 
+def _check_out(path: str) -> None:
+    """Raise the OSError that writing a file at ``path`` would meet: a
+    missing parent, a parent that is no directory, or a directory at
+    ``path``.  Creates nothing."""
+    out = Path(path)
+    if out.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not out.parent.is_dir():
+        code = errno.ENOTDIR if out.parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(out.parent))
+
+
 def _run_floor(cfg: SystemConfig, seed: int) -> int:
     topo, assoc = sweep_topology(cfg, seed)
     if not len(assoc.decoupled):
@@ -187,6 +201,7 @@ def parse_and_dispatch(argv) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
+        _check_out(args.out)    # before the sweep, not after hours of it
         table = run_sweep(spec, threads=threads)
         write_csv(table, args.out)
     except OSError as exc:

@@ -171,6 +171,13 @@ def _effective_ber_source(spec: ExperimentSpec) -> BerSource:
     return spec.ber_source
 
 
+def _uses_analytic_ber(spec: ExperimentSpec) -> bool:
+    """Whether the sweep solves the analytic BER: for the BER metric's
+    analytic rows, or to feed the data-aided combiner."""
+    return spec.modulation is Modulation.BPSK and (
+        spec.metric is Metric.BER or _effective_ber_source(spec) is BerSource.ANALYTIC_PROP1)
+
+
 def _bs_betas(topo) -> np.ndarray:
     """Per-UE gains of every BS, one row each; row 0 is the MBS."""
     return np.vstack([topo.beta_mbs, topo.beta_sbs])
@@ -570,8 +577,7 @@ def _point_runs(spec: ExperimentSpec, layout: _Layout, cfgs) -> list:
     metric, topo = spec.metric, layout.topo
     ber_source = _effective_ber_source(spec)
     analytic = [None] * len(cfgs)
-    if spec.modulation is Modulation.BPSK and (
-            metric is Metric.BER or ber_source is BerSource.ANALYTIC_PROP1):
+    if _uses_analytic_ber(spec):
         analytic = list(zip(*analytic_ber_vector(cfgs, topo, layout.assoc)))
     methods = {Metric.NMSE: spec.estimators, Metric.BER: spec.detectors,
                Metric.RATE: ("po", "da")}[metric]
@@ -706,6 +712,11 @@ def run_sweep(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     topologies = range(spec.topologies)
     workers = min(_count("threads", threads), spec.topologies, _usable_cpus())
     if workers > 1:
+        if _uses_analytic_ber(spec):
+            # load the BER kernel once here: forked workers inherit it, where
+            # each fresh worker would otherwise import it anew on every sweep.
+            # fork is the default start method on Linux from Python 3.10 to 3.13
+            import scipy.special  # noqa: F401
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_topo = list(pool.map(functools.partial(_topology_metrics, spec), topologies))
     else:

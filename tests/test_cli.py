@@ -99,6 +99,25 @@ def test_a_dl_overload_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target,errno_text", [
+    ("no-such-dir/x.csv", "[Errno 2] No such file or directory"),
+    ("a-file/x.csv", "[Errno 20] Not a directory"),
+    (".", "[Errno 21] Is a directory")])
+def test_an_unwritable_out_is_an_output_error_before_the_sweep(tiny_config, tmp_path, monkeypatch,
+                                                                capsys, target, errno_text):
+    # this once failed only after the whole sweep had run
+    (tmp_path / "a-file").write_text("")
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kw: calls.append(args))
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["nmse-sweep", "--config", str(tiny_config), "--sweep", "p_train_dbm=3:8:5",
+                     "--out", str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert f"output error: {errno_text}" in err and "Traceback" not in err
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("command", ["nmse-sweep", "ber-sweep", "rate-sweep", "validate", "floor"])
 def test_a_negative_seed_is_a_usage_error(tiny_config, tmp_path, capsys, command):
     out = tmp_path / "never.csv"
