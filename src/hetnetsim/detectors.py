@@ -83,7 +83,7 @@ class Combiner:
     divides it out before slicing so amplitude-coded constellations are not
     hurt by the MMSE bias (a positive real factor, harmless for BPSK/QAM4).
     A stacked combiner, one per BS along a leading axis (after any trial
-    axis), shares one ``ue_indices`` tuple or holds one tuple per BS.
+    axis), shares one ``ue_indices`` tuple or holds one row of UEs per BS.
     """
 
     c: np.ndarray                      # ([T,] [BS,] n, antennas)

@@ -48,18 +48,17 @@ class Metric(str, enum.Enum):
     RATE = "rate"
 
 
-# UE classes each metric reports
-_CLASSES = {
-    Metric.NMSE: ("decoupled", "mue"),
-    Metric.BER: ("decoupled",),
-    Metric.RATE: ("decoupled", "mue", "sue", "all"),
+# each metric's CSV column and the UE classes it reports
+_METRICS = {
+    Metric.NMSE: ("nmse_db", ("decoupled", "mue")),
+    Metric.BER: ("ber", ("decoupled",)),
+    Metric.RATE: ("rate_bps_hz", ("decoupled", "mue", "sue", "all")),
 }
 
 
 def _count(name: str, value, least: int = 1) -> int:
     """``value`` as an int, if it is a whole number >= ``least``."""
-    if (not isinstance(value, (int, float, np.integer)) or not float(value).is_integer()
-            or value < least):
+    if not scenario.is_number(value, whole=True) or value < least:
         raise ValueError(f"{name} takes a whole number >= {least}, got {value!r}")
     return int(value)
 
@@ -98,23 +97,30 @@ class ExperimentSpec:
         # build every point's config now, so a bad grid fails before any work
         for i, value in enumerate(self.sweep_values):
             cfg = _apply_sweep(self.base, self.sweep_param, value)
-            if self.metric is Metric.BER and cfg.num_sbs == 0:
+            if self.metric is Metric.BER and 0 in (cfg.num_sbs, cfg.tau_d):
                 raise ValueError(
-                    f"the BER metric scores decoupled UEs, which need an SBS, "
-                    f"but {self.sweep_param}={value} has num_sbs=0")
-            # downlink ZF serves no more UEs than antennas at any BS; points
-            # that share the layout share the DL association
-            if self.metric is Metric.RATE and (i == 0 or self.sweep_param
-                                               not in _BLIND["layout"]):
-                self._check_dl_load(cfg, value)
+                    f"the BER metric scores the data bits of decoupled UEs, which need an "
+                    f"SBS and tau_d >= 1, but {self.sweep_param}={value} has "
+                    f"num_sbs={cfg.num_sbs}, tau_d={cfg.tau_d}")
+            # points that share the layout share the association
+            if i == 0 or self.sweep_param not in _BLIND["layout"]:
+                self._check_associations(cfg, value)
         values = list(self.sweep_values)
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep values must be sorted and distinct")
 
-    def _check_dl_load(self, cfg: SystemConfig, value) -> None:
+    def _check_associations(self, cfg: SystemConfig, value) -> None:
+        """A BER point needs a decoupled UE in some topology; at a rate
+        point, downlink ZF serves no more UEs than antennas at any BS."""
+        assocs = (sweep_topology(cfg, self.master_seed, t)[1] for t in range(self.topologies))
+        if self.metric is Metric.BER and not any(len(a.decoupled) for a in assocs):
+            raise ValueError(
+                f"the BER metric scores decoupled UEs, but at {self.sweep_param}={value} "
+                f"none of the {self.topologies} topologies has one")
+        if self.metric is not Metric.RATE:
+            return
         antennas = np.r_[cfg.mbs_antennas, np.full(cfg.num_sbs, cfg.sbs_antennas)]
-        for t in range(self.topologies):
-            _, assoc = sweep_topology(cfg, self.master_seed, t)
+        for t, assoc in enumerate(assocs):
             load = np.bincount(assoc.dl_serving, minlength=len(antennas))
             over = np.flatnonzero(load > antennas)
             if len(over):
@@ -162,20 +168,17 @@ def _apply_sweep(base: SystemConfig, name: str, value) -> SystemConfig:
     return base.replace(**{name: value})
 
 
-def _effective_ber_source(spec: ExperimentSpec) -> BerSource:
-    # the Gamma-matched prediction is derived for binary modulation only
-    if (spec.modulation is not Modulation.BPSK
-            and spec.ber_source is BerSource.ANALYTIC_PROP1):
-        log.debug("non-binary modulation: combiner falls back to empirical BER")
-        return BerSource.EMPIRICAL_ORACLE
-    return spec.ber_source
-
-
 def _uses_analytic_ber(spec: ExperimentSpec) -> bool:
-    """Whether the sweep solves the analytic BER: for the BER metric's
-    analytic rows, or to feed the data-aided combiner."""
-    return spec.modulation is Modulation.BPSK and (
-        spec.metric is Metric.BER or _effective_ber_source(spec) is BerSource.ANALYTIC_PROP1)
+    """Whether the sweep solves the analytic BER, derived for BPSK only: for
+    the BER metric's analytic rows, which score the MMSE detector, or to
+    feed the data-aided combiner, which otherwise takes the empirical BER."""
+    if spec.modulation is not Modulation.BPSK:
+        if spec.metric is not Metric.BER and spec.ber_source is BerSource.ANALYTIC_PROP1:
+            log.debug("non-binary modulation: combiner falls back to empirical BER")
+        return False
+    if spec.metric is Metric.BER:
+        return "mmse" in spec.detectors
+    return spec.ber_source is BerSource.ANALYTIC_PROP1
 
 
 def _bs_betas(topo) -> np.ndarray:
@@ -230,19 +233,6 @@ _BLIND = {
 }
 
 
-def _channel_key(topo, cfg: SystemConfig) -> tuple:
-    return (PH_CHANNELS, cfg.mbs_antennas, cfg.sbs_antennas, topo.beta_mbs.tobytes(),
-            topo.beta_sbs.shape, topo.beta_sbs.tobytes())
-
-
-def _bits_key(cfg: SystemConfig, modulation: Modulation) -> tuple:
-    return (PH_BITS, cfg.num_ue, cfg.tau_d, modulation)
-
-
-def _noise_key(phase: int, ids, shape, noise_power: float) -> tuple:
-    return (phase, tuple(int(v) for v in ids), tuple(shape), noise_power)
-
-
 def _frozen(value):
     """``value`` with every array it holds made read-only."""
     if isinstance(value, np.ndarray):
@@ -271,7 +261,6 @@ class _Part:
     pad: np.ndarray | None             # (B, n) the padded columns among them
     pick: np.ndarray                   # (B, m) combiner rows each BS keeps
     ues: np.ndarray                    # (B, m) the UEs of those rows
-    ue_indices: tuple                  # ``ues`` as one tuple per BS
 
 
 @dataclass(frozen=True)
@@ -298,8 +287,7 @@ class _TopologyRun:
     cfg: SystemConfig
     layout: _Layout
     pilots: phy.PilotMatrix
-    ber_source: BerSource
-    analytic: tuple | None             # analytic BERs and their lower bounds
+    analytic: tuple | None             # analytic BERs and their lower bounds, if used
     acc: dict
 
 
@@ -336,11 +324,13 @@ class _TrialMemo:
         return self._get((side, name), make, side in self._shared)
 
     def channels(self, topo, cfg: SystemConfig) -> phy.ChannelSet:
-        return self._get(_channel_key(topo, cfg), lambda: phy.draw_channels(
+        key = (PH_CHANNELS, cfg.mbs_antennas, cfg.sbs_antennas, topo.beta_mbs.tobytes(),
+               topo.beta_sbs.shape, topo.beta_sbs.tobytes())
+        return self._get(key, lambda: phy.draw_channels(
             topo, cfg, [s(PH_CHANNELS) for s in self._streams]))
 
     def bits(self, cfg: SystemConfig, modulation: Modulation) -> np.ndarray:
-        return self._get(_bits_key(cfg, modulation), lambda: np.stack([
+        return self._get((PH_BITS, cfg.num_ue, cfg.tau_d, modulation), lambda: np.stack([
             detectors.random_bits(cfg.num_ue, cfg.tau_d, modulation, s(PH_BITS))
             for s in self._streams]))
 
@@ -348,7 +338,8 @@ class _TrialMemo:
         """The AWGN blocks of BSs ``ids``, (T, B, *shape), each from its own
         substream; kept unless the side that reads them is shared."""
         keep = ("pilot" if phase == PH_NOISE_TRAIN else "data") not in self._shared
-        return self._get(_noise_key(phase, ids, shape, noise_power), lambda: phy.awgn(
+        key = (phase, tuple(int(v) for v in ids), tuple(shape), noise_power)
+        return self._get(key, lambda: phy.awgn(
             [[s(phase, v) for v in ids] for s in self._streams], shape, noise_power), keep)
 
 
@@ -426,7 +417,7 @@ def _detect(run: _TopologyRun, memo: _TrialMemo, pilot, data, block):
             bs = np.arange(len(part.pick))[:, None]
             return dataclasses.replace(comb, c=comb.c[..., bs, part.pick, :],
                                        gain=comb.gain[..., bs, part.pick],
-                                       ue_indices=part.ue_indices)
+                                       ue_indices=part.ues)
         if part.kind is CombinerKind.MMSE:         # reads the data power
             comb = build()
         else:
@@ -474,7 +465,7 @@ def _fold(metric: Metric, acc: dict, labels) -> dict:
     """Per-class values from the per-UE (numerator, denominator) sums."""
     out = {}
     for method, (num, den) in acc.items():
-        for cls in _CLASSES[metric]:
+        for cls in _METRICS[metric][1]:
             mask = ((labels == cls) | (cls == "all")) & (den > 0)
             if not np.any(mask):
                 continue
@@ -505,7 +496,7 @@ def _part(group: int, rows, det: str, served: list, scored, wide: bool) -> _Part
         cols[~pad] = np.concatenate(served)
         pick = np.array([np.searchsorted(s, u) for s, u in zip(served, ues)])
     label = det if kind.value == det else f"{det}->{kind.value}"
-    return _Part(group, rows, kind, label, cols, pad, pick, ues, tuple(map(tuple, ues.tolist())))
+    return _Part(group, rows, kind, label, cols, pad, pick, ues)
 
 
 def _parts(assoc, scored, dets, groups) -> list:
@@ -572,25 +563,21 @@ def _layout(spec: ExperimentSpec, cfg: SystemConfig, topo_idx: int) -> _Layout:
 
 def _point_runs(spec: ExperimentSpec, layout: _Layout, cfgs) -> list:
     """The sweep points ``cfgs`` of one layout: each one's pilots and sums,
-    with the analytic BERs of all of them from one solve where the metric
-    or the side information needs them."""
-    metric, topo = spec.metric, layout.topo
-    ber_source = _effective_ber_source(spec)
+    with the analytic BERs of all of them from one solve where the sweep
+    uses them.  The sums start with the analytic rows alone; each trial
+    adds its own methods."""
     analytic = [None] * len(cfgs)
     if _uses_analytic_ber(spec):
-        analytic = list(zip(*analytic_ber_vector(cfgs, topo, layout.assoc)))
-    methods = {Metric.NMSE: spec.estimators, Metric.BER: spec.detectors,
-               Metric.RATE: ("po", "da")}[metric]
+        analytic = list(zip(*analytic_ber_vector(cfgs, layout.topo, layout.assoc)))
     runs = []
     for cfg, rows in zip(cfgs, analytic):
-        acc = {m: np.zeros((2, cfg.num_ue)) for m in methods}
-        if metric is Metric.BER and rows is not None and "mmse" in spec.detectors:
+        acc = {}
+        if spec.metric is Metric.BER and rows is not None:
             ones = np.ones(cfg.num_ue)
-            acc["mmse-analytic"] = np.stack([rows[0], ones])
-            acc["mmse-lower"] = np.stack([rows[1], ones])
+            acc = {"mmse-analytic": np.stack([rows[0], ones]),
+                   "mmse-lower": np.stack([rows[1], ones])}
         runs.append(_TopologyRun(
-            cfg, layout, phy.make_pilots(cfg.num_ue, cfg.tau_t, cfg.p_train_mw),
-            ber_source, rows, acc))
+            cfg, layout, phy.make_pilots(cfg.num_ue, cfg.tau_t, cfg.p_train_mw), rows, acc))
     return runs
 
 
@@ -607,9 +594,9 @@ def _uplink(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, channels,
         return emp_bers, None
     data = data[0]
     zeros = np.zeros(cfg.num_ue)
-    if run.ber_source is BerSource.ZERO_ERROR:
+    if spec.ber_source is BerSource.ZERO_ERROR:
         x_hat, side_ber = block.symbols, zeros
-    elif run.ber_source is BerSource.ANALYTIC_PROP1:
+    elif run.analytic is not None:
         side_ber = run.analytic[0]
     else:
         side_ber = emp_bers.get("mmse", zeros)
@@ -722,9 +709,7 @@ def run_sweep(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     else:
         per_topo = [_topology_metrics(spec, p) for p in topologies]
 
-    metric_name = {
-        Metric.NMSE: "nmse_db", Metric.BER: "ber", Metric.RATE: "rate_bps_hz"
-    }[spec.metric]
+    column = _METRICS[spec.metric][0]
     rows = []
     for value in spec.sweep_values:
         results = [metrics[value] for metrics in per_topo]
@@ -741,7 +726,7 @@ def run_sweep(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
                 sweep_value=float(value),
                 method=method,
                 ue_class=cls,
-                metric=metric_name,
+                metric=column,
                 mean=mean,
                 stderr=stderr,
                 n=len(samples) * spec.trials,

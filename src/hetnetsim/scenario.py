@@ -45,15 +45,12 @@ def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-def _number(field: dataclasses.Field, value):
-    """A numeric config field's value: a whole number, stored as an int, for
-    an int field, and a finite real for a float field.  Booleans are neither."""
-    whole = field.type == "int"
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
-            isinstance(value, numbers.Integral)
-            or math.isfinite(value) and (not whole or float(value).is_integer())):
-        return int(value) if whole else value
-    raise ValueError(f"{field.name} takes {'whole' if whole else 'finite'} numbers, got {value!r}")
+def is_number(value, whole: bool) -> bool:
+    """Whether ``value`` is a finite real, and a whole number if ``whole``.
+    Booleans are neither."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or math.isfinite(value) and (not whole or float(value).is_integer()))
 
 
 @dataclass(frozen=True)
@@ -79,8 +76,12 @@ class SystemConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            if f.type in ("int", "float"):
-                object.__setattr__(self, f.name, _number(f, getattr(self, f.name)))
+            value, whole = getattr(self, f.name), f.type == "int"
+            if f.type in ("int", "float") and not is_number(value, whole):
+                raise ValueError(f"{f.name} takes {'whole' if whole else 'finite'} numbers, "
+                                 f"got {value!r}")
+            if whole:
+                object.__setattr__(self, f.name, int(value))
         if self.num_sbs < 0 or self.num_ue < 1:
             raise ValueError("UE count must be >= 1 and SBS count >= 0")
         if min(self.mbs_antennas, self.sbs_antennas, self.tau_t) < 1:

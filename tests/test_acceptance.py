@@ -16,6 +16,8 @@ def _assert_all(results):
         results = [results]
     for result in results:
         print(result.line())
+        # a numpy bool would break the JSON report
+        assert type(result.passed) is bool, result.name
     failed = [r for r in results if not r.passed]
     assert not failed, "; ".join(r.line() for r in failed)
 

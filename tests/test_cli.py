@@ -86,6 +86,18 @@ def test_a_bad_base_value_is_a_config_error(tiny_config, tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", ["trials=true", "topologies=true"])
+def test_a_boolean_count_is_a_config_error(tiny_config, tmp_path, capsys, override):
+    # a boolean once ran as a count of one
+    out = tmp_path / "never.csv"
+    argv = ["nmse-sweep", "--config", str(tiny_config), "--set", override,
+            "--sweep", "p_train_dbm=3:8:5", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {override.split('=')[0]} takes" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_a_dl_overload_is_a_config_error(tmp_path, capsys):
     # this once failed in the worker, partway through the sweep
     out = tmp_path / "never.csv"

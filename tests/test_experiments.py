@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 
@@ -69,7 +70,7 @@ def test_spec_rejects_repeated_sweep_values():
 
 @pytest.mark.parametrize("field,value", [("trials", 1.5), ("topologies", 2.5),
                                          ("trials", math.inf), ("topologies", math.nan),
-                                         ("trials", "3")])
+                                         ("trials", "3"), ("topologies", True)])
 def test_spec_rejects_non_integral_counts(field, value):
     with pytest.raises(ValueError, match=field):
         _tiny_spec(**{field: value})
@@ -93,7 +94,7 @@ def test_spec_rejects_empty_or_repeated_methods(metric, field, value):
         _tiny_spec(metric, **{field: value})
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, math.nan, "3"])
+@pytest.mark.parametrize("seed", [-1, 1.5, math.nan, "3", True])
 def test_spec_rejects_a_negative_or_fractional_seed(seed):
     with pytest.raises(ValueError, match="master_seed takes a whole number >= 0"):
         _tiny_spec(master_seed=seed)
@@ -190,6 +191,27 @@ def test_mutated_mmse_shrinkage_breaks_validation(monkeypatch):
     monkeypatch.setattr(estimators, "mmse_estimate_matrix", tampered)
     result = validation.check_pilot_only_closed_forms(master_seed=1)
     assert not result.passed
+
+
+def test_pilot_only_nmse_run_equals_its_trial_by_trial_loop():
+    # the stacked draws keep each trial's substreams, and the sums add the
+    # trials in order, so the result is the loop's bit for bit
+    cfg = desk_config(num_sbs=3, num_ue=4, mbs_antennas=8, tau_t=4)
+    topo = scenario.build_topology(cfg, phy.stream(5, 0))
+    n0 = cfg.noise_power_mw
+    pilots = phy.make_pilots(cfg.num_ue, cfg.tau_t, cfg.p_train_mw)
+    num, den = {"ls": 0.0, "mmse": 0.0}, 0.0
+    for t in range(5):
+        h = phy.draw_channels(topo, cfg, phy.stream(5, 9, 2, t, 0)).h_mbs
+        noise = phy.awgn(phy.stream(5, 9, 2, t, 1), (cfg.mbs_antennas, cfg.tau_t), n0)
+        obs = phy.observe(h, pilots.s, n0, noise, phy.Phase.TRAINING)
+        for m, est in (("ls", estimators.ls_estimate_matrix(obs, pilots)),
+                       ("mmse", estimators.mmse_estimate_matrix(obs, pilots, topo.beta_mbs, n0))):
+            num[m] += np.sum(np.abs(est - h) ** 2, axis=0)
+        den += np.sum(np.abs(h) ** 2, axis=0)
+    got = validation._pilot_only_nmse_run(cfg, topo, 5, 9, 2, trials=5)
+    for m in num:
+        assert np.array_equal(got[m], 10.0 * np.log10(num[m] / den))
 
 
 def test_write_csv_round_trip(tmp_path):
@@ -338,7 +360,6 @@ def test_parts_give_a_wide_bs_its_own_mmse_part():
             assert np.array_equal(part.cols[b, :len(s)], s)
             assert np.array_equal(part.pad[b], np.arange(width) >= len(s))
             assert np.array_equal(s[part.pick[b]], part.ues[b])
-        assert part.ue_indices == tuple(map(tuple, part.ues.tolist()))
 
 
 def test_analytic_ber_vector_equals_one_gamma_model_per_ue():
@@ -385,43 +406,70 @@ def test_ber_spec_without_an_sbs_is_rejected_up_front(base, param, values):
     ExperimentSpec(base=base, sweep_param=param, sweep_values=values, metric=Metric.RATE)
 
 
-@pytest.mark.parametrize("base,param,values,seed,match", [
+@pytest.mark.parametrize("base,param,values,match", [
+    (desk_config(tau_d=0), "p_data_dbm", (3.0,), "p_data_dbm=3.0 has num_sbs=10, tau_d=0"),
+    (desk_config(), "tau_d", (0, 16), "tau_d=0 has num_sbs=10, tau_d=0"),
+    # with equal BS powers every UE's DL and UL pick the same BS
+    (desk_config(), "p_sbs_dbm", (24.0, 46.0), "p_sbs_dbm=46.0 none of the 3 topologies"),
+])
+def test_ber_spec_with_nothing_to_score_is_rejected_up_front(base, param, values, match):
+    # these once ran every trial and returned no measured BER for the point
+    with pytest.raises(ValueError, match=match):
+        ExperimentSpec(base=base, sweep_param=param, sweep_values=values, metric=Metric.BER,
+                       topologies=3)
+    ExperimentSpec(base=base, sweep_param=param, sweep_values=values, metric=Metric.NMSE,
+                   topologies=3)
+
+
+@pytest.mark.parametrize("base,param,values,seed,match,ber_match", [
     # the MBS, checked once per topology for points that share the layout
     (desk_config(mbs_antennas=4), "p_data_dbm", (3.0, 13.0), 1,
-     r"sweep p_data_dbm=3.0, topology 0: the MBS serves 7 DL UEs with 4 antennas"),
+     r"sweep p_data_dbm=3.0, topology 0: the MBS serves 7 DL UEs with 4 antennas", None),
     # an SBS's, found at the second topology
     (desk_config(sbs_antennas=1, p_sbs_dbm=46.0), "p_data_dbm", (3.0,), 2,
-     r"sweep p_data_dbm=3.0, topology 1: SBS 3 serves 2 DL UEs with 1 antennas"),
+     r"sweep p_data_dbm=3.0, topology 1: SBS 3 serves 2 DL UEs with 1 antennas",
+     "p_data_dbm=3.0 none of the 2 topologies"),
     # a swept SBS power moves the association: only the second point overloads
     (desk_config(sbs_antennas=1), "p_sbs_dbm", (24.0, 46.0), 2,
-     r"sweep p_sbs_dbm=46.0, topology 1: SBS 3 serves 2 DL UEs with 1 antennas"),
+     r"sweep p_sbs_dbm=46.0, topology 1: SBS 3 serves 2 DL UEs with 1 antennas",
+     "p_sbs_dbm=46.0 none of the 2 topologies"),
 ])
-def test_rate_spec_with_a_dl_overload_is_rejected_up_front(base, param, values, seed, match):
+def test_rate_spec_with_a_dl_overload_is_rejected_up_front(base, param, values, seed, match,
+                                                           ber_match):
     with pytest.raises(ValueError, match=match):
         ExperimentSpec(base=base, sweep_param=param, sweep_values=values,
                        metric=Metric.RATE, topologies=2, master_seed=seed)
-    # only the rate metric runs the downlink
-    for metric in (Metric.NMSE, Metric.BER):
+    # only the rate metric runs the downlink.  With the SBSs at the MBS's
+    # power no UE is decoupled, so the BER metric rejects the point for that
+    ExperimentSpec(base=base, sweep_param=param, sweep_values=values,
+                   metric=Metric.NMSE, topologies=2, master_seed=seed)
+    with pytest.raises(ValueError, match=ber_match) if ber_match else contextlib.nullcontext():
         ExperimentSpec(base=base, sweep_param=param, sweep_values=values,
-                       metric=metric, topologies=2, master_seed=seed)
+                       metric=Metric.BER, topologies=2, master_seed=seed)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(num_ue=st.integers(1, 8), num_sbs=st.integers(0, 3),
        mbs_antennas=st.integers(1, 8), sbs_antennas=st.integers(1, 4),
        param=st.sampled_from(["p_data_dbm", "mbs_antennas", "sbs_antennas"]),
-       ber_source=st.sampled_from(list(BerSource)))
-def test_a_rate_spec_is_rejected_up_front_or_runs_to_finite_rows(
-        num_ue, num_sbs, mbs_antennas, sbs_antennas, param, ber_source):
+       ber_source=st.sampled_from(list(BerSource)), metric=st.sampled_from(list(Metric)),
+       modulation=st.sampled_from(list(Modulation)), tau_d=st.sampled_from([0, 8]),
+       dets=st.lists(st.sampled_from(experiments.DETECTOR_CHOICES), min_size=1, unique=True),
+       ests=st.lists(st.sampled_from(experiments.ESTIMATOR_CHOICES), min_size=1, unique=True))
+def test_a_spec_is_rejected_up_front_or_runs_to_finite_rows(
+        num_ue, num_sbs, mbs_antennas, sbs_antennas, param, ber_source, metric, modulation,
+        tau_d, dets, ests):
     base = SystemConfig(num_ue=num_ue, num_sbs=num_sbs, mbs_antennas=mbs_antennas,
-                        sbs_antennas=sbs_antennas, tau_t=8, tau_d=8)
+                        sbs_antennas=sbs_antennas, tau_t=8, tau_d=tau_d)
     values = (3.0, 13.0) if param == "p_data_dbm" else (getattr(base, param), 9)
     try:
         spec = ExperimentSpec(base=base, sweep_param=param, sweep_values=values,
-                              metric=Metric.RATE, trials=1, topologies=2,
+                              metric=metric, detectors=tuple(dets), estimators=tuple(ests),
+                              modulation=modulation, trials=1, topologies=2,
                               ber_source=ber_source)
     except ValueError as exc:
-        assert "DL UEs with" in str(exc)
+        assert any(reason in str(exc) for reason in (
+            "DL UEs with", "which need an SBS", "topologies has one"))
         return
     rows = run_sweep(spec).rows
     assert rows and all(math.isfinite(r.mean) and math.isfinite(r.stderr) for r in rows)

@@ -22,10 +22,10 @@ from hetnetsim.data_aided import BerSource
 from hetnetsim.experiments import ExperimentSpec, Metric
 from hetnetsim.scenario import desk_config
 
-def spec(metric, ber_source, topologies=1):
+def spec(metric, ber_source, topologies=1, **kw):
     return ExperimentSpec(base=desk_config(), sweep_param="p_train_dbm", sweep_values=(3.0,),
                           metric=Metric(metric), ber_source=BerSource(ber_source),
-                          trials=1, topologies=topologies)
+                          trials=1, topologies=topologies, **kw)
 """
 
 
@@ -58,6 +58,16 @@ from hetnetsim.experiments import run_sweep
 rows = run_sweep(spec("nmse", "analytic"), threads=1).rows
 print('scipy.special' in sys.modules, bool(rows), all(math.isfinite(r.mean) for r in rows))
 """) == "True True True"
+
+
+def test_a_ber_sweep_without_mmse_leaves_scipy_special_unloaded():
+    # the analytic rows score the MMSE detector alone
+    assert _fresh(_SPECS + """
+import math, sys
+from hetnetsim.experiments import run_sweep
+rows = run_sweep(spec("ber", "analytic", topologies=3, detectors=("mrc", "zf")), threads=1).rows
+print('scipy.special' in sys.modules, bool(rows), all(math.isfinite(r.mean) for r in rows))
+""") == "False True True"
 
 
 @pytest.mark.parametrize("metric,ber_source,preloaded", [
