@@ -33,7 +33,6 @@ from .phy import (
     PilotMatrix,
     awgn,
     draw_channels,
-    joint_observation,
     make_pilots,
     observe,
     stream,

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from . import data_aided, estimators
+from .detectors import Modulation
 from .experiments import (
     ExperimentSpec,
     Metric,
@@ -158,6 +159,10 @@ def parse_and_dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    if args.command == "validate" and (args.config or args.set or args.dump_config):
+        print("usage error: validate runs fixed desk-scale checks; it takes no "
+              "--config, --set or --dump-config", file=sys.stderr)
+        return 2
 
     try:
         cfg, experiment = _effective_config(args)
@@ -170,6 +175,10 @@ def parse_and_dispatch(argv) -> int:
         return 0
 
     if args.command == "floor":
+        if experiment.get("modulation", Modulation.BPSK) != Modulation.BPSK:
+            print(f"config error: the closed-form BER covers BPSK only, got modulation="
+                  f"{experiment['modulation']!r}", file=sys.stderr)
+            return 2
         return _run_floor(cfg, args.seed)
 
     try:

@@ -1,7 +1,7 @@
 """Data-aided MMSE channel estimation at the macro BS.
 
-Decoded uplink payloads act as extra quasi-pilots: the joint training+data
-observation is combined with a BER-aware MMSE filter whose error model
+Decoded uplink payloads act as extra quasi-pilots: the training and data
+blocks, joined, are combined with a BER-aware MMSE filter whose error model
 shrinks each decoded row by (1 - 2 BER) and adds a residual-interference
 diagonal on the data block.  The wide solve collapses to a K x K system
 through the Woodbury identity.
@@ -79,31 +79,30 @@ def da_combiner_matrix(
 
 
 def da_estimate_matrix(
-    joint_obs: Observation,
+    train: Observation,
+    data: Observation,
     pilots: PilotMatrix,
     side: DecodedSideInfo,
     betas,
     noise_power: float,
 ) -> np.ndarray:
     """Data-aided estimates of every UE's channel to this BS (one column
-    each).  A leading trial axis on the observation and the side
-    information gives one estimate matrix per trial."""
-    if joint_obs.phase is not Phase.JOINT:
-        raise ValueError("data-aided estimation needs the joint observation")
+    each) from the training and data blocks it recorded back to back.  A
+    leading trial axis on the observations and the side information gives
+    one estimate matrix per trial."""
+    if train.phase is not Phase.TRAINING or data.phase is not Phase.DATA:
+        raise ValueError("data-aided estimation needs a (training, data) pair of blocks")
+    if train.y.shape[:-1] != data.y.shape[:-1]:
+        raise ValueError("training and data blocks disagree on antenna count")
     tau_d = side.x_hat.shape[-1]
-    expected_cols = pilots.tau_t + tau_d
-    if joint_obs.y.shape[-1] != expected_cols:
-        raise ValueError(
-            f"joint observation has {joint_obs.y.shape[-1]} columns, "
-            f"expected tau_t + tau_d = {expected_cols}"
-        )
+    if (train.y.shape[-1], data.y.shape[-1]) != (pilots.tau_t, tau_d):
+        raise ValueError(f"blocks have {train.y.shape[-1]} + {data.y.shape[-1]} columns, "
+                         f"expected tau_t + tau_d = {pilots.tau_t} + {tau_d}")
     if tau_d == 0:
         # no data columns: the scheme is exactly the pilot-only MMSE estimator
-        train = Observation(y=joint_obs.y, phase=Phase.TRAINING,
-                            noise_power=joint_obs.noise_power)
         return mmse_estimate_matrix(train, pilots, betas, noise_power)
     c = da_combiner_matrix(pilots, side, betas, noise_power)
-    return joint_obs.y @ c
+    return np.concatenate([train.y, data.y], axis=-1) @ c
 
 
 def rho_data_aided(

@@ -57,12 +57,6 @@ _GRAY = {Modulation.BPSK: _Gray(_PAM2), Modulation.QAM4: _Gray(_PAM2, _PAM2),
          Modulation.QAM16: _Gray(_PAM4, _PAM4)}
 
 
-def _constellation(scheme: Modulation, p_d: float):
-    """(points, bit patterns) with the average symbol power normalised to p_d."""
-    gray = _GRAY[scheme]
-    return np.sqrt(p_d / gray.energy) * gray.points, gray.bits
-
-
 @dataclass(frozen=True)
 class DataBlock:
     bits: np.ndarray                   # ([T,] K, tau_d * bits_per_symbol)
@@ -121,6 +115,33 @@ def random_bits(num_ue: int, tau_d: int, scheme: Modulation, seed) -> np.ndarray
     return rng.integers(0, 2, size=(num_ue, tau_d * scheme.bits_per_symbol))
 
 
+def zf_rows(estimates: np.ndarray, pad=None) -> np.ndarray:
+    """Zero-forcing rows (G^H G)^-1 G^H of an estimated channel matrix G,
+    (antennas, n), or of each matrix in a stack (..., antennas, n): row i
+    passes column i and nulls the others.  The ZF combiner is these rows;
+    the ZF precoder is their conjugate transpose, column-normalised.
+
+    ``pad``, a boolean mask over the columns, (n,) or (..., n), marks
+    zeroed columns that stand in for no UE: an identity block keeps them
+    out of the solve, and their rows are zero.  ZF needs no more columns
+    than antennas, and a full-rank G.
+    """
+    est = np.asarray(estimates)
+    if est.ndim < 2:
+        raise ValueError("estimates must be an (antennas, n) matrix or a stack of them")
+    n_ant, n_ue = est.shape[-2:]
+    if n_ue > n_ant:
+        raise ValueError(f"ZF cannot separate {n_ue} UEs with {n_ant} antennas")
+    est_h = est.conj().swapaxes(-1, -2)
+    gram = est_h @ est
+    if pad is not None:
+        gram = gram + np.asarray(pad)[..., None] * np.eye(n_ue)
+    try:
+        return np.linalg.solve(gram, est_h)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError("rank-deficient estimate matrix for ZF") from exc
+
+
 def build_combiner(
     kind: CombinerKind,
     estimates: np.ndarray,
@@ -144,9 +165,8 @@ def build_combiner(
 
     ``pad``, a boolean mask over the columns, (n,) or (B, n), marks columns
     that stand in for no UE, so that BSs serving fewer UEs share one stack.
-    Padded columns are zeroed and kept out of the ZF solve by an identity
-    block and out of the MRC norms by a unit norm; their rows are zero.
-    ZF needs no more columns than antennas.
+    Padded columns are zeroed and kept out of the ZF solve (``zf_rows``)
+    and out of the MRC norms by a unit norm; their rows are zero.
     """
     kind = CombinerKind(kind)
     est = np.asarray(estimates)
@@ -155,8 +175,6 @@ def build_combiner(
     pad = np.zeros(n_ue, dtype=bool) if pad is None else np.asarray(pad, dtype=bool)
     if pad.any():
         est = np.where(pad[..., None, :], 0.0, est)
-    if kind is CombinerKind.ZF and n_ue > n_ant:
-        raise ValueError(f"ZF cannot separate {n_ue} UEs with {n_ant} antennas")
 
     est_h = est.conj().swapaxes(-1, -2)
     if kind is CombinerKind.MRC:
@@ -165,10 +183,7 @@ def build_combiner(
             raise ValueError("MRC needs non-zero channel estimates")
         rows = est_h / norms[..., None]
     elif kind is CombinerKind.ZF:
-        try:
-            rows = np.linalg.solve(est_h @ est + pad[..., None] * np.eye(n_ue), est_h)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError("rank-deficient estimate matrix for ZF") from exc
+        rows = zf_rows(est, pad)
     else:
         reg = 1.0 / np.asarray(effective_rho(betas, p_t, tau_t, noise_power, p_d))
         # rows G^H (G G^H + r I)^-1 = (G^H G + r I)^-1 G^H: solve in the

@@ -7,6 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .detectors import zf_rows
 from .phy import ChannelSet
 from .scenario import Association
 
@@ -17,7 +18,6 @@ class Precoder:
     budget split equally across columns."""
 
     w: np.ndarray                      # ([T,] antennas, served)
-    power: float
     ue_indices: tuple
 
 
@@ -28,28 +28,17 @@ class DownlinkRates:
 
 
 def zf_precode(estimates: np.ndarray, power: float, ue_indices=None) -> Precoder:
-    """ZF beamformer from estimated channels: pseudo-inverse directions,
-    columns rescaled to power/served.  A leading trial axis,
+    """ZF beamformer from estimated channels: the conjugate transpose of the
+    ZF rows, columns rescaled to power/served.  A leading trial axis,
     (T, antennas, served), gives one precoder matrix per trial."""
-    est = np.asarray(estimates)
-    if est.ndim < 2:
-        raise ValueError("estimates must be an (antennas, served) matrix")
-    n_ant, served = est.shape[-2:]
-    if served > n_ant:
-        raise ValueError(f"ZF cannot serve {served} UEs with {n_ant} antennas")
-    if ue_indices is None:
-        ue_indices = tuple(range(served))
-    est_t = est.swapaxes(-1, -2)
-    gram = est_t.conj() @ est
-    try:
-        raw = np.linalg.solve(gram.swapaxes(-1, -2), est_t).swapaxes(-1, -2)   # est @ inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError("rank-deficient estimated channel matrix") from exc
+    raw = zf_rows(estimates).conj().swapaxes(-1, -2)
+    served = raw.shape[-1]
     norms = np.linalg.norm(raw, axis=-2)
     if np.any(norms == 0):
         raise np.linalg.LinAlgError("degenerate ZF direction")
     w = raw * (np.sqrt(power / served) / norms)[..., None, :]
-    return Precoder(w=w, power=float(power), ue_indices=tuple(int(i) for i in ue_indices))
+    ue_indices = range(served) if ue_indices is None else ue_indices
+    return Precoder(w=w, ue_indices=tuple(int(i) for i in ue_indices))
 
 
 def dl_rate(

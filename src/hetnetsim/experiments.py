@@ -586,7 +586,7 @@ def _uplink(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, channels,
     but BER, stage 3: the data-aided solve at the MBS.  Returns each
     combiner's empirical BERs and the data-aided estimates, (T, M, K) or
     None.  Unless another point shares them, the SBSs' data observations
-    are released before the solve and the MBS's once it is joined."""
+    are released before the solve."""
     cfg = run.cfg
     block, data = _data_side(spec, run, memo, channels)
     x_hat, emp_bers = _detect(run, memo, pilot, data, block)
@@ -602,11 +602,9 @@ def _uplink(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, channels,
         side_ber = emp_bers.get("mmse", zeros)
     side = data_aided.DecodedSideInfo(x_hat=x_hat, ber=side_ber, power=cfg.p_data_mw)
     train = pilot[0].train
-    joint = phy.joint_observation(dataclasses.replace(train, y=train.y[:, 0]),
-                                  dataclasses.replace(data, y=data.y[:, 0]))
-    del data
     return emp_bers, data_aided.da_estimate_matrix(
-        joint, run.pilots, side, run.layout.topo.beta_mbs, cfg.noise_power_mw)
+        dataclasses.replace(train, y=train.y[:, 0]), dataclasses.replace(data, y=data.y[:, 0]),
+        run.pilots, side, run.layout.topo.beta_mbs, cfg.noise_power_mw)
 
 
 def _trial(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo) -> None:

@@ -13,7 +13,6 @@ from .scenario import SystemConfig, Topology
 class Phase(str, enum.Enum):
     TRAINING = "training"
     DATA = "data"
-    JOINT = "joint"
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -140,15 +139,3 @@ def observe(channel: np.ndarray, signal: np.ndarray, noise_power: float, noise,
     y += noise
     return Observation(y=y, phase=phase, noise_power=float(noise_power))
 
-
-def joint_observation(train: Observation, data: Observation) -> Observation:
-    """Stack the training and data blocks the DL BS recorded back-to-back."""
-    if train.phase is not Phase.TRAINING or data.phase is not Phase.DATA:
-        raise ValueError("joint_observation expects a (training, data) pair")
-    if train.y.shape[:-1] != data.y.shape[:-1]:
-        raise ValueError("training and data blocks disagree on antenna count")
-    return Observation(
-        y=np.concatenate([train.y, data.y], axis=-1),
-        phase=Phase.JOINT,
-        noise_power=train.noise_power,
-    )

@@ -138,7 +138,6 @@ def desk_config(**overrides) -> SystemConfig:
 class Topology:
     """Fixed placement and the large-scale gains derived from it."""
 
-    mbs_position: np.ndarray          # (2,)
     sbs_positions: np.ndarray         # (S, 2)
     ue_positions: np.ndarray          # (K, 2)
     beta_mbs: np.ndarray              # (K,)   gain UE k -> MBS
@@ -207,7 +206,6 @@ def topology_from_positions(
     ue = np.atleast_2d(np.asarray(ue_positions, dtype=float)).reshape(-1, 2)
     beta_mbs, beta_sbs = _path_gains(sbs, ue, config.pathloss_model, config.alpha)
     return Topology(
-        mbs_position=np.zeros(2),
         sbs_positions=sbs,
         ue_positions=ue,
         beta_mbs=np.asarray(beta_mbs, dtype=float),

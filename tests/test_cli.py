@@ -201,6 +201,37 @@ def test_floor_command_reports_limits(tiny_config, capsys):
     assert "saturation limit" in out
 
 
+@pytest.mark.parametrize("modulation", ["qam4", "qam16", "qam99", "BPSK"])
+def test_floor_rejects_a_modulation_other_than_bpsk(tiny_config, capsys, modulation):
+    # these once printed the BPSK floor and exited 0
+    assert cli.main(["floor", "--config", str(tiny_config),
+                     "--set", f"modulation={modulation}"]) == 2
+    captured = capsys.readouterr()
+    assert (f"config error: the closed-form BER covers BPSK only, got modulation='{modulation}'"
+            in captured.err and "Traceback" not in captured.err)
+    assert "saturation limit" not in captured.out
+
+
+def test_floor_takes_a_shared_config_with_sweep_keys(tiny_config, capsys):
+    # TINY holds trials and topologies; BPSK named outright is the default
+    assert cli.main(["floor", "--config", str(tiny_config), "--set", "modulation=bpsk",
+                     "--set", "p_train_dbm=-7", "--seed", "3"]) == 0
+    assert "saturation limit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra", [["--config", "cfg"], ["--set", "tau_d=32"], ["--dump-config"]])
+def test_validate_rejects_config_options(tiny_config, monkeypatch, capsys, extra):
+    # validate runs fixed checks; these options were once parsed and ignored
+    from hetnetsim import validation
+    calls = []
+    monkeypatch.setattr(validation, "run_validation", lambda **kw: calls.append(kw))
+    extra = [str(tiny_config) if arg == "cfg" else arg for arg in extra]
+    assert cli.main(["validate", *extra]) == 2
+    captured = capsys.readouterr()
+    assert "usage error: validate runs fixed desk-scale checks" in captured.err
+    assert captured.out == "" and calls == []
+
+
 def test_env_var_thread_fallback(tiny_config, tmp_path, monkeypatch):
     monkeypatch.setenv("HETNET_THREADS", "2")
     out1 = tmp_path / "env.csv"

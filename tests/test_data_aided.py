@@ -16,7 +16,7 @@ from hetnetsim.data_aided import (
 )
 from hetnetsim.detectors import Modulation, modulate, random_bits
 from hetnetsim.estimators import EstMethod, analytic_nmse, mmse_estimate_matrix
-from hetnetsim.phy import Observation, Phase, joint_observation, make_pilots, observe
+from hetnetsim.phy import Observation, Phase, make_pilots, observe
 
 
 def _setup(k=2, m=4, tau_t=2, tau_d=8, betas=(1.0, 0.4), n0=0.2,
@@ -29,9 +29,13 @@ def _setup(k=2, m=4, tau_t=2, tau_d=8, betas=(1.0, 0.4), n0=0.2,
     block = modulate(bits, Modulation.BPSK, p_d)
     train = observe(h, pilots.s, n0, phy.awgn(rng, (m, tau_t), n0), Phase.TRAINING)
     data = observe(h, block.symbols, n0, phy.awgn(rng, (m, tau_d), n0), Phase.DATA)
-    joint = joint_observation(train, data)
     side = DecodedSideInfo(x_hat=block.symbols, ber=np.asarray(bers, dtype=float), power=p_d)
-    return h, pilots, block, train, joint, side, betas, n0
+    return h, pilots, block, train, data, side, betas, n0
+
+
+def _joined(train, data):
+    """The training and data blocks side by side, as the MBS recorded them."""
+    return np.concatenate([train.y, data.y], axis=-1)
 
 
 def test_fold_ber():
@@ -84,16 +88,16 @@ def _assemble_direct_combiner(pilots, side, betas, n0):
 
 
 def test_da_combiner_matches_covariance_assembly_oracle():
-    _, pilots, _, _, joint, side, betas, n0 = _setup()
+    _, pilots, _, _, _, side, betas, n0 = _setup()
     fast = da_combiner_matrix(pilots, side, betas, n0)
     slow = _assemble_direct_combiner(pilots, side, betas, n0)
     assert np.allclose(fast, slow, rtol=1e-9, atol=1e-12)
 
 
 def test_da_estimate_toy_instance_matches_oracle():
-    h, pilots, _, _, joint, side, betas, n0 = _setup(seed=3)
-    oracle = joint.y @ _assemble_direct_combiner(pilots, side, betas, n0)
-    fast = da_estimate_matrix(joint, pilots, side, betas, n0)
+    h, pilots, _, train, data, side, betas, n0 = _setup(seed=3)
+    oracle = _joined(train, data) @ _assemble_direct_combiner(pilots, side, betas, n0)
+    fast = da_estimate_matrix(train, data, pilots, side, betas, n0)
     assert np.allclose(fast, oracle, rtol=1e-9)
 
 
@@ -102,7 +106,7 @@ def test_woodbury_equals_direct_solve_on_random_instances():
     for trial in range(5):
         k = int(rng.integers(1, 5))
         tau_t = k + int(rng.integers(0, 4))
-        _, pilots, _, _, joint, side, betas, n0 = _setup(
+        _, pilots, _, _, _, side, betas, n0 = _setup(
             k=k, m=3, tau_t=tau_t, tau_d=int(rng.integers(1, 12)),
             betas=tuple(rng.uniform(0.1, 2.0, size=k)),
             bers=tuple(rng.uniform(0.0, 0.5, size=k)),
@@ -113,29 +117,38 @@ def test_woodbury_equals_direct_solve_on_random_instances():
 
 
 def test_da_without_data_reduces_to_pilot_only():
-    h, pilots, _, train, _, _, betas, n0 = _setup(tau_d=0)
+    h, pilots, _, train, data, _, betas, n0 = _setup(tau_d=0)
     side = DecodedSideInfo(x_hat=np.zeros((2, 0)), ber=np.zeros(2), power=2.0)
-    joint = Observation(y=train.y, phase=Phase.JOINT, noise_power=n0)
-    da = da_estimate_matrix(joint, pilots, side, betas, n0)
+    da = da_estimate_matrix(train, data, pilots, side, betas, n0)
     po = mmse_estimate_matrix(train, pilots, betas, n0)
     assert np.array_equal(da, po)
 
 
 def test_da_with_half_ber_degrades_to_pilot_only():
-    h, pilots, _, train, joint, side, betas, n0 = _setup(seed=5)
+    h, pilots, _, train, data, side, betas, n0 = _setup(seed=5)
     side_half = DecodedSideInfo(x_hat=side.x_hat, ber=np.full(2, 0.5), power=side.power)
-    da = da_estimate_matrix(joint, pilots, side_half, betas, n0)
+    da = da_estimate_matrix(train, data, pilots, side_half, betas, n0)
     po = mmse_estimate_matrix(train, pilots, betas, n0)
     assert np.linalg.norm(da - po) / np.linalg.norm(po) < 1e-9
 
 
+def test_da_estimate_is_the_joined_blocks_times_the_da_combiner():
+    h, pilots, _, train, data, side, betas, n0 = _setup(seed=6)
+    expected = _joined(train, data) @ da_combiner_matrix(pilots, side, betas, n0)
+    assert np.array_equal(da_estimate_matrix(train, data, pilots, side, betas, n0), expected)
+
+
 def test_da_rejects_bad_joint_shape():
-    _, pilots, _, train, joint, side, betas, n0 = _setup()
-    bad = Observation(y=joint.y[:, :-1], phase=Phase.JOINT, noise_power=n0)
+    _, pilots, _, train, data, side, betas, n0 = _setup()
     with pytest.raises(ValueError, match="columns"):
-        da_estimate_matrix(bad, pilots, side, betas, n0)
-    with pytest.raises(ValueError, match="joint"):
-        da_estimate_matrix(train, pilots, side, betas, n0)
+        da_estimate_matrix(train, Observation(data.y[:, :-1], Phase.DATA, n0),
+                           pilots, side, betas, n0)
+    with pytest.raises(ValueError, match="columns"):
+        da_estimate_matrix(Observation(train.y[:, :-1], Phase.TRAINING, n0), data,
+                           pilots, side, betas, n0)
+    with pytest.raises(ValueError, match="antenna count"):
+        da_estimate_matrix(Observation(train.y[:-1], Phase.TRAINING, n0), data,
+                           pilots, side, betas, n0)
 
 
 def test_rho_da_zero_ber_is_total_energy():
@@ -232,11 +245,15 @@ def test_da_estimates_take_one_ber_per_trial():
     setups = [_setup(k=3, m=5, tau_t=3, tau_d=6, betas=(1.0, 0.4, 0.7),
                      bers=(0.1 * t, 0.05, 0.2), seed=t) for t in range(3)]
     _, pilots, _, _, _, _, betas, n0 = setups[0]
-    joint = Observation(y=np.stack([s[4].y for s in setups]), phase=Phase.JOINT, noise_power=n0)
+    train = Observation(y=np.stack([s[3].y for s in setups]), phase=Phase.TRAINING, noise_power=n0)
+    data = Observation(y=np.stack([s[4].y for s in setups]), phase=Phase.DATA, noise_power=n0)
     side = DecodedSideInfo(x_hat=np.stack([s[5].x_hat for s in setups]),
                            ber=np.stack([s[5].ber for s in setups]), power=setups[0][5].power)
-    stacked = da_estimate_matrix(joint, pilots, side, betas, n0)
-    for t, (_, _, _, _, joint_t, side_t, _, _) in enumerate(setups):
-        assert np.array_equal(stacked[t], da_estimate_matrix(joint_t, pilots, side_t, betas, n0))
+    stacked = da_estimate_matrix(train, data, pilots, side, betas, n0)
+    assert np.array_equal(stacked,
+                          _joined(train, data) @ da_combiner_matrix(pilots, side, betas, n0))
+    for t, (_, _, _, train_t, data_t, side_t, _, _) in enumerate(setups):
+        assert np.array_equal(stacked[t],
+                              da_estimate_matrix(train_t, data_t, pilots, side_t, betas, n0))
         assert delta_s_x(side.ber, betas, side.power)[t] == delta_s_x(side_t.ber, betas,
                                                                       side.power)

@@ -10,7 +10,7 @@ from hetnetsim.ber_analytic import effective_rho, q_function
 from hetnetsim.detectors import (
     CombinerKind,
     Modulation,
-    _constellation,
+    _GRAY,
     _slice,
     build_combiner,
     detect,
@@ -18,6 +18,7 @@ from hetnetsim.detectors import (
     mmse_sinr,
     modulate,
     random_bits,
+    zf_rows,
 )
 from hetnetsim.phy import Observation, Phase, observe
 
@@ -73,9 +74,9 @@ def test_qam16_gray_map_at_unit_scale():
     patterns, points = list(_QAM16_AT_10), list(_QAM16_AT_10.values())
     block = modulate(_bits_of(patterns), Modulation.QAM16, 10.0)
     assert np.array_equal(block.symbols[0], points)
-    listed, table = _constellation(Modulation.QAM16, 10.0)
-    assert np.array_equal(listed, points)
-    assert ["".join(map(str, row)) for row in table] == patterns
+    gray = _GRAY[Modulation.QAM16]
+    assert np.array_equal(gray.points, points)
+    assert ["".join(map(str, row)) for row in gray.bits] == patterns
 
 
 @pytest.mark.parametrize("scheme,p_d", [(Modulation.BPSK, 1.0), (Modulation.QAM4, 2.0)])
@@ -117,6 +118,21 @@ def test_zf_equals_mrc_for_single_ue():
     zf = build_combiner(CombinerKind.ZF, est, *args)
     mrc = build_combiner(CombinerKind.MRC, est, *args)
     assert np.allclose(zf.c, mrc.c, rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape,pad", [
+    ((6, 3), None), ((4, 6, 3), None), ((2, 3, 6, 4), [[False, False, True, True],
+                                                      [False, False, False, True],
+                                                      [False, False, False, False]])])
+def test_zf_combiner_rows_are_the_zf_rows(shape, pad):
+    # 2-D, a stack of BSs, and a trial stack of padded BS stacks
+    est = phy.complex_gaussian(np.random.default_rng(23), shape)
+    comb = build_combiner(CombinerKind.ZF, est, np.ones(shape[-1]), 1.3, 8, 2.0, 0.05, pad=pad)
+    if pad is not None:
+        pad = np.asarray(pad)
+        est = np.where(pad[..., None, :], 0.0, est)
+        assert not comb.c[..., pad, :].any()
+    assert np.array_equal(comb.c, zf_rows(est, pad))
 
 
 def test_mrc_is_matched_filter_direction():
@@ -251,7 +267,8 @@ def test_matrix_sinr_equals_combiner_decomposition():
 def _argmin_slice(symbols, scheme, p_d):
     """Reference slicer: nearest constellation point by argmin, ties to the
     point listed first."""
-    points, table = _constellation(scheme, p_d)
+    gray = _GRAY[scheme]
+    points, table = np.sqrt(p_d / gray.energy) * gray.points, gray.bits
     idx = np.argmin(np.abs(symbols[..., None] - points) ** 2, axis=-1)
     return table[idx].reshape(*idx.shape[:-1], -1), points[idx]
 

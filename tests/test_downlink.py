@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hetnetsim import phy
+from hetnetsim.detectors import zf_rows
 from hetnetsim.downlink import Precoder, dl_rate, zf_precode
 from hetnetsim.phy import ChannelSet, draw_channels
 from hetnetsim.scenario import (
@@ -43,9 +44,35 @@ def test_pseudo_inverse_diagonalises():
     assert np.max(np.abs(off)) < 1e-10 * np.max(np.abs(np.diag(response)))
 
 
+def _normalised_columns(raw, power):
+    return raw * (np.sqrt(power / raw.shape[-1]) / np.linalg.norm(raw, axis=-2))[..., None, :]
+
+
+@pytest.mark.parametrize("shape", [(6, 3), (4, 6, 3), (5, 1)])
+def test_zf_precoder_is_the_conjugate_transpose_of_the_zf_rows(shape):
+    est = phy.complex_gaussian(np.random.default_rng(12), shape)
+    expected = _normalised_columns(zf_rows(est).conj().swapaxes(-1, -2), 2.0)
+    assert np.array_equal(zf_precode(est, 2.0).w, expected)
+
+
+def test_padded_zf_rows_give_the_precoder_of_the_real_columns():
+    # a BS serving 2 UEs in a stack padded to 4 columns: the padded rows
+    # are zero, and the real ones are the 2-column precoder's directions
+    rng = np.random.default_rng(13)
+    est = phy.complex_gaussian(rng, (3, 6, 4))
+    pad = np.array([False, True, False, True])
+    padded = zf_rows(np.where(pad, 0.0, est), pad)
+    assert not padded[:, pad].any()
+    direct = zf_precode(est[..., ~pad], 2.0).w
+    from_padded = _normalised_columns(padded[:, ~pad].conj().swapaxes(-1, -2), 2.0)
+    np.testing.assert_allclose(from_padded, direct, rtol=0, atol=1e-12)
+
+
 def test_zf_rejects_overloaded_bs():
     with pytest.raises(ValueError, match="antennas"):
         zf_precode(np.ones((2, 3), dtype=complex), 1.0)
+    with pytest.raises(ValueError, match="matrix"):
+        zf_precode(np.ones(3, dtype=complex), 1.0)
 
 
 def test_zf_rejects_rank_deficiency():
@@ -77,7 +104,7 @@ def test_single_ue_rate_closed_form():
 
 def test_zero_precoders_give_zero_rate():
     h, channels, assoc, _ = _single_ue_system(0.1)
-    pre = {0: Precoder(w=np.zeros((16, 1), dtype=complex), power=0.0, ue_indices=(0,))}
+    pre = {0: Precoder(w=np.zeros((16, 1), dtype=complex), ue_indices=(0,))}
     rates = dl_rate(channels, pre, assoc, 0.1)
     assert rates.rate[0] == 0.0
 

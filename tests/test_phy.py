@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from hetnetsim import phy
+from hetnetsim.data_aided import DecodedSideInfo, da_estimate_matrix
 from hetnetsim.phy import (
     Phase,
     draw_channels,
-    joint_observation,
     make_pilots,
     observe,
     stream,
@@ -81,7 +81,6 @@ def test_channel_column_variance_tracks_beta(small_topology):
 def test_zero_gain_gives_zero_column():
     cfg = desk_config(num_ue=2, num_sbs=0, tau_t=2)
     topo = Topology(
-        mbs_position=np.zeros(2),
         sbs_positions=np.zeros((0, 2)),
         ue_positions=np.array([[10.0, 0.0], [20.0, 0.0]]),
         beta_mbs=np.array([0.0, 1e-8]),
@@ -121,23 +120,16 @@ def test_observe_shape_and_mismatch():
         observe(channel, np.zeros((4, 6)), 1e-3, phy.awgn(2, (4, 6), 1e-3))
 
 
-def test_joint_prefix_equals_training_block():
-    rng = np.random.default_rng(4)
-    channel = phy.complex_gaussian(rng, (8, 3))
-    pilots = make_pilots(3, 5, 1.0)
-    data = phy.complex_gaussian(rng, (3, 7))
-    train = observe(channel, pilots.s, 0.1, phy.awgn(stream(1, 0), (8, 5), 0.1), Phase.TRAINING)
-    data_obs = observe(channel, data, 0.1, phy.awgn(stream(1, 1), (8, 7), 0.1), Phase.DATA)
-    joint = joint_observation(train, data_obs)
-    assert joint.phase is Phase.JOINT
-    assert np.array_equal(joint.y[:, :5], train.y)
-    assert np.array_equal(joint.y[:, 5:], data_obs.y)
-
-
 def test_joint_rejects_wrong_phases():
-    obs = observe(np.zeros((2, 2)), np.zeros((2, 2)), 0.0, phy.awgn(1, (2, 2), 0.0), Phase.DATA)
-    with pytest.raises(ValueError):
-        joint_observation(obs, obs)
+    # the training-then-data join happens inside da_estimate_matrix, which
+    # takes only a (training, data) pair: blocks swapped or doubled are refused
+    pilots = make_pilots(2, 2, 1.0)
+    side = DecodedSideInfo(x_hat=np.zeros((2, 2)), ber=np.zeros(2), power=1.0)
+    train = observe(np.zeros((2, 2)), pilots.s, 0.0, phy.awgn(1, (2, 2), 0.0), Phase.TRAINING)
+    data = observe(np.zeros((2, 2)), np.zeros((2, 2)), 0.0, phy.awgn(1, (2, 2), 0.0), Phase.DATA)
+    for first, second in ((data, train), (train, train), (data, data)):
+        with pytest.raises(ValueError, match=r"\(training, data\) pair"):
+            da_estimate_matrix(first, second, pilots, side, (1.0, 1.0), 0.1)
 
 
 def test_observation_energy_balance():
