@@ -133,6 +133,13 @@ def _check_out(path: str) -> None:
         raise OSError(code, os.strerror(code), str(out.parent))
 
 
+# the experiment keys the floor reads, each with the one value it computes
+_FLOOR_ONLY = (
+    ("modulation", Modulation.BPSK, "the closed-form BER covers BPSK only"),
+    ("ber_source", data_aided.BerSource.ANALYTIC_PROP1, "the floor uses Prop. 1's analytic BER"),
+)
+
+
 def _run_floor(cfg: SystemConfig, seed: int) -> int:
     topo, assoc = sweep_topology(cfg, seed)
     if not len(assoc.decoupled):
@@ -175,10 +182,10 @@ def parse_and_dispatch(argv) -> int:
         return 0
 
     if args.command == "floor":
-        if experiment.get("modulation", Modulation.BPSK) != Modulation.BPSK:
-            print(f"config error: the closed-form BER covers BPSK only, got modulation="
-                  f"{experiment['modulation']!r}", file=sys.stderr)
-            return 2
+        for key, only, why in _FLOOR_ONLY:
+            if experiment.get(key, only) != only:
+                print(f"config error: {why}, got {key}={experiment[key]!r}", file=sys.stderr)
+                return 2
         return _run_floor(cfg, args.seed)
 
     try:

@@ -115,16 +115,12 @@ def random_bits(num_ue: int, tau_d: int, scheme: Modulation, seed) -> np.ndarray
     return rng.integers(0, 2, size=(num_ue, tau_d * scheme.bits_per_symbol))
 
 
-def zf_rows(estimates: np.ndarray, pad=None) -> np.ndarray:
+def zf_rows(estimates: np.ndarray) -> np.ndarray:
     """Zero-forcing rows (G^H G)^-1 G^H of an estimated channel matrix G,
     (antennas, n), or of each matrix in a stack (..., antennas, n): row i
     passes column i and nulls the others.  The ZF combiner is these rows;
-    the ZF precoder is their conjugate transpose, column-normalised.
-
-    ``pad``, a boolean mask over the columns, (n,) or (..., n), marks
-    zeroed columns that stand in for no UE: an identity block keeps them
-    out of the solve, and their rows are zero.  ZF needs no more columns
-    than antennas, and a full-rank G.
+    the ZF precoder is their conjugate transpose, column-normalised.  ZF
+    needs no more columns than antennas, and a full-rank G.
     """
     est = np.asarray(estimates)
     if est.ndim < 2:
@@ -133,11 +129,8 @@ def zf_rows(estimates: np.ndarray, pad=None) -> np.ndarray:
     if n_ue > n_ant:
         raise ValueError(f"ZF cannot separate {n_ue} UEs with {n_ant} antennas")
     est_h = est.conj().swapaxes(-1, -2)
-    gram = est_h @ est
-    if pad is not None:
-        gram = gram + np.asarray(pad)[..., None] * np.eye(n_ue)
     try:
-        return np.linalg.solve(gram, est_h)
+        return np.linalg.solve(est_h @ est, est_h)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("rank-deficient estimate matrix for ZF") from exc
 
@@ -151,7 +144,6 @@ def build_combiner(
     p_d: float,
     noise_power: float,
     ue_indices=None,
-    pad=None,
 ) -> Combiner:
     """Linear receive combiner from estimated channels.
 
@@ -162,32 +154,24 @@ def build_combiner(
     builds B combiners at once; ``c`` and ``gain`` then carry that axis.
     A trial axis may lead the BS axis, (T, B, antennas, n): each trial
     then gets what a call on its own slice would.
-
-    ``pad``, a boolean mask over the columns, (n,) or (B, n), marks columns
-    that stand in for no UE, so that BSs serving fewer UEs share one stack.
-    Padded columns are zeroed and kept out of the ZF solve (``zf_rows``)
-    and out of the MRC norms by a unit norm; their rows are zero.
     """
     kind = CombinerKind(kind)
     est = np.asarray(estimates)
     n_ant, n_ue = est.shape[-2:]
     ue_indices = tuple(range(n_ue)) if ue_indices is None else tuple(int(i) for i in ue_indices)
-    pad = np.zeros(n_ue, dtype=bool) if pad is None else np.asarray(pad, dtype=bool)
-    if pad.any():
-        est = np.where(pad[..., None, :], 0.0, est)
 
     est_h = est.conj().swapaxes(-1, -2)
     if kind is CombinerKind.MRC:
-        norms = np.sum(np.abs(est) ** 2, axis=-2) + pad
+        norms = np.sum(np.abs(est) ** 2, axis=-2)
         if np.any(norms == 0):
             raise ValueError("MRC needs non-zero channel estimates")
         rows = est_h / norms[..., None]
     elif kind is CombinerKind.ZF:
-        rows = zf_rows(est, pad)
+        rows = zf_rows(est)
     else:
         reg = 1.0 / np.asarray(effective_rho(betas, p_t, tau_t, noise_power, p_d))
         # rows G^H (G G^H + r I)^-1 = (G^H G + r I)^-1 G^H: solve in the
-        # smaller of the two dimensions; padded columns give zero rows
+        # smaller of the two dimensions
         if n_ue < n_ant:
             rows = np.linalg.solve(est_h @ est + reg[..., None, None] * np.eye(n_ue), est_h)
         else:

@@ -255,10 +255,9 @@ class _Part:
 
     group: int
     rows: slice | list                 # positions in the group
-    kind: CombinerKind                 # MMSE for a ZF BS that serves more UEs than antennas
+    kind: CombinerKind                 # MMSE for ZF BSs that serve more UEs than antennas
     label: str                         # the detector, or "zf->mmse"
     cols: np.ndarray | None            # (B, n) estimate columns of each BS; None for all
-    pad: np.ndarray | None             # (B, n) the padded columns among them
     pick: np.ndarray                   # (B, m) combiner rows each BS keeps
     ues: np.ndarray                    # (B, m) the UEs of those rows
 
@@ -413,7 +412,7 @@ def _detect(run: _TopologyRun, memo: _TrialMemo, pilot, data, block):
             est = pilot[part.group].est[:, part.rows]
             if part.cols is not None:
                 est = np.take_along_axis(est, part.cols[None, :, None], -1)
-            comb = detectors.build_combiner(part.kind, est, layout.betas[ids], *args, pad=part.pad)
+            comb = detectors.build_combiner(part.kind, est, layout.betas[ids], *args)
             bs = np.arange(len(part.pick))[:, None]
             return dataclasses.replace(comb, c=comb.c[..., bs, part.pick, :],
                                        gain=comb.gain[..., bs, part.pick],
@@ -477,48 +476,43 @@ def _fold(metric: Metric, acc: dict, labels) -> dict:
     return out
 
 
-def _part(group: int, rows, det: str, served: list, scored, wide: bool) -> _Part:
+def _part(group: int, rows, det: str, served: list, scored, n_ant: int) -> _Part:
     """The combiner of detector ``det`` at BSs serving ``served``: ZF on
-    each BS's served columns, padded to the longest set (MMSE on them where
-    the BS is ``wide``), MRC and MMSE on every UE's column.  Each BS keeps
-    the rows of its own scored UEs; shorter row sets repeat their last UE,
-    so every BS keeps the same row count."""
+    each BS's served columns, equal in number (MMSE where they outnumber
+    the ``n_ant`` antennas), MRC and MMSE on every UE's column.  Each BS
+    keeps the rows of its own scored UEs; shorter row sets repeat their
+    last UE, so every BS keeps the same row count."""
     mine = [s[scored[s]] for s in served]
     span = np.arange(max(map(len, mine)))
     ues = np.array([m[np.minimum(span, len(m) - 1)] for m in mine])
-    kind = CombinerKind.MMSE if wide else CombinerKind(det)
-    cols = pad = None
-    pick = ues
+    kind, cols, pick = CombinerKind(det), None, ues
     if det == "zf":
-        sizes = np.array([len(s) for s in served])
-        pad = np.arange(max(sizes)) >= sizes[:, None]
-        cols = np.zeros(pad.shape, dtype=int)
-        cols[~pad] = np.concatenate(served)
+        cols = np.array(served)
         pick = np.array([np.searchsorted(s, u) for s, u in zip(served, ues)])
+        if cols.shape[1] > n_ant:
+            kind = CombinerKind.MMSE
     label = det if kind.value == det else f"{det}->{kind.value}"
-    return _Part(group, rows, kind, label, cols, pad, pick, ues)
+    return _Part(group, rows, kind, label, cols, pick, ues)
 
 
 def _parts(assoc, scored, dets, groups) -> list:
-    """The stacked combiners of each listener group.  MRC and MMSE build on
-    every UE's column (an MRC row depends on its own column alone; MMSE
-    rows regularise with all of them), ZF on each BS's served columns.  A
-    BS that serves more UEs than it has antennas cannot zero-force them:
-    it gets an MMSE combiner of its own, reported as ``zf->mmse``."""
+    """The stacked combiners of each listener group: MRC and MMSE on every
+    UE's column (an MRC row depends on its own column alone; MMSE rows
+    regularise with all of them), ZF on each BS's served columns, one stack
+    per served count.  BSs that serve more UEs than antennas cannot
+    zero-force them: their stack is MMSE, reported as ``zf->mmse``."""
     ul_bs = assoc.ul_serving[scored]
     parts = []
     for g, (ids, n_ant) in enumerate(groups):
         listening = np.flatnonzero(np.isin(ids, ul_bs))
         served = [np.flatnonzero(assoc.ul_serving == v) for v in ids[listening]]
-        wide = np.array([len(s) > n_ant for s in served], dtype=bool)
+        sizes = np.array([len(s) for s in served])
         for det in dets:
-            stacks = [np.arange(len(served))]
-            if det == "zf":
-                stacks = [np.flatnonzero(~wide), *([i] for i in np.flatnonzero(wide))]
-            for stack in (list(s) for s in stacks if len(s)):
+            key = sizes if det == "zf" else np.zeros_like(sizes)
+            for n in sorted(set(key.tolist())):     # np.unique would load numpy.ma
+                stack = np.flatnonzero(key == n)
                 rows = slice(None) if len(stack) == len(ids) else list(listening[stack])
-                parts.append(_part(g, rows, det, [served[i] for i in stack], scored,
-                                   det == "zf" and wide[stack[0]]))
+                parts.append(_part(g, rows, det, [served[i] for i in stack], scored, n_ant))
     return parts
 
 

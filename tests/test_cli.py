@@ -212,9 +212,22 @@ def test_floor_rejects_a_modulation_other_than_bpsk(tiny_config, capsys, modulat
     assert "saturation limit" not in captured.out
 
 
+@pytest.mark.parametrize("source", ["zero_error", "empirical", "bogus", "ANALYTIC"])
+def test_floor_rejects_a_ber_source_other_than_analytic(tiny_config, capsys, source):
+    # these once printed Prop. 1's floor and exited 0
+    assert cli.main(["floor", "--config", str(tiny_config),
+                     "--set", f"ber_source={source}"]) == 2
+    captured = capsys.readouterr()
+    assert (f"config error: the floor uses Prop. 1's analytic BER, got ber_source='{source}'"
+            in captured.err and "Traceback" not in captured.err)
+    assert "saturation limit" not in captured.out
+
+
 def test_floor_takes_a_shared_config_with_sweep_keys(tiny_config, capsys):
-    # TINY holds trials and topologies; BPSK named outright is the default
+    # TINY holds trials and topologies; BPSK and the analytic BER named
+    # outright are the defaults, and the detectors are not read
     assert cli.main(["floor", "--config", str(tiny_config), "--set", "modulation=bpsk",
+                     "--set", "ber_source=analytic", "--set", 'detectors=["mrc"]',
                      "--set", "p_train_dbm=-7", "--seed", "3"]) == 0
     assert "saturation limit" in capsys.readouterr().out
 

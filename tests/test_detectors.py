@@ -120,19 +120,12 @@ def test_zf_equals_mrc_for_single_ue():
     assert np.allclose(zf.c, mrc.c, rtol=1e-12)
 
 
-@pytest.mark.parametrize("shape,pad", [
-    ((6, 3), None), ((4, 6, 3), None), ((2, 3, 6, 4), [[False, False, True, True],
-                                                      [False, False, False, True],
-                                                      [False, False, False, False]])])
-def test_zf_combiner_rows_are_the_zf_rows(shape, pad):
-    # 2-D, a stack of BSs, and a trial stack of padded BS stacks
+@pytest.mark.parametrize("shape", [(6, 3), (4, 6, 3), (2, 3, 6, 4)])
+def test_zf_combiner_rows_are_the_zf_rows(shape):
+    # 2-D, a stack of BSs, and a trial stack of BS stacks
     est = phy.complex_gaussian(np.random.default_rng(23), shape)
-    comb = build_combiner(CombinerKind.ZF, est, np.ones(shape[-1]), 1.3, 8, 2.0, 0.05, pad=pad)
-    if pad is not None:
-        pad = np.asarray(pad)
-        est = np.where(pad[..., None, :], 0.0, est)
-        assert not comb.c[..., pad, :].any()
-    assert np.array_equal(comb.c, zf_rows(est, pad))
+    comb = build_combiner(CombinerKind.ZF, est, np.ones(shape[-1]), 1.3, 8, 2.0, 0.05)
+    assert np.array_equal(comb.c, zf_rows(est))
 
 
 def test_mrc_is_matched_filter_direction():
@@ -366,49 +359,8 @@ def test_mmse_rows_equal_the_antenna_domain_solve(n_ant, k_total):
     np.testing.assert_allclose(comb.c, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
-# served sets of four BSs with 4 antennas: lengths 1, 3, 4 and 2 (ragged),
-# and a fifth BS that serves 6 UEs and cannot zero-force them
-_SERVED = [(2,), (0, 5, 7), (1, 3, 4, 8), (6, 9), (0, 1, 2, 3, 4, 5)]
-
-
-def _padded(est, served):
-    """Each BS's served columns of ``est``, padded to the longest set with
-    column 0, and the mask of the padded columns."""
-    width = max(map(len, served))
-    cols = np.array([list(u) + [0] * (width - len(u)) for u in served])
-    pad = np.arange(width) >= np.array([len(u) for u in served])[:, None]
-    return np.take_along_axis(est, cols[:, None, :], -1), pad
-
-
-@pytest.mark.parametrize("kind", list(CombinerKind))
-def test_ragged_served_sets_equal_per_bs_calls(kind):
-    betas, est, block, obs = _stack_setup(4, 4, 10, 24)
-    args = (1.3, 8, 2.0, 0.05)
-    served = _SERVED[:4]
-    padded, pad = _padded(est, served)
-    stacked = build_combiner(kind, padded, betas, *args, pad=pad)
-    assert stacked.kind is kind
-    # each BS keeps its served rows, shorter sets repeating their last row
-    width = max(map(len, served))
-    pick = np.array([np.minimum(np.arange(width), len(u) - 1) for u in served])
-    kept = dataclasses.replace(
-        stacked, c=np.take_along_axis(stacked.c, pick[..., None], axis=1),
-        gain=np.take_along_axis(stacked.gain, pick, axis=1),
-        ue_indices=tuple(tuple(np.array(u)[i]) for u, i in zip(served, pick)))
-    bits, symbols, ber = detect_all(obs, kept, block)
-    for b, ues in enumerate(served):
-        single = build_combiner(kind, est[b][:, list(ues)], betas[b], *args, ue_indices=ues)
-        n = len(ues)
-        np.testing.assert_allclose(stacked.c[b][:n], single.c, rtol=0,
-                                   atol=1e-12 * np.abs(single.c).max())
-        np.testing.assert_allclose(stacked.gain[b][:n], single.gain, rtol=1e-12)
-        # the padded rows are zero
-        assert not np.any(stacked.c[b][n:]) and not np.any(stacked.gain[b][n:])
-        obs_b = Observation(y=obs.y[b], phase=Phase.DATA, noise_power=obs.noise_power)
-        bits_b, symbols_b, ber_b = detect_all(obs_b, single, block)
-        assert np.array_equal(bits[b][:n], bits_b)
-        assert np.array_equal(symbols[b][:n], symbols_b)
-        assert np.array_equal(ber[b][:n], ber_b)
+# served sets of four BSs with 4 antennas, of lengths 1, 3, 4 and 2
+_SERVED = [(2,), (0, 5, 7), (1, 3, 4, 8), (6, 9)]
 
 
 def test_mrc_rows_on_every_column_equal_served_rows():
@@ -417,24 +369,27 @@ def test_mrc_rows_on_every_column_equal_served_rows():
     betas, est, block, obs = _stack_setup(4, 4, 10, 25)
     args = (1.3, 8, 2.0, 0.05)
     full = build_combiner(CombinerKind.MRC, est, betas, *args)
-    for b, ues in enumerate(_SERVED[:4]):
+    for b, ues in enumerate(_SERVED):
         single = build_combiner(CombinerKind.MRC, est[b][:, list(ues)], betas[b], *args)
         np.testing.assert_allclose(full.c[b][list(ues)], single.c, rtol=0,
                                    atol=1e-12 * np.abs(single.c).max())
 
 
-def _sweep_combiners(est, betas, ul_serving, n_ant, args):
+def _sweep_combiners(est, betas, ul_serving, n_ant, args, scored=None):
     """The ZF parts the sweep prepares for one listener group of BSs
-    1..B with ``n_ant`` antennas serving ``ul_serving``, each with the
-    combiner it builds from the group's estimates ``est`` (B, n_ant, K)."""
+    1..B with ``n_ant`` antennas serving ``ul_serving``, each with the rows
+    it keeps of the combiner it builds from the group's estimates ``est``,
+    (T, B, n_ant, K), as ``experiments._detect`` builds them."""
     assoc = SimpleNamespace(ul_serving=np.asarray(ul_serving))
-    groups = [(np.arange(1, len(est) + 1), n_ant)]
-    scored = np.ones(len(ul_serving), dtype=bool)
+    groups = [(np.arange(1, est.shape[1] + 1), n_ant)]
+    scored = np.ones(len(ul_serving), dtype=bool) if scored is None else scored
     out = []
     for part in experiments._parts(assoc, scored, ("zf",), groups):
-        heard = np.take_along_axis(est[part.rows], part.cols[:, None, :], -1)
-        out.append((part, build_combiner(part.kind, heard, betas[part.rows], *args,
-                                         pad=part.pad)))
+        heard = np.take_along_axis(est[:, part.rows], part.cols[None, :, None], -1)
+        comb = build_combiner(part.kind, heard, betas[part.rows], *args)
+        bs = np.arange(len(part.pick))[:, None]
+        out.append((part, dataclasses.replace(comb, c=comb.c[..., bs, part.pick, :],
+                                              gain=comb.gain[..., bs, part.pick])))
     return out
 
 
@@ -448,41 +403,44 @@ def test_zf_falls_back_to_mmse_when_overloaded(caplog):
     with caplog.at_level(logging.DEBUG, logger="hetnetsim"):
         with pytest.raises(ValueError, match="3 UEs with 2 antennas"):
             build_combiner(CombinerKind.ZF, est, betas[0], *args)
-        [(part, comb)] = _sweep_combiners(est[None], betas, [1, 1, 1], 2, args)
+        [(part, comb)] = _sweep_combiners(est[None, None], betas, [1, 1, 1], 2, args)
         mmse = build_combiner(CombinerKind.MMSE, est, betas[0], *args)
     assert part.label == "zf->mmse"
     assert comb.kind is mmse.kind is CombinerKind.MMSE
-    np.testing.assert_allclose(comb.c[0], mmse.c, rtol=0, atol=1e-12 * np.abs(mmse.c).max())
+    np.testing.assert_allclose(comb.c[0, 0], mmse.c, rtol=0, atol=1e-12 * np.abs(mmse.c).max())
     assert not caplog.records
 
 
-def test_ragged_zf_falls_back_for_the_whole_stack(caplog):
-    # a padded ZF stack holding a BS with more UEs than antennas refuses as
-    # a whole, as does that BS's stack of one; the sweep stacks ZF on the
-    # other BSs and gives that BS an MMSE stack of its own, equal to the
-    # 2-D MMSE call in combiner and decisions
-    betas, est, block, obs = _stack_setup(5, 4, 10, 26)
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_zf_parts_stack_by_served_count_and_keep_the_rows_of_per_bs_calls(seed):
+    # BSs with 3 antennas serving 1 to 5 UEs, two BSs at each count, some
+    # UEs unscored: each ZF part stacks the BSs of one served count, ZF up
+    # to 3 and zf->mmse above, and the rows the sweep keeps for each trial
+    # and BS equal a 2-D call on that BS's served columns, bit for bit
+    n_ant, counts = 3, np.repeat(np.arange(1, 6), 2)
+    rng = np.random.default_rng(seed)
+    ul = rng.permutation(np.repeat(rng.permutation(len(counts)) + 1, counts))
+    scored = rng.random(len(ul)) < 0.7
+    betas = rng.uniform(0.2, 2.0, size=(len(counts), len(ul)))
+    est = phy.complex_gaussian(rng, (2, len(counts), n_ant, len(ul))) * np.sqrt(betas)[:, None]
     args = (1.3, 8, 2.0, 0.05)
-    ul = np.array([5, 1, 2, 5, 5, 2, 3, 5, 4, 5])
-    served = [tuple(np.flatnonzero(ul == v)) for v in range(1, 6)]
-    padded, pad = _padded(est, served)
-    with caplog.at_level(logging.DEBUG, logger="hetnetsim"):
-        for rows in (slice(None), slice(4, None)):
-            with pytest.raises(ValueError, match="5 UEs with 4 antennas"):
-                build_combiner(CombinerKind.ZF, padded[rows], betas[rows], *args, pad=pad[rows])
-        (zf, stacked), (wide, alone) = _sweep_combiners(est, betas, ul, 4, args)
-        single = build_combiner(CombinerKind.MMSE, est[4][:, list(served[4])], betas[4], *args,
-                                ue_indices=served[4])
-    assert not caplog.records
-    assert (zf.label, zf.rows, stacked.kind) == ("zf", [0, 1, 2, 3], CombinerKind.ZF)
-    assert (wide.label, wide.rows, alone.kind) == ("zf->mmse", [4], CombinerKind.MMSE)
-    np.testing.assert_allclose(alone.c[0], single.c, rtol=0,
-                               atol=1e-12 * np.abs(single.c).max())
-    obs_4 = Observation(y=obs.y[4], phase=Phase.DATA, noise_power=obs.noise_power)
-    obs_alone = Observation(y=obs.y[4:], phase=Phase.DATA, noise_power=obs.noise_power)
-    alone = dataclasses.replace(alone, ue_indices=(served[4],))
-    assert np.array_equal(detect_all(obs_alone, alone, block)[0][0],
-                          detect_all(obs_4, single, block)[0])
+    parts = _sweep_combiners(est, betas, ul, n_ant, args, scored)
+    listening = np.unique(ul[scored])
+    assert np.array_equal(np.sort(np.concatenate([np.asarray(p.rows) + 1 for p, _ in parts])),
+                          listening)
+    assert len(parts) == len(set(np.bincount(ul)[listening]))
+    for part, kept in parts:
+        width = part.cols.shape[1]
+        wide = width > n_ant
+        assert (part.label, part.kind) == (("zf->mmse", CombinerKind.MMSE) if wide
+                                           else ("zf", CombinerKind.ZF))
+        for b, v in enumerate(np.asarray(part.rows) + 1):
+            served = np.flatnonzero(ul == v)
+            assert np.array_equal(part.cols[b], served)
+            for t in range(2):
+                single = build_combiner(part.kind, est[t, v - 1][:, served], betas[v - 1], *args)
+                assert np.array_equal(kept.c[t, b], single.c[part.pick[b]])
+                assert np.array_equal(kept.gain[t, b], single.gain[part.pick[b]])
 
 
 def test_mmse_sinr_and_modulate_take_leading_axes():

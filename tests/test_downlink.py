@@ -55,19 +55,6 @@ def test_zf_precoder_is_the_conjugate_transpose_of_the_zf_rows(shape):
     assert np.array_equal(zf_precode(est, 2.0).w, expected)
 
 
-def test_padded_zf_rows_give_the_precoder_of_the_real_columns():
-    # a BS serving 2 UEs in a stack padded to 4 columns: the padded rows
-    # are zero, and the real ones are the 2-column precoder's directions
-    rng = np.random.default_rng(13)
-    est = phy.complex_gaussian(rng, (3, 6, 4))
-    pad = np.array([False, True, False, True])
-    padded = zf_rows(np.where(pad, 0.0, est), pad)
-    assert not padded[:, pad].any()
-    direct = zf_precode(est[..., ~pad], 2.0).w
-    from_padded = _normalised_columns(padded[:, ~pad].conj().swapaxes(-1, -2), 2.0)
-    np.testing.assert_allclose(from_padded, direct, rtol=0, atol=1e-12)
-
-
 def test_zf_rejects_overloaded_bs():
     with pytest.raises(ValueError, match="antennas"):
         zf_precode(np.ones((2, 3), dtype=complex), 1.0)

@@ -335,31 +335,29 @@ def test_zf_fallback_rows_are_labelled_zf_to_mmse():
 
 def test_parts_give_a_wide_bs_its_own_mmse_part():
     # desk scale with 2 SBS antennas and 20 UEs: topology 0 has UL SBSs
-    # serving 1, 2 and 3 UEs; the ZF stack pads the shorter served sets,
-    # and each SBS serving 3 gets an MMSE part of its own, on its served
-    # columns, reported as zf->mmse
+    # serving 1, 2 and 3 UEs; ZF builds one stack per served count, on
+    # exactly each BS's served columns, and the stack of the SBSs serving
+    # 3 is MMSE, reported as zf->mmse
     spec = ExperimentSpec(base=desk_config(num_ue=20, sbs_antennas=2),
                           sweep_param="p_data_dbm", sweep_values=(13.0,), metric=Metric.BER,
                           detectors=("zf",), trials=1, topologies=1, master_seed=1)
     layout, _ = _point(spec, 13.0)
     ul = layout.assoc.ul_serving
-    labels = [part.label for part in layout.parts]
-    assert labels.count("zf") == 1 and labels.count("zf->mmse") >= 2
+    widths = []
     for part in layout.parts:
         ids, n_ant = layout.groups[part.group]
         ids = ids[part.rows]
         served = [np.flatnonzero(ul == v) for v in ids]
-        wide = part.label == "zf->mmse"
+        width = part.cols.shape[1]
+        wide = width > n_ant
         assert part.kind is (detectors.CombinerKind.MMSE if wide else detectors.CombinerKind.ZF)
-        assert all((len(s) > n_ant) == wide for s in served)
-        if wide:
-            assert len(ids) == 1
-        width = max(map(len, served))
-        assert part.cols.shape == part.pad.shape == (len(ids), width)
+        assert part.label == ("zf->mmse" if wide else "zf")
+        assert part.cols.shape == (len(ids), width)
         for b, s in enumerate(served):
-            assert np.array_equal(part.cols[b, :len(s)], s)
-            assert np.array_equal(part.pad[b], np.arange(width) >= len(s))
+            assert np.array_equal(part.cols[b], s)
             assert np.array_equal(s[part.pick[b]], part.ues[b])
+        widths.append(width)
+    assert sorted(widths) == [1, 2, 3]
 
 
 def test_analytic_ber_vector_equals_one_gamma_model_per_ue():
