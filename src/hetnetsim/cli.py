@@ -49,13 +49,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_sweep=False, needs_out=False):
+    def common(p, needs_sweep=False, needs_out=False, pooled=True):
         p.add_argument("--config", help="flat JSON config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
         p.add_argument("--seed", type=_seed, default=1, help="master seed (>= 0)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker processes (default: HETNET_THREADS or 1)")
+        if pooled:
+            p.add_argument("--threads", type=int, default=None,
+                           help="worker processes (default: HETNET_THREADS or 1)")
         p.add_argument("--dump-config", action="store_true",
                        help="print the effective config as JSON and exit")
         if needs_sweep:
@@ -67,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run a {metric.value} sweep to CSV")
         common(p, needs_sweep=True, needs_out=True)
     common(sub.add_parser("validate", help="run the desk-scale validation suite"))
-    common(sub.add_parser("floor", help="print the data-power saturation limit"))
+    # the floor runs no pool, so it takes no --threads
+    common(sub.add_parser("floor", help="print the data-power saturation limit"), pooled=False)
     return parser
 
 

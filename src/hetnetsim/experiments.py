@@ -38,8 +38,8 @@ PH_NOISE_TRAIN = 2
 PH_NOISE_DATA = 3
 PH_BITS = 4
 
-DETECTOR_CHOICES = ("mrc", "zf", "mmse")
-ESTIMATOR_CHOICES = ("ls", "mmse", "da")
+DETECTOR_CHOICES = tuple(kind.value for kind in CombinerKind)
+ESTIMATOR_CHOICES = tuple(method.value for method in estimators.EstMethod)
 
 
 class Metric(str, enum.Enum):

@@ -223,6 +223,15 @@ def test_floor_rejects_a_ber_source_other_than_analytic(tiny_config, capsys, sou
     assert "saturation limit" not in captured.out
 
 
+@pytest.mark.parametrize("count", ["0", "2"])
+def test_floor_takes_no_threads_option(tiny_config, capsys, count):
+    # the floor runs no pool; it once took any --threads, 0 included, and exited 0
+    assert cli.main(["floor", "--config", str(tiny_config), "--threads", count]) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --threads" in captured.err
+    assert "Traceback" not in captured.err and "saturation limit" not in captured.out
+
+
 def test_floor_takes_a_shared_config_with_sweep_keys(tiny_config, capsys):
     # TINY holds trials and topologies; BPSK and the analytic BER named
     # outright are the defaults, and the detectors are not read

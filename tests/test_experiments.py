@@ -189,8 +189,8 @@ def test_mutated_mmse_shrinkage_breaks_validation(monkeypatch):
         return 2.0 * true_fn(obs, pilots, betas, noise_power)
 
     monkeypatch.setattr(estimators, "mmse_estimate_matrix", tampered)
-    result = validation.check_pilot_only_closed_forms(master_seed=1)
-    assert not result.passed
+    [(passed, _, _)] = validation.check_pilot_only_closed_forms(master_seed=1)
+    assert not passed
 
 
 def test_pilot_only_nmse_run_equals_its_trial_by_trial_loop():
