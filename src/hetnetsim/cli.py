@@ -1,4 +1,5 @@
-"""Command-line front end: sweeps, validation, and the power-floor report.
+"""Command-line front end: the config-file format, sweeps, validation, and
+the power-floor report.
 
 Exit codes: 0 success, 1 validation failures, 2 usage or config errors.
 """
@@ -6,6 +7,7 @@ Exit codes: 0 success, 1 validation failures, 2 usage or config errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import json
 import math
@@ -19,10 +21,7 @@ from .experiments import (
     ExperimentSpec,
     Metric,
     analytic_ber_vector,
-    dump_config,
-    load_config,
     run_sweep,
-    split_config,
     sweep_topology,
     write_csv,
 )
@@ -49,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_sweep=False, needs_out=False, pooled=True):
+    def common(p, needs_sweep=False, pooled=True):
         p.add_argument("--config", help="flat JSON config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
@@ -62,11 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_sweep:
             p.add_argument("--sweep", required=True, metavar="NAME=MIN:MAX:STEP",
                            help="swept parameter and grid, in the field's unit")
-            p.add_argument("--out", required=needs_out, help="output CSV path")
+            p.add_argument("--out", required=True, help="output CSV path")
 
     for name, metric in _SWEEP_COMMANDS.items():
         p = sub.add_parser(name, help=f"run a {metric.value} sweep to CSV")
-        common(p, needs_sweep=True, needs_out=True)
+        common(p, needs_sweep=True)
     common(sub.add_parser("validate", help="run the desk-scale validation suite"))
     # the floor runs no pool, so it takes no --threads
     common(sub.add_parser("floor", help="print the data-power saturation limit"), pooled=False)
@@ -95,11 +94,44 @@ def _parse_sweep(text: str):
     return name.strip(), tuple(lo + i * step for i in range(count))
 
 
+# config files are flat JSON objects whose keys mirror the dataclass fields
+_SYSTEM_KEYS = {f.name for f in dataclasses.fields(SystemConfig)}
+_EXPERIMENT_KEYS = {
+    "trials", "topologies", "modulation", "ber_source", "detectors", "estimators",
+}
+
+
+def split_config(raw: dict):
+    """Separate a flat config dict into SystemConfig kwargs and experiment
+    kwargs, rejecting unknown keys."""
+    unknown = set(raw) - _SYSTEM_KEYS - _EXPERIMENT_KEYS
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    system = {k: v for k, v in raw.items() if k in _SYSTEM_KEYS}
+    experiment = {k: v for k, v in raw.items() if k in _EXPERIMENT_KEYS}
+    for key in ("detectors", "estimators"):
+        if isinstance(experiment.get(key), str):
+            raise ValueError(f"{key} takes a JSON list such as {json.dumps([experiment[key]])}")
+        if key in experiment:
+            experiment[key] = tuple(experiment[key])
+    return system, experiment
+
+
+def dump_config(cfg: SystemConfig, experiment: dict | None = None) -> str:
+    """Round-trippable JSON view of the effective configuration (the enums
+    are str enums, so they dump as their values)."""
+    data = dataclasses.asdict(cfg) | (experiment or {})
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def _effective_config(args):
+    """The ``--config`` file's flat JSON object with every ``--set`` merged
+    in, split and checked once, so an error names an effective value."""
     raw = {}
     if args.config:
-        base, experiment = load_config(args.config)
-        raw.update(json.loads(dump_config(base, experiment)))
+        raw = json.loads(Path(args.config).read_text())
+        if not isinstance(raw, dict):
+            raise ValueError("config file must hold a flat JSON object")
     for item in args.set:
         key, value = _parse_override(item)
         raw[key] = value
@@ -162,7 +194,7 @@ def _run_floor(cfg: SystemConfig, seed: int) -> int:
     return 0
 
 
-def parse_and_dispatch(argv) -> int:
+def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -175,7 +207,7 @@ def parse_and_dispatch(argv) -> int:
 
     try:
         cfg, experiment = _effective_config(args)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:    # a JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -227,10 +259,6 @@ def parse_and_dispatch(argv) -> int:
         return 2
     print(f"wrote {len(table.rows)} rows to {args.out}")
     return 0
-
-
-def main(argv=None) -> int:
-    return parse_and_dispatch(sys.argv[1:] if argv is None else argv)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ import concurrent.futures
 import dataclasses
 import enum
 import functools
-import json
 import logging
 import math
 import numbers
@@ -168,10 +167,18 @@ def _apply_sweep(base: SystemConfig, name: str, value) -> SystemConfig:
     return base.replace(**{name: value})
 
 
+def _reads_decisions(spec: ExperimentSpec) -> bool:
+    """Whether the sweep reports a method that reads the uplink decisions:
+    every BER and rate row does, and of the NMSE rows the data-aided one."""
+    return spec.metric is not Metric.NMSE or "da" in spec.estimators
+
+
 def _uses_analytic_ber(spec: ExperimentSpec) -> bool:
     """Whether the sweep solves the analytic BER, derived for BPSK only: for
     the BER metric's analytic rows, which score the MMSE detector, or to
     feed the data-aided combiner, which otherwise takes the empirical BER."""
+    if not _reads_decisions(spec):
+        return False
     if spec.modulation is not Modulation.BPSK:
         if spec.metric is not Metric.BER and spec.ber_source is BerSource.ANALYTIC_PROP1:
             log.debug("non-binary modulation: combiner falls back to empirical BER")
@@ -530,11 +537,12 @@ def _layout(spec: ExperimentSpec, cfg: SystemConfig, topo_idx: int) -> _Layout:
     metric = spec.metric
     topo, assoc = sweep_topology(cfg, spec.master_seed, topo_idx)
 
-    # the BER metric scores decoupled UEs only and never listens at the MBS
+    # the BER metric scores decoupled UEs only and never listens at the MBS;
+    # a sweep that reads no decisions listens at no UL serving BS for them
     labels = scenario.ue_classes(assoc)
     scored = labels == "decoupled" if metric is Metric.BER else np.full(cfg.num_ue, True)
     dl_sbs = sorted({int(b) for b in assoc.dl_serving if b != 0})
-    listeners = {int(v) for v in assoc.ul_serving[scored]}
+    listeners = {int(v) for v in assoc.ul_serving[scored]} if _reads_decisions(spec) else set()
     if metric is not Metric.BER:
         listeners.add(0)
     if metric is Metric.RATE:
@@ -608,7 +616,9 @@ def _trial(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo) -> None:
     cfg, metric, acc = run.cfg, spec.metric, run.acc
     channels = memo.channels(run.layout.topo, cfg)
     pilot = _pilot_side(spec, run, memo, channels)
-    emp_bers, h_da = _uplink(spec, run, memo, channels, pilot)
+    emp_bers, h_da = {}, None
+    if _reads_decisions(spec):
+        emp_bers, h_da = _uplink(spec, run, memo, channels, pilot)
     if metric is Metric.BER:
         nbits = cfg.tau_d * spec.modulation.bits_per_symbol
         for label, ber in emp_bers.items():
@@ -759,50 +769,3 @@ def read_csv(path) -> ResultTable:
             stderr=float(stderr), n=int(n),
         ))
     return ResultTable(rows=tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# configuration files (flat JSON, keys mirror the dataclass fields)
-
-_SYSTEM_KEYS = {f.name for f in dataclasses.fields(SystemConfig)}
-_EXPERIMENT_KEYS = {
-    "trials", "topologies", "modulation", "ber_source", "detectors", "estimators",
-}
-
-
-def split_config(raw: dict):
-    """Separate a flat config dict into SystemConfig kwargs and experiment
-    kwargs, rejecting unknown keys."""
-    unknown = set(raw) - _SYSTEM_KEYS - _EXPERIMENT_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    system = {k: v for k, v in raw.items() if k in _SYSTEM_KEYS}
-    experiment = {k: v for k, v in raw.items() if k in _EXPERIMENT_KEYS}
-    for key in ("detectors", "estimators"):
-        if isinstance(experiment.get(key), str):
-            raise ValueError(f"{key} takes a JSON list such as {json.dumps([experiment[key]])}")
-        if key in experiment:
-            experiment[key] = tuple(experiment[key])
-    return system, experiment
-
-
-def load_config(path) -> tuple:
-    """Load a flat JSON config file into (SystemConfig, experiment kwargs)."""
-    raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise ValueError("config file must hold a flat JSON object")
-    system, experiment = split_config(raw)
-    return SystemConfig(**system), experiment
-
-
-def dump_config(cfg: SystemConfig, experiment: dict | None = None) -> str:
-    """Round-trippable JSON view of the effective configuration."""
-    data = dataclasses.asdict(cfg)
-    data["pathloss_model"] = cfg.pathloss_model.value
-    if experiment:
-        data.update({
-            k: (list(v) if isinstance(v, tuple) else
-                v.value if isinstance(v, enum.Enum) else v)
-            for k, v in experiment.items()
-        })
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"

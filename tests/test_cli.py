@@ -159,6 +159,68 @@ def test_dump_config_round_trips(tiny_config, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == data
 
 
+def test_a_config_file_round_trips_through_dump_config(tmp_path, capsys):
+    # file -> --dump-config -> file: the dump holds the file's keys over the
+    # defaults, and feeding it back dumps the same bytes
+    raw = {"num_ue": 4, "num_sbs": 3, "tau_t": 6, "trials": 9, "modulation": "qam4"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["floor", "--dump-config"]) == 0
+    defaults = json.loads(capsys.readouterr().out)
+    assert cli.main(["floor", "--config", str(path), "--dump-config"]) == 0
+    dumped = capsys.readouterr().out
+    assert json.loads(dumped) == {**defaults, **raw}
+    path.write_text(dumped)
+    assert cli.main(["floor", "--config", str(path), "--dump-config"]) == 0
+    assert capsys.readouterr().out == dumped
+
+
+def test_a_set_replaces_a_file_key_of_each_kind(tmp_path, capsys):
+    # a SystemConfig field, a count and a method list
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**json.loads(TINY), "estimators": ["ls"]}))
+    assert cli.main(["floor", "--config", str(path), "--set", "tau_d=32", "--set", "trials=7",
+                     "--set", 'estimators=["mmse", "da"]', "--dump-config"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["tau_d"], data["trials"], data["estimators"]) == (32, 7, ["mmse", "da"])
+    assert (data["num_ue"], data["topologies"]) == (5, 2)
+
+
+# valid only with tau_t >= 40, where the default is 30
+NEEDS_TAU_T = {"num_ue": 40, "num_sbs": 4, "mbs_antennas": 64, "trials": 1, "topologies": 1}
+
+
+def test_a_set_completes_a_file_that_is_invalid_alone(tmp_path, capsys):
+    # the file was once checked before the --set applied, and failed with
+    # "tau_t=30 < num_ue=40"
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(NEEDS_TAU_T))
+    sweep = ["--sweep", "p_train_dbm=3:3:1"]
+    merged, flags = tmp_path / "merged.csv", tmp_path / "flags.csv"
+    assert cli.main(["nmse-sweep", "--config", str(path), "--set", "tau_t=40", *sweep,
+                     "--out", str(merged)]) == 0
+    sets = [arg for key, value in {**NEEDS_TAU_T, "tau_t": 40}.items()
+            for arg in ("--set", f"{key}={value}")]
+    assert cli.main(["nmse-sweep", *sets, *sweep, "--out", str(flags)]) == 0
+    assert merged.read_bytes() == flags.read_bytes()
+
+
+@pytest.mark.parametrize("tau_t", [None, 35])
+def test_a_bad_effective_value_is_a_config_error_that_names_it(tmp_path, capsys, tau_t):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(NEEDS_TAU_T))
+    out = tmp_path / "never.csv"
+    argv = ["nmse-sweep", "--config", str(path), "--sweep", "p_train_dbm=3:3:1",
+            "--out", str(out)]
+    if tau_t is not None:
+        argv += ["--set", f"tau_t={tau_t}"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert (f"config error: pilot orthogonality needs tau_t >= num_ue, got "
+            f"tau_t={tau_t or 30} < num_ue=40" in err and "Traceback" not in err)
+    assert not out.exists()
+
+
 def test_nmse_sweep_grid_and_rows(tiny_config, tmp_path, capsys):
     out = tmp_path / "nmse.csv"
     code = cli.main([

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetnetsim import (
-    ber_analytic, cli, detectors, downlink, estimators, experiments, phy, scenario, validation,
+    ber_analytic, cli, data_aided, detectors, downlink, estimators, experiments, phy, scenario,
+    validation,
 )
 from hetnetsim.ber_analytic import SinrGammaModel, analytic_ber, ber_lower_bound
 from hetnetsim.data_aided import BerSource
@@ -18,10 +19,8 @@ from hetnetsim.experiments import (
     Metric,
     ResultRow,
     ResultTable,
-    load_config,
     read_csv,
     run_sweep,
-    split_config,
     write_csv,
 )
 from hetnetsim.scenario import SystemConfig, desk_config
@@ -296,20 +295,11 @@ def test_oracle_raises_below_the_jensen_bound(monkeypatch):
 
 def test_split_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown"):
-        split_config({"num_ue": 4, "frobnicate": 1})
-
-
-def test_load_config_round_trip(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text('{"num_ue": 4, "num_sbs": 3, "tau_t": 6, "trials": 9,'
-                    ' "modulation": "qam4"}\n')
-    cfg, experiment = load_config(path)
-    assert cfg.num_ue == 4 and cfg.tau_t == 6
-    assert experiment == {"trials": 9, "modulation": "qam4"}
+        cli.split_config({"num_ue": 4, "frobnicate": 1})
 
 
 def test_config_defaults_are_table_defaults():
-    cfg, experiment = split_config({})
+    cfg, experiment = cli.split_config({})
     assert SystemConfig(**cfg).num_ue == 30
     assert experiment == {}
 
@@ -497,6 +487,24 @@ def _counted(monkeypatch, module, name, calls):
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
+
+
+@pytest.mark.parametrize("ber_source", [BerSource.ANALYTIC_PROP1, BerSource.EMPIRICAL_ORACLE])
+def test_an_nmse_sweep_without_da_reads_no_decisions_and_keeps_the_full_rows(monkeypatch,
+                                                                             ber_source):
+    # the ls and mmse rows read no uplink decision, so nothing detects, solves
+    # the analytic BER or the DA estimate, and the rows are the full sweep's
+    calls = {}
+    for module, name in ((detectors, "detect_all"), (data_aided, "da_estimate_matrix"),
+                         (experiments, "analytic_ber_vector")):
+        _counted(monkeypatch, module, name, calls.setdefault(name, []))
+    full = run_sweep(_tiny_spec(ber_source=ber_source))
+    assert calls["detect_all"] and calls["da_estimate_matrix"]
+    for made in calls.values():
+        made.clear()
+    lean = run_sweep(_tiny_spec(ber_source=ber_source, estimators=("ls", "mmse")))
+    assert not any(calls.values())
+    assert lean.rows == tuple(r for r in full.rows if r.method != "da")
 
 
 def _observe_calls(spec):
