@@ -73,9 +73,12 @@ def mmse_shrinkage(betas, p_t: float, tau_t: int, noise_power: float) -> np.ndar
 def mmse_error_stats(beta, p_t: float, tau_t: int, noise_power: float) -> EstimateStats:
     """Estimate and error variances of the MMSE estimate of gain(s) beta.
 
-    Both are products with the shrinkage s: beta*P_T*tau_t*s for the
-    estimate and N0*s, the residual leakage, for the error.  Neither is taken
-    as beta minus the other, which cancels catastrophically for weak links.
+    The estimate variance is beta*P_T*tau_t*s with the shrinkage s, and the
+    error, the residual leakage beta*N0/(N0 + beta*P_T*tau_t), is taken as
+    beta/(1 + beta*P_T*tau_t/N0): each rounded step of that form is monotone
+    in N0, so the error never shrinks when the noise grows, not even by an
+    ulp.  Neither is taken as beta minus the other, which cancels
+    catastrophically for weak links.
     """
     beta = np.asarray(beta, dtype=float)
     energy = beta * p_t * tau_t
@@ -86,7 +89,8 @@ def mmse_error_stats(beta, p_t: float, tau_t: int, noise_power: float) -> Estima
         return EstimateStats(estimate_var=np.where(exact, beta, 0.0)[()],
                              error_var=np.where(exact, 0.0, beta)[()])
     shrink = mmse_shrinkage(beta, p_t, tau_t, noise_power)
-    return EstimateStats(estimate_var=energy * shrink, error_var=noise_power * shrink)
+    return EstimateStats(estimate_var=energy * shrink,
+                         error_var=beta / (1.0 + energy / noise_power))
 
 
 def pilot_snr(p_t: float, tau_t: int, noise_power: float) -> float:
