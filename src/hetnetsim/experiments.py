@@ -167,18 +167,10 @@ def _apply_sweep(base: SystemConfig, name: str, value) -> SystemConfig:
     return base.replace(**{name: value})
 
 
-def _reads_decisions(spec: ExperimentSpec) -> bool:
-    """Whether the sweep reports a method that reads the uplink decisions:
-    every BER and rate row does, and of the NMSE rows the data-aided one."""
-    return spec.metric is not Metric.NMSE or "da" in spec.estimators
-
-
 def _uses_analytic_ber(spec: ExperimentSpec) -> bool:
     """Whether the sweep solves the analytic BER, derived for BPSK only: for
     the BER metric's analytic rows, which score the MMSE detector, or to
     feed the data-aided combiner, which otherwise takes the empirical BER."""
-    if not _reads_decisions(spec):
-        return False
     if spec.modulation is not Modulation.BPSK:
         if spec.metric is not Metric.BER and spec.ber_source is BerSource.ANALYTIC_PROP1:
             log.debug("non-binary modulation: combiner falls back to empirical BER")
@@ -537,12 +529,11 @@ def _layout(spec: ExperimentSpec, cfg: SystemConfig, topo_idx: int) -> _Layout:
     metric = spec.metric
     topo, assoc = sweep_topology(cfg, spec.master_seed, topo_idx)
 
-    # the BER metric scores decoupled UEs only and never listens at the MBS;
-    # a sweep that reads no decisions listens at no UL serving BS for them
+    # the BER metric scores decoupled UEs only and never listens at the MBS
     labels = scenario.ue_classes(assoc)
     scored = labels == "decoupled" if metric is Metric.BER else np.full(cfg.num_ue, True)
     dl_sbs = sorted({int(b) for b in assoc.dl_serving if b != 0})
-    listeners = {int(v) for v in assoc.ul_serving[scored]} if _reads_decisions(spec) else set()
+    listeners = {int(v) for v in assoc.ul_serving[scored]}
     if metric is not Metric.BER:
         listeners.add(0)
     if metric is Metric.RATE:
@@ -616,9 +607,7 @@ def _trial(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo) -> None:
     cfg, metric, acc = run.cfg, spec.metric, run.acc
     channels = memo.channels(run.layout.topo, cfg)
     pilot = _pilot_side(spec, run, memo, channels)
-    emp_bers, h_da = {}, None
-    if _reads_decisions(spec):
-        emp_bers, h_da = _uplink(spec, run, memo, channels, pilot)
+    emp_bers, h_da = _uplink(spec, run, memo, channels, pilot)
     if metric is Metric.BER:
         nbits = cfg.tau_d * spec.modulation.bits_per_symbol
         for label, ber in emp_bers.items():

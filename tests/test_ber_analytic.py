@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hetnetsim import phy
 from hetnetsim.ber_analytic import (
@@ -42,6 +42,8 @@ def test_effective_rho_perfect_training_limit():
     scale=st.floats(1.0, 100.0),
     n0=st.floats(1e-6, 1e2),
 )
+# raising N0 by one ulp once lowered the MMSE error variance by one ulp
+@example(p_d=68.0, scale=1 + 2**-52, n0=25.169057243173146)
 def test_effective_rho_monotonicity(p_d, scale, n0):
     betas = [0.5, 1.5]
     base = effective_rho(betas, 2.0, 4, n0, p_d)

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetnetsim import (
-    ber_analytic, cli, data_aided, detectors, downlink, estimators, experiments, phy, scenario,
-    validation,
+    ber_analytic, cli, detectors, downlink, estimators, experiments, phy, scenario, validation,
 )
 from hetnetsim.ber_analytic import SinrGammaModel, analytic_ber, ber_lower_bound
 from hetnetsim.data_aided import BerSource
@@ -487,24 +486,6 @@ def _counted(monkeypatch, module, name, calls):
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
-
-
-@pytest.mark.parametrize("ber_source", [BerSource.ANALYTIC_PROP1, BerSource.EMPIRICAL_ORACLE])
-def test_an_nmse_sweep_without_da_reads_no_decisions_and_keeps_the_full_rows(monkeypatch,
-                                                                             ber_source):
-    # the ls and mmse rows read no uplink decision, so nothing detects, solves
-    # the analytic BER or the DA estimate, and the rows are the full sweep's
-    calls = {}
-    for module, name in ((detectors, "detect_all"), (data_aided, "da_estimate_matrix"),
-                         (experiments, "analytic_ber_vector")):
-        _counted(monkeypatch, module, name, calls.setdefault(name, []))
-    full = run_sweep(_tiny_spec(ber_source=ber_source))
-    assert calls["detect_all"] and calls["da_estimate_matrix"]
-    for made in calls.values():
-        made.clear()
-    lean = run_sweep(_tiny_spec(ber_source=ber_source, estimators=("ls", "mmse")))
-    assert not any(calls.values())
-    assert lean.rows == tuple(r for r in full.rows if r.method != "da")
 
 
 def _observe_calls(spec):

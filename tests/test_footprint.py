@@ -60,16 +60,6 @@ print('scipy.special' in sys.modules, bool(rows), all(math.isfinite(r.mean) for 
 """) == "True True True"
 
 
-def test_an_analytic_nmse_sweep_without_da_leaves_scipy_special_unloaded():
-    # the ls and mmse rows read no uplink decision, so no BER feeds a combiner
-    assert _fresh(_SPECS + """
-import math, sys
-from hetnetsim.experiments import run_sweep
-rows = run_sweep(spec("nmse", "analytic", estimators=("ls", "mmse")), threads=1).rows
-print('scipy.special' in sys.modules, bool(rows), all(math.isfinite(r.mean) for r in rows))
-""") == "False True True"
-
-
 def test_a_ber_sweep_without_mmse_leaves_scipy_special_unloaded():
     # the analytic rows score the MMSE detector alone
     assert _fresh(_SPECS + """
