@@ -34,10 +34,27 @@ _SWEEP_COMMANDS = {
 }
 
 
-def _seed(text: str) -> int:
-    if not text.strip().isdigit():
-        raise argparse.ArgumentTypeError(f"takes a whole number >= 0, got {text!r}")
-    return int(text)
+def _whole(minimum: int):
+    """The argparse type of a count: a whole number >= ``minimum``."""
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"takes a whole number >= {minimum}, got {text!r}")
+        return int(text)
+    return parse
+
+
+_OPTIONS = {
+    "--config": dict(help="flat JSON config file"),
+    "--set": dict(action="append", default=[], metavar="KEY=VALUE",
+                  help="override a config key (repeatable)"),
+    "--seed": dict(type=_whole(0), default=1, help="master seed (>= 0)"),
+    "--threads": dict(type=_whole(1), default=1, help="worker processes (>= 1)"),
+    "--dump-config": dict(action="store_true",
+                          help="print the effective config as JSON and exit"),
+    "--sweep": dict(required=True, metavar="NAME=MIN:MAX:STEP",
+                    help="swept parameter and grid, in the field's unit"),
+    "--out": dict(required=True, help="output CSV path"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,27 +65,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_sweep=False, pooled=True):
-        p.add_argument("--config", help="flat JSON config file")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a config key (repeatable)")
-        p.add_argument("--seed", type=_seed, default=1, help="master seed (>= 0)")
-        if pooled:
-            p.add_argument("--threads", type=int, default=None,
-                           help="worker processes (default: HETNET_THREADS or 1)")
-        p.add_argument("--dump-config", action="store_true",
-                       help="print the effective config as JSON and exit")
-        if needs_sweep:
-            p.add_argument("--sweep", required=True, metavar="NAME=MIN:MAX:STEP",
-                           help="swept parameter and grid, in the field's unit")
-            p.add_argument("--out", required=True, help="output CSV path")
+    def command(name, help, *flags):
+        # each command takes exactly the options it reads
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
 
     for name, metric in _SWEEP_COMMANDS.items():
-        p = sub.add_parser(name, help=f"run a {metric.value} sweep to CSV")
-        common(p, needs_sweep=True)
-    common(sub.add_parser("validate", help="run the desk-scale validation suite"))
-    # the floor runs no pool, so it takes no --threads
-    common(sub.add_parser("floor", help="print the data-power saturation limit"), pooled=False)
+        command(name, f"run a {metric.value} sweep to CSV", *_OPTIONS)
+    command("validate", "run the desk-scale validation suite", "--seed", "--threads")
+    command("floor", "print the data-power saturation limit",
+            "--config", "--set", "--seed", "--dump-config")
     return parser
 
 
@@ -110,9 +117,10 @@ def split_config(raw: dict):
     system = {k: v for k, v in raw.items() if k in _SYSTEM_KEYS}
     experiment = {k: v for k, v in raw.items() if k in _EXPERIMENT_KEYS}
     for key in ("detectors", "estimators"):
-        if isinstance(experiment.get(key), str):
-            raise ValueError(f"{key} takes a JSON list such as {json.dumps([experiment[key]])}")
         if key in experiment:
+            if not isinstance(experiment[key], list):
+                raise ValueError(f'{key} takes a JSON list such as ["mmse"], '
+                                 f"got {json.dumps(experiment[key])}")
             experiment[key] = tuple(experiment[key])
     return system, experiment
 
@@ -137,22 +145,6 @@ def _effective_config(args):
         raw[key] = value
     system, experiment = split_config(raw)
     return SystemConfig(**system), experiment
-
-
-def _threads(args) -> int:
-    """Worker processes: ``--threads``, else ``HETNET_THREADS``, else 1."""
-    count, source = args.threads, "--threads"
-    if count is None:
-        env, source = os.environ.get("HETNET_THREADS"), "HETNET_THREADS"
-        if not env:
-            return 1
-        try:
-            count = int(env)
-        except ValueError:
-            raise ValueError(f"{source} takes a whole number >= 1, got {env!r}") from None
-    if count < 1:
-        raise ValueError(f"{source} takes a whole number >= 1, got {count}")
-    return count
 
 
 def _check_out(path: str) -> None:
@@ -195,15 +187,18 @@ def _run_floor(cfg: SystemConfig, seed: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.command == "validate" and (args.config or args.set or args.dump_config):
-        print("usage error: validate runs fixed desk-scale checks; it takes no "
-              "--config, --set or --dump-config", file=sys.stderr)
-        return 2
+
+    if args.command == "validate":
+        from . import validation
+
+        report = validation.run_validation(master_seed=args.seed, threads=args.threads)
+        for line in report.lines():
+            print(line)
+        return 0 if report.passed else 1
 
     try:
         cfg, experiment = _effective_config(args)
@@ -222,20 +217,6 @@ def main(argv=None) -> int:
                 return 2
         return _run_floor(cfg, args.seed)
 
-    try:
-        threads = _threads(args)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "validate":
-        from . import validation
-
-        report = validation.run_validation(master_seed=args.seed, threads=threads)
-        for line in report.lines():
-            print(line)
-        return 0 if report.passed else 1
-
     metric = _SWEEP_COMMANDS[args.command]
     try:
         name, values = _parse_sweep(args.sweep)
@@ -252,7 +233,7 @@ def main(argv=None) -> int:
         return 2
     try:
         _check_out(args.out)    # before the sweep, not after hours of it
-        table = run_sweep(spec, threads=threads)
+        table = run_sweep(spec, threads=args.threads)
         write_csv(table, args.out)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)

@@ -33,23 +33,20 @@ def _require_training(obs: Observation):
         raise ValueError("pilot-only estimators need a training-phase observation")
 
 
-def despread(obs: Observation, pilots: PilotMatrix) -> np.ndarray:
+def _despread(obs: Observation, pilots: PilotMatrix) -> np.ndarray:
     """The training block correlated with each pilot, y S^H: tau_t*P_T*g_k
     plus N s_k^H in column k.  Both pilot-only estimators scale it."""
     _require_training(obs)
     return obs.y @ pilots.s.conj().T
 
 
-def ls_estimate_matrix(obs: Observation, pilots: PilotMatrix, despread_y=None) -> np.ndarray:
-    """LS estimates of all UEs at once, one column per UE.  ``despread_y``
-    passes ``despread(obs, pilots)`` when the caller already formed it."""
-    if despread_y is None:
-        despread_y = despread(obs, pilots)
-    return despread_y / (pilots.tau_t * pilots.power)
+def ls_estimate_matrix(obs: Observation, pilots: PilotMatrix) -> np.ndarray:
+    """LS estimates of all UEs at once, one column per UE."""
+    return _despread(obs, pilots) / (pilots.tau_t * pilots.power)
 
 
 def mmse_estimate_matrix(
-    obs: Observation, pilots: PilotMatrix, betas, noise_power: float, despread_y=None
+    obs: Observation, pilots: PilotMatrix, betas, noise_power: float
 ) -> np.ndarray:
     """Per-UE MMSE estimates for orthogonal pilots: a scalar shrinkage
     beta/(N0 + beta*tau_t*P_T) applied to the despread observation.
@@ -57,10 +54,8 @@ def mmse_estimate_matrix(
     An observation with leading axes, such as (T, B, antennas, tau_t),
     takes one row of ``betas`` per BS, (B, K), and gives (T, B, antennas, K).
     """
-    if despread_y is None:
-        despread_y = despread(obs, pilots)
     shrink = mmse_shrinkage(betas, pilots.power, pilots.tau_t, noise_power)
-    return despread_y * shrink[..., None, :]
+    return _despread(obs, pilots) * shrink[..., None, :]
 
 
 def mmse_shrinkage(betas, p_t: float, tau_t: int, noise_power: float) -> np.ndarray:

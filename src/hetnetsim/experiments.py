@@ -353,28 +353,21 @@ class _Pilot:
 
     train: phy.Observation
     est: np.ndarray                    # MMSE estimates
-    ls: np.ndarray | None              # LS estimates at the MBS, (T, M, K), for NMSE
 
 
-def _pilot_side(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, channels) -> list:
+def _pilot_side(run: _TopologyRun, memo: _TrialMemo, channels) -> list:
     """Stage 1, pilot side: training observations and MMSE estimates at
     every listener, one stacked call per antenna group (the MBS, then the
-    SBSs), and the MBS's LS estimates from the same despread block where
-    the metric scores them.  It reads neither p_data_dbm nor tau_d."""
+    SBSs).  It reads neither p_data_dbm nor tau_d."""
     cfg, n0, betas = run.cfg, run.cfg.noise_power_mw, run.layout.betas
-    want_ls = spec.metric is Metric.NMSE and "ls" in spec.estimators
 
     def make():
         out = []
         for ids, chan in _group_channels(run, channels):
             noise = memo.noise(PH_NOISE_TRAIN, ids, (chan.shape[-2], cfg.tau_t), n0)
             train = phy.observe(chan, run.pilots.s, n0, noise, Phase.TRAINING)
-            despread = estimators.despread(train, run.pilots)
-            est = estimators.mmse_estimate_matrix(train, run.pilots, betas[ids], n0, despread)
-            ls = None
-            if want_ls and ids[0] == 0:
-                ls = estimators.ls_estimate_matrix(train, run.pilots, despread)[:, 0]
-            out.append(_Pilot(train, est, ls))
+            est = estimators.mmse_estimate_matrix(train, run.pilots, betas[ids], n0)
+            out.append(_Pilot(train, est))
         return out
     return memo.stage("pilot", "pilot", make)
 
@@ -606,7 +599,7 @@ def _trial(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo) -> None:
     data-aided solve at the MBS, the downlink), summed into ``run.acc``."""
     cfg, metric, acc = run.cfg, spec.metric, run.acc
     channels = memo.channels(run.layout.topo, cfg)
-    pilot = _pilot_side(spec, run, memo, channels)
+    pilot = _pilot_side(run, memo, channels)
     emp_bers, h_da = _uplink(spec, run, memo, channels, pilot)
     if metric is Metric.BER:
         nbits = cfg.tau_d * spec.modulation.bits_per_symbol
@@ -619,9 +612,11 @@ def _trial(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo) -> None:
 
         def pilot_only():
             errors = {"power": np.sum(np.abs(truth) ** 2, axis=-2)}
-            for m, h_est in (("mmse", pilot[0].est[:, 0]), ("ls", pilot[0].ls)):
-                if m in spec.estimators:
-                    errors[m] = np.sum(np.abs(h_est - truth) ** 2, axis=-2)
+            if "mmse" in spec.estimators:
+                errors["mmse"] = np.sum(np.abs(pilot[0].est[:, 0] - truth) ** 2, axis=-2)
+            if "ls" in spec.estimators:
+                h_ls = estimators.ls_estimate_matrix(pilot[0].train, run.pilots)[:, 0]
+                errors["ls"] = np.sum(np.abs(h_ls - truth) ** 2, axis=-2)
             return errors
         errors = memo.stage("pilot", "nmse", pilot_only)
         for m in spec.estimators:

@@ -60,16 +60,19 @@ def test_non_finite_sweep_grid_is_a_config_error(tiny_config, tmp_path, capsys, 
 @pytest.mark.parametrize("key", ["detectors", "estimators"])
 @pytest.mark.parametrize("via", ["config", "set"])
 def test_a_method_string_is_a_config_error(tiny_config, tmp_path, capsys, key, via):
-    # a string would otherwise split into its letters
-    if via == "config":
-        path = tmp_path / "methods.json"
-        path.write_text(json.dumps({**json.loads(TINY), key: "mmse"}))
-        argv = ["--config", str(path)]
-    else:
-        argv = ["--config", str(tiny_config), "--set", f"{key}=mmse"]
-    assert cli.main(["floor", *argv]) == 2
-    err = capsys.readouterr().err
-    assert f'{key} takes a JSON list such as ["mmse"]' in err
+    # a string would otherwise split into its letters, and an object into its keys
+    for value in ["mmse", {"ls": 1}, None, 3]:
+        if via == "config":
+            path = tmp_path / "methods.json"
+            path.write_text(json.dumps({**json.loads(TINY), key: value}))
+            argv = ["--config", str(path)]
+        else:
+            argv = ["--config", str(tiny_config), "--set", f"{key}={json.dumps(value)}"]
+        assert cli.main(["floor", *argv, "--dump-config"]) == 2
+        captured = capsys.readouterr()
+        assert (f'{key} takes a JSON list such as ["mmse"], got {json.dumps(value)}'
+                in captured.err and "Traceback" not in captured.err)
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["nmse-sweep", "floor"])
@@ -312,12 +315,14 @@ def test_validate_rejects_config_options(tiny_config, monkeypatch, capsys, extra
     extra = [str(tiny_config) if arg == "cfg" else arg for arg in extra]
     assert cli.main(["validate", *extra]) == 2
     captured = capsys.readouterr()
-    assert "usage error: validate runs fixed desk-scale checks" in captured.err
+    assert f"unrecognized arguments: {extra[0]}" in captured.err
+    assert "Traceback" not in captured.err
     assert captured.out == "" and calls == []
 
 
 def test_env_var_thread_fallback(tiny_config, tmp_path, monkeypatch):
-    monkeypatch.setenv("HETNET_THREADS", "2")
+    # HETNET_THREADS was once read when --threads was absent; it no longer is
+    monkeypatch.setenv("HETNET_THREADS", "two")
     out1 = tmp_path / "env.csv"
     assert cli.main([
         "nmse-sweep", "--config", str(tiny_config),
@@ -332,18 +337,12 @@ def test_env_var_thread_fallback(tiny_config, tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("flag,env,name", [
-    ([], "two", "HETNET_THREADS"), ([], "0", "HETNET_THREADS"),
-    (["--threads", "0"], None, "--threads"), (["--threads", "-2"], "2", "--threads")])
-def test_bad_thread_count_is_a_usage_error(tiny_config, tmp_path, monkeypatch, capsys, flag,
-                                           env, name):
-    if env is None:
-        monkeypatch.delenv("HETNET_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("HETNET_THREADS", env)
+@pytest.mark.parametrize("count", ["0", "-2", "1.5", "two", "²"])
+def test_bad_thread_count_is_a_usage_error(tiny_config, tmp_path, capsys, count):
     out = tmp_path / "never.csv"
     assert cli.main(["ber-sweep", "--config", str(tiny_config), "--sweep",
-                     "p_data_dbm=3:8:5", "--out", str(out), *flag]) == 2
+                     "p_data_dbm=3:8:5", "--out", str(out), "--threads", count]) == 2
     err = capsys.readouterr().err
-    assert name in err and "Traceback" not in err
+    assert f"--threads: takes a whole number >= 1, got {count!r}" in err
+    assert "Traceback" not in err
     assert not out.exists()

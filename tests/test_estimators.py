@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hetnetsim import estimators, phy
+from hetnetsim import phy
 from hetnetsim.estimators import (
     EstMethod,
     analytic_nmse,
@@ -192,12 +192,3 @@ def test_stacked_mmse_estimates_equal_per_bs_calls():
         np.testing.assert_allclose(stacked[b], mmse_estimate_matrix(alone, pilots, betas[b], 0.3),
                                    rtol=1e-12)
 
-
-def test_estimators_reuse_a_despread_block():
-    rng = np.random.default_rng(9)
-    _, pilots, obs = _training_setup([1.0, 0.3, 2.0], 4, 1.2, 0.5, 6, rng)
-    despread = estimators.despread(obs, pilots)
-    assert np.array_equal(ls_estimate_matrix(obs, pilots, despread),
-                          ls_estimate_matrix(obs, pilots))
-    assert np.array_equal(mmse_estimate_matrix(obs, pilots, [1.0, 0.3, 2.0], 0.5, despread),
-                          mmse_estimate_matrix(obs, pilots, [1.0, 0.3, 2.0], 0.5))

@@ -756,7 +756,7 @@ def test_stacked_detection_equals_one_combiner_per_bs():
     layout, run = _point(spec, 13.0)
     memo = experiments._TrialMemo(1, 0, range(2))
     channels = memo.channels(layout.topo, run.cfg)
-    pilot = experiments._pilot_side(spec, run, memo, channels)
+    pilot = experiments._pilot_side(run, memo, channels)
     block, data = experiments._data_side(spec, run, memo, channels)
     _, got = experiments._detect(run, memo, pilot, data, block)
 
