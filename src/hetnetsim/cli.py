@@ -57,7 +57,8 @@ _OPTIONS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The top-level parser and each command's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="hetnetsim",
         description="Monte Carlo sweeps for data-aided channel estimation "
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command("validate", "run the desk-scale validation suite", "--seed", "--threads")
     command("floor", "print the data-power saturation limit",
             "--config", "--set", "--seed", "--dump-config")
-    return parser
+    return parser, sub.choices
 
 
 def _parse_override(item: str):
@@ -187,8 +188,11 @@ def _run_floor(cfg: SystemConfig, seed: int) -> int:
 
 
 def main(argv=None) -> int:
+    parser, commands = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:       # under the usage line of the command that was given
+            commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 
@@ -64,26 +63,20 @@ class DataBlock:
     modulation: Modulation
     power: float
 
-    @property
-    def tau_d(self) -> int:
-        return self.symbols.shape[-1]
-
 
 @dataclass(frozen=True)
 class Combiner:
     """Rows applied to a data observation; row i belongs to ue_indices[i].
 
-    ``gain[i]`` is the row's response to its own estimated channel; detect
-    divides it out before slicing so amplitude-coded constellations are not
-    hurt by the MMSE bias (a positive real factor, harmless for BPSK/QAM4).
-    A stacked combiner, one per BS along a leading axis (after any trial
-    axis), shares one ``ue_indices`` tuple or holds one row of UEs per BS.
+    Each row has unit gain on its own estimated channel, c_i . g_i = 1, so
+    the MMSE bias (a positive real factor) never reaches the slicer of an
+    amplitude-coded constellation.  A stacked combiner, one per BS along a
+    leading axis (after any trial axis), shares one ``ue_indices`` tuple or
+    holds one row of UEs per BS.
     """
 
     c: np.ndarray                      # ([T,] [BS,] n, antennas)
-    kind: CombinerKind
     ue_indices: tuple
-    gain: np.ndarray                   # ([T,] [BS,] n) complex
 
     def row_for(self, k: int) -> int:
         try:
@@ -143,7 +136,6 @@ def build_combiner(
     tau_t: int,
     p_d: float,
     noise_power: float,
-    ue_indices=None,
 ) -> Combiner:
     """Linear receive combiner from estimated channels.
 
@@ -151,21 +143,18 @@ def build_combiner(
     UEs served by this BS; the MMSE rows regularise with the full residual
     interference level, so ``betas`` must list every co-channel UE's gain.
     A leading BS axis, (B, antennas, n) estimates with (B, K) ``betas``,
-    builds B combiners at once; ``c`` and ``gain`` then carry that axis.
-    A trial axis may lead the BS axis, (T, B, antennas, n): each trial
-    then gets what a call on its own slice would.
+    builds B combiners at once; ``c`` then carries that axis.  A trial
+    axis may lead the BS axis, (T, B, antennas, n): each trial then gets
+    what a call on its own slice would.  Every row is scaled to unit gain
+    on its own column, which for MRC is the whole normalisation.
     """
     kind = CombinerKind(kind)
     est = np.asarray(estimates)
     n_ant, n_ue = est.shape[-2:]
-    ue_indices = tuple(range(n_ue)) if ue_indices is None else tuple(int(i) for i in ue_indices)
 
     est_h = est.conj().swapaxes(-1, -2)
     if kind is CombinerKind.MRC:
-        norms = np.sum(np.abs(est) ** 2, axis=-2)
-        if np.any(norms == 0):
-            raise ValueError("MRC needs non-zero channel estimates")
-        rows = est_h / norms[..., None]
+        rows = est_h
     elif kind is CombinerKind.ZF:
         rows = zf_rows(est)
     else:
@@ -179,7 +168,9 @@ def build_combiner(
             rows = np.linalg.solve(cov, est).conj().swapaxes(-1, -2)
 
     gain = np.einsum("...ij,...ji->...i", rows, est)
-    return Combiner(c=rows, kind=kind, ue_indices=ue_indices, gain=gain)
+    if np.any(gain == 0):
+        raise ValueError(f"{kind.name} needs non-zero channel estimates")
+    return Combiner(c=rows / gain[..., None], ue_indices=tuple(range(n_ue)))
 
 
 def _slice(symbols: np.ndarray, scheme: Modulation, p_d: float):
@@ -205,9 +196,7 @@ def detect(obs: Observation, combiner: Combiner, block: DataBlock, k: int):
     the transmitted payload in ``block``.
     """
     i = combiner.row_for(k)
-    single = dataclasses.replace(
-        combiner, c=combiner.c[i:i + 1], ue_indices=(k,), gain=combiner.gain[i:i + 1])
-    bits_hat, _, ber = detect_all(obs, single, block)
+    bits_hat, _, ber = detect_all(obs, Combiner(c=combiner.c[i:i + 1], ue_indices=(k,)), block)
     return bits_hat[0], float(ber[0])
 
 
@@ -221,8 +210,7 @@ def detect_all(obs: Observation, combiner: Combiner, block: DataBlock):
     """
     if obs.phase is not Phase.DATA:
         raise ValueError("detect needs a data-phase observation")
-    out = (combiner.c @ obs.y) / combiner.gain[..., None]
-    bits_hat, symbols_hat = _slice(out, block.modulation, block.power)
+    bits_hat, symbols_hat = _slice(combiner.c @ obs.y, block.modulation, block.power)
     truth = np.take(block.bits, np.asarray(combiner.ue_indices, dtype=int), axis=-2)
     ber = np.mean(bits_hat != truth, axis=-1)
     return bits_hat, symbols_hat, ber

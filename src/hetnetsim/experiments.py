@@ -406,9 +406,7 @@ def _detect(run: _TopologyRun, memo: _TrialMemo, pilot, data, block):
                 est = np.take_along_axis(est, part.cols[None, :, None], -1)
             comb = detectors.build_combiner(part.kind, est, layout.betas[ids], *args)
             bs = np.arange(len(part.pick))[:, None]
-            return dataclasses.replace(comb, c=comb.c[..., bs, part.pick, :],
-                                       gain=comb.gain[..., bs, part.pick],
-                                       ue_indices=part.ues)
+            return detectors.Combiner(c=comb.c[..., bs, part.pick, :], ue_indices=part.ues)
         if part.kind is CombinerKind.MMSE:         # reads the data power
             comb = build()
         else:

@@ -474,12 +474,9 @@ def check_detector_ordering(master_seed: int = 1) -> list:
     data = phy.observe(channels.g_sbs[0], block.symbols, n0,
                        phy.awgn(phy.stream(master_seed, 913), (cfg.sbs_antennas, 64), n0),
                        Phase.DATA)
-    served = [0]
-    args = (topo.beta_sbs[0], cfg.p_train_mw, cfg.tau_t, cfg.p_data_mw, n0)
-    comb_zf = detectors.build_combiner(
-        CombinerKind.ZF, est[:, served], *args, ue_indices=served)
-    comb_mrc = detectors.build_combiner(
-        CombinerKind.MRC, est[:, served], *args, ue_indices=served)
+    args = (est[:, :1], topo.beta_sbs[0], cfg.p_train_mw, cfg.tau_t, cfg.p_data_mw, n0)
+    comb_zf = detectors.build_combiner(CombinerKind.ZF, *args)
+    comb_mrc = detectors.build_combiner(CombinerKind.MRC, *args)
     bits_zf, _, _ = detectors.detect_all(data, comb_zf, block)
     bits_mrc, _, _ = detectors.detect_all(data, comb_mrc, block)
     identical = np.array_equal(bits_zf, bits_mrc)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,14 @@ def tiny_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(TINY)
     return path
+
+
+def test_readme_example_config_loads(capsys):
+    # the file the README's CLI examples pass to --config
+    path = Path(__file__).resolve().parents[1] / "examples" / "desk.json"
+    assert cli.main(["floor", "--config", str(path), "--dump-config"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data.items() >= json.loads(path.read_text()).items()
 
 
 def test_help_exits_zero(capsys):
@@ -293,7 +302,8 @@ def test_floor_takes_no_threads_option(tiny_config, capsys, count):
     # the floor runs no pool; it once took any --threads, 0 included, and exited 0
     assert cli.main(["floor", "--config", str(tiny_config), "--threads", count]) == 2
     captured = capsys.readouterr()
-    assert "unrecognized arguments: --threads" in captured.err
+    assert captured.err.startswith("usage: hetnetsim floor [-h] [--config CONFIG]")
+    assert f"hetnetsim floor: error: unrecognized arguments: --threads {count}" in captured.err
     assert "Traceback" not in captured.err and "saturation limit" not in captured.out
 
 
@@ -315,7 +325,9 @@ def test_validate_rejects_config_options(tiny_config, monkeypatch, capsys, extra
     extra = [str(tiny_config) if arg == "cfg" else arg for arg in extra]
     assert cli.main(["validate", *extra]) == 2
     captured = capsys.readouterr()
-    assert f"unrecognized arguments: {extra[0]}" in captured.err
+    assert captured.err.startswith(
+        "usage: hetnetsim validate [-h] [--seed SEED] [--threads THREADS]\n")
+    assert f"hetnetsim validate: error: unrecognized arguments: {' '.join(extra)}" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == "" and calls == []
 

@@ -1,4 +1,3 @@
-import dataclasses
 import logging
 from types import SimpleNamespace
 
@@ -8,6 +7,7 @@ import pytest
 from hetnetsim import experiments, phy
 from hetnetsim.ber_analytic import effective_rho, q_function
 from hetnetsim.detectors import (
+    Combiner,
     CombinerKind,
     Modulation,
     _GRAY,
@@ -106,6 +106,12 @@ def test_qam16_decides_the_lower_level_on_every_edge():
     assert np.array_equal(bits, _bits_of(pattern[p] for p in expected))
 
 
+def _unit(rows, est):
+    """``rows`` scaled to unit gain on their own columns of ``est``, as
+    build_combiner scales them."""
+    return rows / np.einsum("...ij,...ji->...i", rows, est)[..., None]
+
+
 def _toy_estimates(n_ant, betas, seed):
     rng = np.random.default_rng(seed)
     betas = np.asarray(betas, dtype=float)
@@ -125,7 +131,16 @@ def test_zf_combiner_rows_are_the_zf_rows(shape):
     # 2-D, a stack of BSs, and a trial stack of BS stacks
     est = phy.complex_gaussian(np.random.default_rng(23), shape)
     comb = build_combiner(CombinerKind.ZF, est, np.ones(shape[-1]), 1.3, 8, 2.0, 0.05)
-    assert np.array_equal(comb.c, zf_rows(est))
+    assert np.array_equal(comb.c, _unit(zf_rows(est), est))
+
+
+@pytest.mark.parametrize("kind", [CombinerKind.MRC, CombinerKind.MMSE])
+def test_a_zero_estimate_column_is_refused(kind):
+    # its row would have zero gain on its own channel, so no unit-gain row
+    est = _toy_estimates(4, [1.0, 0.5], 2)
+    est[:, 1] = 0.0
+    with pytest.raises(ValueError, match="non-zero channel estimates"):
+        build_combiner(kind, est, [1.0, 0.5], 1.0, 4, 1.0, 0.1)
 
 
 def test_mrc_is_matched_filter_direction():
@@ -133,7 +148,7 @@ def test_mrc_is_matched_filter_direction():
     mrc = build_combiner(CombinerKind.MRC, est, [2.0], 1.0, 4, 1.0, 0.1)
     expected = est[:, 0].conj() / np.sum(np.abs(est[:, 0]) ** 2)
     assert np.allclose(mrc.c[0], expected)
-    assert mrc.gain[0] == pytest.approx(1.0)
+    assert mrc.c[0] @ est[:, 0] == pytest.approx(1.0)
 
 
 def test_mmse_combiner_matches_covariance_assembly():
@@ -148,7 +163,7 @@ def test_mmse_combiner_matches_covariance_assembly():
     for k in range(2):
         r_xy = p_d * est[:, k]
         expected = np.linalg.solve(r_y, r_xy).conj()
-        assert np.allclose(comb.c[k], expected, rtol=1e-10)
+        assert np.allclose(comb.c[k], expected / (expected @ est[:, k]), rtol=1e-10)
 
 
 def test_mmse_limit_is_matched_filter():
@@ -213,8 +228,7 @@ def test_bpsk_decisions_scale_invariant():
     block = modulate(bits, Modulation.BPSK, 1.0)
     obs = observe(est, block.symbols, 0.5, phy.awgn(15, (4, 64), 0.5), Phase.DATA)
     comb = build_combiner(CombinerKind.MMSE, est, [1.0, 0.5], 1.0, 4, 1.0, 0.2)
-    scaled = type(comb)(c=3.7 * comb.c, kind=comb.kind,
-                        ue_indices=comb.ue_indices, gain=3.7 * comb.gain)
+    scaled = Combiner(c=3.7 * comb.c, ue_indices=comb.ue_indices)
     for k in range(2):
         a, _ = detect(obs, comb, block, k)
         b, _ = detect(obs, scaled, block, k)
@@ -321,10 +335,8 @@ def test_stacked_combiner_and_detection_equal_separate_calls(kind, n_ant, k_tota
     bits, symbols, ber = detect_all(obs, stacked, block)
     for b in range(3):
         single = build_combiner(kind, est[b], betas[b], *args)
-        assert single.kind is stacked.kind
         scale = np.abs(single.c).max()
         np.testing.assert_allclose(stacked.c[b], single.c, rtol=0, atol=1e-12 * scale)
-        np.testing.assert_allclose(stacked.gain[b], single.gain, rtol=1e-12)
         obs_b = Observation(y=obs.y[b], phase=Phase.DATA, noise_power=obs.noise_power)
         bits_b, symbols_b, ber_b = detect_all(obs_b, single, block)
         assert np.array_equal(bits[b], bits_b)
@@ -336,14 +348,59 @@ def test_stacked_detection_takes_one_row_set_per_bs():
     betas, est, block, obs = _stack_setup(2, 8, 6, 22)
     comb = build_combiner(CombinerKind.MMSE, est, betas, 1.3, 8, 2.0, 0.05)
     pick = np.array([[4, 1], [0, 0]])
-    rows = dataclasses.replace(
-        comb, c=np.take_along_axis(comb.c, pick[..., None], axis=1),
-        gain=np.take_along_axis(comb.gain, pick, axis=1), ue_indices=((4, 1), (0, 0)))
+    rows = Combiner(c=np.take_along_axis(comb.c, pick[..., None], axis=1),
+                    ue_indices=((4, 1), (0, 0)))
     bits, _, ber = detect_all(obs, rows, block)
     full_bits, _, full_ber = detect_all(obs, comb, block)
     for b in range(2):
         assert np.array_equal(bits[b], full_bits[b][pick[b]])
         assert np.array_equal(ber[b], full_ber[b][pick[b]])
+
+
+def _biased_rows(kind, est, betas, args):
+    """The rows before any unit-gain scaling: MRC normalised by its column
+    norms, ZF's solve, and MMSE in the smaller of its two dimensions."""
+    est_h = est.conj().swapaxes(-1, -2)
+    if kind is CombinerKind.MRC:
+        return est_h / np.sum(np.abs(est) ** 2, axis=-2)[..., None]
+    if kind is CombinerKind.ZF:
+        return zf_rows(est)
+    n_ant, n_ue = est.shape[-2:]
+    p_t, tau_t, p_d, n0 = args
+    reg = (1.0 / effective_rho(betas, p_t, tau_t, n0, p_d))[..., None, None]
+    if n_ue < n_ant:
+        return np.linalg.solve(est_h @ est + reg * np.eye(n_ue), est_h)
+    return np.linalg.solve(est @ est_h + reg * np.eye(n_ant), est).conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("lead", [(), (2, 3)])
+@pytest.mark.parametrize("kind,n_ant,k_total", [
+    (CombinerKind.MRC, 16, 5), (CombinerKind.ZF, 16, 5),
+    (CombinerKind.MMSE, 16, 5), (CombinerKind.MMSE, 4, 6),     # K x K, then N x N
+])
+def test_every_row_has_unit_gain_and_decides_as_the_biased_row_divided(
+        lead, kind, n_ant, k_total):
+    # 2-D, and a (T, B) stack of trials and BSs: each row's response to its
+    # own estimate column is 1, and its 16-QAM decisions are those of the
+    # unscaled row whose output is divided by that row's gain
+    rng = np.random.default_rng(27)
+    args = (1.3, 8, 2.0, 0.05)
+    betas = rng.uniform(0.2, 2.0, size=lead[1:] + (k_total,))
+    est = phy.complex_gaussian(rng, lead + (n_ant, k_total)) * np.sqrt(betas)[..., None, :]
+    comb = build_combiner(kind, est, betas, *args)
+    gain = np.einsum("...ij,...ji->...i", comb.c, est)
+    np.testing.assert_allclose(gain, 1.0, rtol=0, atol=1e-12)
+
+    bits = rng.integers(0, 2, size=lead[:1] + (1,) * len(lead[1:]) + (k_total, 4 * 40))
+    block = modulate(bits, Modulation.QAM16, args[2])
+    channel = est + 0.1 * phy.complex_gaussian(rng, est.shape)
+    y = channel @ block.symbols + phy.complex_gaussian(rng, est.shape[:-1] + (40,), var=0.05)
+    got_bits, got_symbols, _ = detect_all(Observation(y, Phase.DATA, 0.05), comb, block)
+    raw = _biased_rows(kind, est, betas, args)
+    raw_gain = np.einsum("...ij,...ji->...i", raw, est)
+    want_bits, want_symbols = _slice((raw @ y) / raw_gain[..., None], Modulation.QAM16, args[2])
+    assert np.array_equal(got_bits, want_bits)
+    assert np.array_equal(got_symbols, want_symbols)
 
 
 @pytest.mark.parametrize("n_ant,k_total", [(64, 6), (4, 10)])
@@ -355,7 +412,7 @@ def test_mmse_rows_equal_the_antenna_domain_solve(n_ant, k_total):
     args = (1.3, 8, 0.9, 0.4)
     comb = build_combiner(CombinerKind.MMSE, est, betas, *args)
     reg = 1.0 / effective_rho(betas, 1.3, 8, 0.4, 0.9)
-    ref = np.linalg.solve(est @ est.conj().T + reg * np.eye(n_ant), est).conj().T
+    ref = _unit(np.linalg.solve(est @ est.conj().T + reg * np.eye(n_ant), est).conj().T, est)
     np.testing.assert_allclose(comb.c, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
@@ -388,8 +445,7 @@ def _sweep_combiners(est, betas, ul_serving, n_ant, args, scored=None):
         heard = np.take_along_axis(est[:, part.rows], part.cols[None, :, None], -1)
         comb = build_combiner(part.kind, heard, betas[part.rows], *args)
         bs = np.arange(len(part.pick))[:, None]
-        out.append((part, dataclasses.replace(comb, c=comb.c[..., bs, part.pick, :],
-                                              gain=comb.gain[..., bs, part.pick])))
+        out.append((part, Combiner(c=comb.c[..., bs, part.pick, :], ue_indices=part.ues)))
     return out
 
 
@@ -406,7 +462,7 @@ def test_zf_falls_back_to_mmse_when_overloaded(caplog):
         [(part, comb)] = _sweep_combiners(est[None, None], betas, [1, 1, 1], 2, args)
         mmse = build_combiner(CombinerKind.MMSE, est, betas[0], *args)
     assert part.label == "zf->mmse"
-    assert comb.kind is mmse.kind is CombinerKind.MMSE
+    assert part.kind is CombinerKind.MMSE
     np.testing.assert_allclose(comb.c[0, 0], mmse.c, rtol=0, atol=1e-12 * np.abs(mmse.c).max())
     assert not caplog.records
 
@@ -440,7 +496,6 @@ def test_zf_parts_stack_by_served_count_and_keep_the_rows_of_per_bs_calls(seed):
             for t in range(2):
                 single = build_combiner(part.kind, est[t, v - 1][:, served], betas[v - 1], *args)
                 assert np.array_equal(kept.c[t, b], single.c[part.pick[b]])
-                assert np.array_equal(kept.gain[t, b], single.gain[part.pick[b]])
 
 
 def test_mmse_sinr_and_modulate_take_leading_axes():
@@ -452,6 +507,6 @@ def test_mmse_sinr_and_modulate_take_leading_axes():
         assert np.array_equal(stacked[t], mmse_sinr(est[t], 0.7))
     bits = rng.integers(0, 2, size=(3, 2, 8))
     block = modulate(bits, Modulation.QAM16, 2.0)
-    assert block.symbols.shape == (3, 2, 2) and block.tau_d == 2
+    assert block.symbols.shape == (3, 2, 2)
     for t in range(3):
         assert np.array_equal(block.symbols[t], modulate(bits[t], Modulation.QAM16, 2.0).symbols)

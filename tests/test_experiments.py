@@ -778,8 +778,9 @@ def test_stacked_detection_equals_one_combiner_per_bs():
                     cols = served if det != "mmse" else np.arange(cfg.num_ue)
                     # a BS that serves more UEs than antennas cannot zero-force
                     kind = "mmse" if det == "zf" and len(served) > n_ant else det
-                    comb = detectors.build_combiner(
-                        kind, heard.est[t, i][:, cols], layout.betas[v], *args, ue_indices=cols)
+                    comb = dataclasses.replace(detectors.build_combiner(
+                        kind, heard.est[t, i][:, cols], layout.betas[v], *args),
+                        ue_indices=tuple(cols))
                     _, _, ber = detectors.detect_all(one, comb, payload)
                     label = det if kind == det else f"{det}->{kind}"
                     want.setdefault(label, np.full((2, cfg.num_ue), np.nan))[t, mine] = \
