@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
 """Seed survey of the release checks: report only, no pass/fail.
 
-Runs ``hetnetsim validate --seed S --threads 2`` for every seed in the range
+Runs the ``hetnetsim validate --seed S --threads 2`` suite for seeds 1-20
 and writes, for each check, the number of seeds it passed at and the value it
 measured at each seed, as JSON.  A seed at which a check fails is recorded,
-not acted on: the survey exits 0 whenever every run ends with validate's own
-exit codes (0 all passed, 1 some failed) and a complete report.  A run that
-ends any other way, a crash included, makes it exit 2.
+not acted on: the survey exits 0 whenever every run reports every check.  A
+run that crashes or reports a different set of checks makes it exit 2.
 
-    PYTHONPATH=src python3 tools/seed_survey.py --first 1 --last 20 \\
-        --out BENCH_seed_survey.json
+    PYTHONPATH=src python3 tools/seed_survey.py --out BENCH_seed_survey.json
 """
 
 from __future__ import annotations
@@ -18,50 +16,49 @@ import argparse
 import json
 import os
 import platform
-import re
-import subprocess
 import sys
 import time
+import traceback
 
 import numpy
 import scipy
 
+from hetnetsim import validation
+
+SEEDS = range(1, 21)
 THREADS = 2
-# a check line of the validate report: [PASS] name: measured (bound: bound)
-_LINE = re.compile(r"^\[(PASS|FAIL)\] (\S+): (.*) \(bound: (.*)\)$")
-_SUMMARY = re.compile(r"^\d+ checks, \d+ passed, \d+ failed$")
 
 
 def run_seed(seed: int) -> dict:
-    """One validate run: its exit code, wall time and parsed check lines."""
+    """One validate run: its wall time, its check results, and whether it completed."""
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "hetnetsim.cli", "validate", "--seed", str(seed),
-         "--threads", str(THREADS)], capture_output=True, text=True)
-    lines = proc.stdout.splitlines()
-    complete = proc.returncode in (0, 1) and bool(lines) and bool(_SUMMARY.match(lines[-1]))
-    checks = [m.groups() for m in map(_LINE.match, lines) if m]
-    return {"exit": proc.returncode, "complete": complete,
-            "wall_s": round(time.perf_counter() - start, 1),
-            "checks": checks, "stderr": "" if complete else proc.stderr[-2000:]}
+    try:
+        checks = validation.run_validation(seed, THREADS).checks
+        error = ""
+    except Exception:
+        checks, error = (), traceback.format_exc()[-2000:]
+    complete = tuple(c.name for c in checks) == validation.ALL_CHECK_NAMES
+    return {"complete": complete, "wall_s": round(time.perf_counter() - start, 1),
+            "checks": checks, "error": error}
 
 
-def survey(seeds) -> dict:
+def survey() -> dict:
     runs, checks = {}, {}
-    for seed in seeds:
+    for seed in SEEDS:
         run = run_seed(seed)
-        print(f"seed {seed}: exit {run['exit']}, {run['wall_s']} s", file=sys.stderr)
-        for status, name, measured, bound in run.pop("checks"):
-            entry = checks.setdefault(name, {"bound": bound, "passed": 0, "failed_at": [],
-                                             "measured": {}})
-            entry["passed"] += status == "PASS"
-            if status == "FAIL":
+        print(f"seed {seed}: {'complete' if run['complete'] else 'INCOMPLETE'}, "
+              f"{run['wall_s']} s", file=sys.stderr)
+        for check in run.pop("checks"):
+            entry = checks.setdefault(check.name, {"bound": check.threshold, "passed": 0,
+                                                   "failed_at": [], "measured": {}})
+            entry["passed"] += check.passed
+            if not check.passed:
                 entry["failed_at"].append(seed)
-            entry["measured"][str(seed)] = measured
+            entry["measured"][str(seed)] = check.measured
         runs[str(seed)] = run
     return {
         "command": f"hetnetsim validate --seed S --threads {THREADS}",
-        "seeds": list(seeds),
+        "seeds": list(SEEDS),
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "numpy": numpy.__version__, "scipy": scipy.__version__,
                  "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")},
@@ -72,16 +69,14 @@ def survey(seeds) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--first", type=int, default=1, help="first seed")
-    parser.add_argument("--last", type=int, default=20, help="last seed")
     parser.add_argument("--out", default="BENCH_seed_survey.json", help="output JSON path")
     args = parser.parse_args(argv)
-    result = survey(range(args.first, args.last + 1))
+    result = survey()
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
     for name, entry in result["checks"].items():
-        print(f"{name}: passed at {entry['passed']} of {len(result['seeds'])} seeds"
+        print(f"{name}: passed at {entry['passed']} of {len(SEEDS)} seeds"
               + (f", failed at {entry['failed_at']}" if entry["failed_at"] else ""))
     broken = [s for s, run in result["runs"].items() if not run["complete"]]
     if broken:
