@@ -32,17 +32,19 @@ def q_function(x):
 
 @dataclass(frozen=True)
 class SinrGammaModel:
-    """Gamma-matched SINR law of one UE's MMSE-detector output; with array
-    fields, the laws of several UEs elementwise."""
+    """Gamma(alpha, xi) law matched to one UE's MMSE-detector SINR; with
+    array fields, the laws of several UEs elementwise."""
 
-    mu: float            # deterministic equivalent of Tr(Lambda)/N at z = -1
-    sigma2: float        # its derivative counterpart, Tr(Lambda^2)/N
-    mean: float          # E[SINR]
-    variance: float      # Var[SINR]
     alpha: float         # Gamma shape
     xi: float            # Gamma scale
-    rho_v: float         # effective inverse noise at the serving BS
-    beta_hat: float      # estimate-variance gain of the target UE
+
+    @property
+    def mean(self):      # E[SINR]
+        return self.alpha * self.xi
+
+    @property
+    def variance(self):  # Var[SINR]
+        return self.alpha * self.xi ** 2
 
 
 def effective_rho(betas, p_t: float, tau_t: int, noise_power: float, p_d: float):
@@ -51,11 +53,6 @@ def effective_rho(betas, p_t: float, tau_t: int, noise_power: float, p_d: float)
     One value per row when ``betas`` stacks the gains of several BSs."""
     resid = np.sum(mmse_error_stats(betas, p_t, tau_t, noise_power).error_var, axis=-1)
     return 1.0 / (resid + noise_power / p_d)
-
-
-def beta_hat(betas, p_t: float, tau_t: int, noise_power: float):
-    """Per-element variance of the MMSE channel estimate for each gain."""
-    return mmse_error_stats(betas, p_t, tau_t, noise_power).estimate_var
 
 
 def stieltjes_moments(n_antennas, interferer_gains, tolerance: float = 1e-12):
@@ -113,19 +110,8 @@ def sinr_gamma_params(
     if not (np.all(0.0 < mu) and np.all(mu <= 1.0)
             and np.all(0.0 < sigma2) and np.all(sigma2 <= 1.0)):
         raise ValueError("moments must lie in (0, 1]")
-    rb = rho_v * beta_hat
-    mean = n_antennas * rb * mu
-    variance = n_antennas * rb ** 2 * sigma2
-    return SinrGammaModel(
-        mu=mu,
-        sigma2=sigma2,
-        mean=mean,
-        variance=variance,
-        alpha=n_antennas * mu ** 2 / sigma2,
-        xi=rb * sigma2 / mu,
-        rho_v=rho_v,
-        beta_hat=beta_hat,
-    )
+    return SinrGammaModel(alpha=n_antennas * mu ** 2 / sigma2,
+                          xi=rho_v * beta_hat * sigma2 / mu)
 
 
 def analytic_ber(model: SinrGammaModel, c2: float = 1.0):
@@ -163,7 +149,7 @@ def gamma_model_for_ue(
 ) -> SinrGammaModel:
     """Convenience composition for UE ``k`` at a BS seeing gains ``betas``."""
     return sinr_gamma_models(n_antennas, effective_rho(betas, p_t, tau_t, noise_power, p_d),
-                             beta_hat(betas, p_t, tau_t, noise_power), k)
+                             mmse_error_stats(betas, p_t, tau_t, noise_power).estimate_var, k)
 
 
 def sinr_gamma_models(n_antennas, rho_v, beta_hats, k) -> SinrGammaModel:

@@ -78,12 +78,6 @@ class Combiner:
     c: np.ndarray                      # ([T,] [BS,] n, antennas)
     ue_indices: tuple
 
-    def row_for(self, k: int) -> int:
-        try:
-            return self.ue_indices.index(k)
-        except ValueError:
-            raise IndexError(f"UE {k} is not covered by this combiner") from None
-
 
 def modulate(bits, scheme: Modulation, p_d: float) -> DataBlock:
     """Map a (K, n_bits) binary matrix, or a stack of them, onto
@@ -195,7 +189,10 @@ def detect(obs: Observation, combiner: Combiner, block: DataBlock, k: int):
     Returns (decoded bits, empirical BER) where BER counts bit flips against
     the transmitted payload in ``block``.
     """
-    i = combiner.row_for(k)
+    try:
+        i = combiner.ue_indices.index(k)
+    except ValueError:
+        raise IndexError(f"UE {k} is not covered by this combiner") from None
     bits_hat, _, ber = detect_all(obs, Combiner(c=combiner.c[i:i + 1], ue_indices=(k,)), block)
     return bits_hat[0], float(ber[0])
 

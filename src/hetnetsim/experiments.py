@@ -93,9 +93,12 @@ class ExperimentSpec:
             for c in chosen:
                 if c not in choices:
                     raise ValueError(f"unknown {name} {c!r}")
-        # build every point's config now, so a bad grid fails before any work
-        for i, value in enumerate(self.sweep_values):
-            cfg = _apply_sweep(self.base, self.sweep_param, value)
+        # build every point's config and check the grid before any topology is drawn
+        values = list(self.sweep_values)
+        cfgs = [_apply_sweep(self.base, self.sweep_param, value) for value in values]
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValueError("sweep values must be sorted and distinct")
+        for i, (cfg, value) in enumerate(zip(cfgs, values)):
             if self.metric is Metric.BER and 0 in (cfg.num_sbs, cfg.tau_d):
                 raise ValueError(
                     f"the BER metric scores the data bits of decoupled UEs, which need an "
@@ -104,9 +107,6 @@ class ExperimentSpec:
             # points that share the layout share the association
             if i == 0 or self.sweep_param not in _BLIND["layout"]:
                 self._check_associations(cfg, value)
-        values = list(self.sweep_values)
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ValueError("sweep values must be sorted and distinct")
 
     def _check_associations(self, cfg: SystemConfig, value) -> None:
         """A BER point needs a decoupled UE in some topology; at a rate
@@ -190,11 +190,11 @@ def analytic_ber_vector(cfgs, topo, assoc) -> tuple:
     each config in ``cfgs``, and the Jensen lower bound of each: two
     (len(cfgs), K) arrays, row p from ``cfgs[p]``.
 
-    effective_rho and beta_hat are taken once per config and BS; one fixed
-    point solve then covers every UE under every config, each row seeing
-    its serving BS's gains.  A row's Newton steps and sums read that row
-    alone, so each config's rows are bit for bit what a call with that
-    config alone gives.
+    effective_rho and the estimate variances are taken once per config and
+    BS; one fixed point solve then covers every UE under every config, each
+    row seeing its serving BS's gains.  A row's Newton steps and sums read
+    that row alone, so each config's rows are bit for bit what a call with
+    that config alone gives.
     """
     betas = _bs_betas(topo)
     v = assoc.ul_serving
@@ -202,7 +202,7 @@ def analytic_ber_vector(cfgs, topo, assoc) -> tuple:
     for cfg in cfgs:
         args = (cfg.p_train_mw, cfg.tau_t, cfg.noise_power_mw)
         rho.append(ber_analytic.effective_rho(betas, *args, cfg.p_data_mw)[v])
-        bh.append(ber_analytic.beta_hat(betas, *args)[v])
+        bh.append(estimators.mmse_error_stats(betas, *args).estimate_var[v])
         n_ant.append(np.where(v == 0, cfg.mbs_antennas, cfg.sbs_antennas))
     model = ber_analytic.sinr_gamma_models(
         np.concatenate(n_ant), np.concatenate(rho), np.concatenate(bh),

@@ -264,9 +264,7 @@ def check_ber_analytics(master_seed: int = 1) -> list:
     bound_ok = True
     for a in _BER_GRID_ALPHAS:
         for xi in _BER_GRID_XIS:
-            model = ber_analytic.SinrGammaModel(
-                mu=1.0, sigma2=1.0, mean=a * xi, variance=a * xi * xi,
-                alpha=a, xi=xi, rho_v=1.0, beta_hat=1.0)
+            model = ber_analytic.SinrGammaModel(alpha=a, xi=xi)
             closed = ber_analytic.analytic_ber(model)
             numeric = oracle_ber_numeric(a, xi)
             worst_rel = max(worst_rel, abs(closed - numeric) / numeric)
@@ -299,16 +297,16 @@ def check_lemma1_moments() -> list:
     betas = topo.beta_sbs[v]
     n0, pt, pd = cfg.noise_power_mw, cfg.p_train_mw, cfg.p_data_mw
     n, k_total = cfg.sbs_antennas, cfg.num_ue
-    bh = ber_analytic.beta_hat(betas, pt, cfg.tau_t, n0)
-    model = ber_analytic.sinr_gamma_models(
-        n, ber_analytic.effective_rho(betas, pt, cfg.tau_t, n0, pd), bh, k)
+    bh = estimators.mmse_error_stats(betas, pt, cfg.tau_t, n0).estimate_var
+    rho_v = ber_analytic.effective_rho(betas, pt, cfg.tau_t, n0, pd)
+    model = ber_analytic.sinr_gamma_models(n, rho_v, bh, k)
     rng = phy.stream(_LEMMA1_TOPOLOGY_SEED, _TAG_C5, 1)
     sinr = np.empty(_LEMMA1_DRAWS)
     chunk = 1000
     for start in range(0, _LEMMA1_DRAWS, chunk):
         g = phy.complex_gaussian(rng, (chunk, n, k_total), var=1.0)
         g = g * np.sqrt(bh)[None, None, :]
-        sinr[start:start + chunk] = detectors.mmse_sinr(g, model.rho_v)[:, k]
+        sinr[start:start + chunk] = detectors.mmse_sinr(g, rho_v)[:, k]
     mean_err = abs(sinr.mean() - model.mean) / model.mean
     var_err = abs(sinr.var(ddof=1) - model.variance) / model.variance
     return [(mean_err <= 0.05 and var_err <= 0.05,

@@ -9,7 +9,6 @@ from hetnetsim.ber_analytic import (
     SinrGammaModel,
     analytic_ber,
     ber_lower_bound,
-    beta_hat,
     effective_rho,
     gamma_model_for_ue,
     q_function,
@@ -17,14 +16,9 @@ from hetnetsim.ber_analytic import (
     sinr_gamma_params,
     stieltjes_moments,
 )
+from hetnetsim.estimators import mmse_error_stats
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _model(alpha, xi):
-    return SinrGammaModel(mu=1.0, sigma2=1.0, mean=alpha * xi,
-                          variance=alpha * xi * xi, alpha=alpha, xi=xi,
-                          rho_v=1.0, beta_hat=1.0)
 
 
 def test_effective_rho_example():
@@ -118,7 +112,7 @@ def test_gamma_params_formula_values():
 def test_gamma_mean_identity(n, rb, mu):
     sigma2 = mu * mu      # any admissible pair works; use the Jensen floor
     model = sinr_gamma_params(n, rb, 1.0, mu, sigma2)
-    assert model.alpha * model.xi == pytest.approx(model.mean, rel=1e-12)
+    assert model.mean == pytest.approx(n * rb * mu, rel=1e-12)
 
 
 def test_gamma_params_reject_bad_moments():
@@ -129,31 +123,31 @@ def test_gamma_params_reject_bad_moments():
 def test_analytic_ber_exponential_closed_form():
     # alpha = 1 is an exponential SINR: BER = (1 - sqrt(xi/(2+xi)))/2
     expected = 0.5 * (1.0 - math.sqrt(2.0 / 4.0))
-    assert analytic_ber(_model(1.0, 2.0)) == pytest.approx(expected, rel=1e-12)
+    assert analytic_ber(SinrGammaModel(1.0, 2.0)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_analytic_ber_zero_snr_limit():
-    assert analytic_ber(_model(3.0, 1e-9)) == pytest.approx(0.5, abs=1e-4)
-    assert analytic_ber(_model(3.0, 0.0)) == 0.5
+    assert analytic_ber(SinrGammaModel(3.0, 1e-9)) == pytest.approx(0.5, abs=1e-4)
+    assert analytic_ber(SinrGammaModel(3.0, 0.0)) == 0.5
 
 
 def test_analytic_ber_monotone_in_parameters():
     xis = [0.1, 0.5, 2.0, 8.0, 32.0]
-    bers = [analytic_ber(_model(2.0, x)) for x in xis]
+    bers = [analytic_ber(SinrGammaModel(2.0, x)) for x in xis]
     assert all(a > b for a, b in zip(bers, bers[1:]))
     alphas = [0.5, 1.0, 2.0, 4.0]
-    bers = [analytic_ber(_model(a, 2.0)) for a in alphas]
+    bers = [analytic_ber(SinrGammaModel(a, 2.0)) for a in alphas]
     assert all(a > b for a, b in zip(bers, bers[1:]))
 
 
 def test_lower_bound_values_and_order():
-    assert ber_lower_bound(_model(1.0, 0.0)) == 0.5
-    assert ber_lower_bound(_model(8.0, 2.0)) == pytest.approx(3.167124183e-05, rel=1e-8)
+    assert ber_lower_bound(SinrGammaModel(1.0, 0.0)) == 0.5
+    assert ber_lower_bound(SinrGammaModel(8.0, 2.0)) == pytest.approx(3.167124183e-05, rel=1e-8)
     rng = phy.stream(7)
     for _ in range(25):
         alpha = float(10.0 ** rng.uniform(-0.5, 1.5))
         xi = float(10.0 ** rng.uniform(-2.0, 1.5))
-        model = _model(alpha, xi)
+        model = SinrGammaModel(alpha, xi)
         assert ber_lower_bound(model) <= analytic_ber(model) + 1e-15
 
 
@@ -162,7 +156,7 @@ def test_decision_scale_two_is_the_kernel_at_doubled_xi_bit_for_bit():
     # point, so c2 = 2 gives what the kernel gives a model of scale 2 xi
     alpha = np.array([0.5, 4.0, 30.0, 241.03, 1000.0])
     xi = np.array([1e-3, 1.5, 0.184, 0.0123456789, 7.3])
-    model, doubled = _model(alpha, xi), _model(alpha, 2.0 * xi)
+    model, doubled = SinrGammaModel(alpha, xi), SinrGammaModel(alpha, 2.0 * xi)
     assert np.array_equal(analytic_ber(model, 2.0), analytic_ber(doubled))
     assert np.array_equal(ber_lower_bound(model, 2.0), ber_lower_bound(doubled))
 
@@ -170,10 +164,12 @@ def test_decision_scale_two_is_the_kernel_at_doubled_xi_bit_for_bit():
 def test_gamma_model_for_ue_composes():
     betas = np.array([1e-9, 3e-10, 5e-11])
     model = gamma_model_for_ue(8, betas, 0, 2.0, 30, 8e-11, 200.0)
-    bh = beta_hat(betas, 2.0, 30, 8e-11)
-    assert model.beta_hat == pytest.approx(bh[0])
-    assert model.mean == pytest.approx(8 * model.rho_v * model.beta_hat * model.mu)
-    assert 0 < model.mu <= 1 and model.mu ** 2 <= model.sigma2 <= model.mu
+    bh = mmse_error_stats(betas, 2.0, 30, 8e-11).estimate_var
+    rho = effective_rho(betas, 2.0, 30, 8e-11, 200.0)
+    mu, sigma2 = stieltjes_moments(8, rho * bh[1:])
+    assert model.mean == pytest.approx(8 * rho * bh[0] * mu)
+    assert model.variance == pytest.approx(8 * (rho * bh[0]) ** 2 * sigma2)
+    assert 0 < mu <= 1 and mu ** 2 <= sigma2 <= mu
 
 
 def test_q_function_basics():
@@ -251,10 +247,10 @@ def test_gamma_models_of_many_ues_equal_one_ue_at_a_time():
     n_ant = np.array([256, 8, 8])
     serving = rng.integers(0, 3, size=12)
     rho = effective_rho(betas, *args[:3], args[3])
-    bh = beta_hat(betas, *args[:3])
+    bh = mmse_error_stats(betas, *args[:3]).estimate_var
     many = sinr_gamma_models(n_ant[serving], rho[serving], bh[serving], np.arange(12))
     for k in range(12):
         one = gamma_model_for_ue(n_ant[serving[k]], betas[serving[k]], k, *args)
-        for field in ("mu", "sigma2", "alpha", "xi", "rho_v", "beta_hat"):
+        for field in ("alpha", "xi"):
             assert getattr(many, field)[k] == pytest.approx(getattr(one, field), rel=1e-12)
         assert analytic_ber(many)[k] == pytest.approx(analytic_ber(one), rel=1e-12)

@@ -66,6 +66,16 @@ def test_spec_rejects_repeated_sweep_values():
         _tiny_spec(sweep_values=(3.0, 3.0))
 
 
+def test_an_unsorted_grid_is_rejected_before_any_topology_is_drawn(monkeypatch):
+    # a rate spec draws every point's topologies to check its downlink load
+    draws = []
+    _counted(monkeypatch, experiments, "sweep_topology", draws)
+    with pytest.raises(ValueError, match="sorted"):
+        ExperimentSpec(base=desk_config(), sweep_param="num_ue", sweep_values=(10, 8),
+                       metric=Metric.RATE, topologies=5)
+    assert len(draws) == 0
+
+
 @pytest.mark.parametrize("field,value", [("trials", 1.5), ("topologies", 2.5),
                                          ("trials", math.inf), ("topologies", math.nan),
                                          ("trials", "3"), ("topologies", True)])
@@ -276,9 +286,7 @@ _ORACLE_XIS = (0.01, 0.05, 0.184, 1.0)
 def test_closed_form_ber_matches_quadrature_oracle(alpha, xi):
     # the oracle's relative error target is ORACLE_EPSREL; a tenfold margin
     # still catches the tens-of-orders misses a Gamma peak can cause
-    model = SinrGammaModel(mu=1.0, sigma2=1.0, mean=alpha * xi,
-                           variance=alpha * xi * xi, alpha=alpha, xi=xi,
-                           rho_v=1.0, beta_hat=1.0)
+    model = SinrGammaModel(alpha=alpha, xi=xi)
     closed = analytic_ber(model)
     assert closed == pytest.approx(oracle_ber_numeric(alpha, xi), rel=10 * ORACLE_EPSREL)
     assert closed >= ber_lower_bound(model)
