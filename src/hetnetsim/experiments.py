@@ -683,11 +683,6 @@ def run_sweep(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     topologies = range(spec.topologies)
     workers = min(_count("threads", threads), spec.topologies, _usable_cpus())
     if workers > 1:
-        if _uses_analytic_ber(spec):
-            # load the BER kernel once here: forked workers inherit it, where
-            # each fresh worker would otherwise import it anew on every sweep.
-            # fork is the default start method on Linux from Python 3.10 to 3.13
-            import scipy.special  # noqa: F401
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_topo = list(pool.map(functools.partial(_topology_metrics, spec), topologies))
     else:

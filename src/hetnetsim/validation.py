@@ -218,12 +218,13 @@ def oracle_ber_numeric(alpha: float, xi: float) -> float:
     if xi == 0.0:
         return 0.5
 
-    # substitute x = xi * t so the Gamma mass sits near t = alpha for any xi
+    # Q(x) = erfc(x/sqrt(2))/2 from scipy: the oracle shares no code with the
+    # closed form.  Substitute x = xi * t so the Gamma mass sits near t = alpha for any xi
     def integrand(t):
         log_pdf = (alpha - 1.0) * np.log(t) - t - special.gammaln(alpha)
-        return np.exp(log_pdf) * ber_analytic.q_function(np.sqrt(xi * t))
+        return np.exp(log_pdf) * (0.5 * special.erfc(np.sqrt(xi * t) / math.sqrt(2.0)))
 
-    bound = float(ber_analytic.q_function(math.sqrt(alpha * xi)))
+    bound = float(0.5 * special.erfc(math.sqrt(alpha * xi) / math.sqrt(2.0)))
     lo = special.gammaincinv(alpha, _ORACLE_TAIL * bound)
     hi = special.gammainccinv(alpha, _ORACLE_TAIL)    # 1 - tail would round to 1
     value, err = integrate.quad(integrand, lo, hi, points=[alpha], epsabs=0.0,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from scipy import special
 
 from hetnetsim import phy
 from hetnetsim.ber_analytic import (
@@ -149,6 +150,63 @@ def test_lower_bound_values_and_order():
         xi = float(10.0 ** rng.uniform(-2.0, 1.5))
         model = SinrGammaModel(alpha, xi)
         assert ber_lower_bound(model) <= analytic_ber(model) + 1e-15
+
+
+def test_the_kernel_matches_scipy_to_1e_12():
+    # a fixed grid: alpha over [0.5, 2048] and s = c2 xi / 2 over [1e-6, 1e8]
+    alpha, s = (v.ravel() for v in np.meshgrid(np.geomspace(0.5, 2048.0, 57),
+                                               np.geomspace(1e-6, 1e8, 71)))
+    ber = analytic_ber(SinrGammaModel(alpha, s), 2.0)
+    # scipy takes x = 1/(1+s) rounded, which near x = 1 loses the digits of
+    # 1 - x; there it is read through the complement at 1 - x = s/(1+s)
+    ref = 0.5 * np.where(s < 1.0, special.betaincc(0.5, alpha, s / (1.0 + s)),
+                         special.betainc(alpha, 0.5, 1.0 / (1.0 + s)))
+    shown = ref > 1e-290
+    assert np.all(np.abs(ber[shown] / ref[shown] - 1.0) <= 1e-12)
+    assert np.all(ber[~shown] <= 1e-289)
+    x = np.linspace(0.0, 37.0, 371)
+    q_ref = 0.5 * special.erfc(x / math.sqrt(2.0))
+    shown = q_ref > 1e-290
+    assert np.all(np.abs(q_function(x)[shown] / q_ref[shown] - 1.0) <= 1e-12)
+
+
+def test_a_batched_call_gives_each_element_its_bits_alone():
+    # the elements take from 1 to 40 continued-fraction terms, or none
+    alpha = np.array([[0.5, 4.0, 234.1], [2048.0, 3.7, 1.0]])
+    xi = np.array([[1e-5, 50.0, 0.026], [1e-3, 0.0, 1e9]])
+    batched = analytic_ber(SinrGammaModel(alpha, xi), 2.0)
+    assert batched.shape == alpha.shape
+    for i in np.ndindex(alpha.shape):
+        assert batched[i] == analytic_ber(SinrGammaModel(alpha[i], xi[i]), 2.0)
+    assert np.array_equal(analytic_ber(SinrGammaModel(4.0, xi)),
+                          analytic_ber(SinrGammaModel(np.full(xi.shape, 4.0), xi)))
+
+
+def test_kernel_edge_values():
+    # s = 0 is a BER of 1/2; an infinite shape or scale is 0
+    model = SinrGammaModel(np.array([3.0, 3.0, math.inf, 0.5]),
+                           np.array([0.0, math.inf, 2.0, math.inf]))
+    for kernel in (analytic_ber, ber_lower_bound):
+        assert kernel(model).tolist() == [0.5, 0.0, 0.0, 0.0]
+        empty = kernel(SinrGammaModel(np.array([]), np.array([])))
+        assert empty.shape == (0,) and empty.dtype == float
+
+
+@pytest.mark.parametrize("alpha,xi", [
+    (math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0), (0.0, 1.0), (2.0, -0.5)])
+@pytest.mark.parametrize("kernel", [analytic_ber, ber_lower_bound])
+def test_both_kernels_reject_bad_gamma_parameters(kernel, alpha, xi):
+    # a NaN would otherwise run the continued fraction to its term cap
+    with pytest.raises(ValueError, match="Gamma parameters"):
+        kernel(SinrGammaModel(np.array([2.0, alpha]), np.array([1.0, xi])))
+
+
+def test_the_continued_fraction_raises_at_its_term_cap(monkeypatch):
+    from hetnetsim import ber_analytic
+
+    monkeypatch.setattr(ber_analytic, "_MAX_CF_TERMS", 1)
+    with pytest.raises(RuntimeError, match="continued fraction"):
+        analytic_ber(SinrGammaModel(234.1, 0.026), 2.0)
 
 
 def test_decision_scale_two_is_the_kernel_at_doubled_xi_bit_for_bit():

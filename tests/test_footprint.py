@@ -1,8 +1,10 @@
-"""What ``import hetnetsim`` and a sweep load: scipy.special, about 24 MB
-of resident memory, loads only where an analytic BER is computed.
+"""What ``import hetnetsim`` and a sweep load: no sweep imports scipy, whose
+``scipy.special`` alone adds about 22 MB of resident memory; only
+``hetnetsim.validation`` does.
 
 Each test runs in a fresh interpreter, since this one has long since
-imported scipy.special for the other tests.
+imported scipy for the other tests.  Sweeps that should solve the analytic
+BER count their kernel calls, so a sweep that skipped it proves nothing.
 """
 
 import os
@@ -18,6 +20,8 @@ import hetnetsim
 _SRC = str(Path(hetnetsim.__file__).resolve().parent.parent)
 
 _SPECS = """
+import sys
+from hetnetsim import ber_analytic
 from hetnetsim.data_aided import BerSource
 from hetnetsim.experiments import ExperimentSpec, Metric
 from hetnetsim.scenario import desk_config
@@ -26,6 +30,18 @@ def spec(metric, ber_source, topologies=1, **kw):
     return ExperimentSpec(base=desk_config(), sweep_param="p_train_dbm", sweep_values=(3.0,),
                           metric=Metric(metric), ber_source=BerSource(ber_source),
                           trials=1, topologies=topologies, **kw)
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+
+calls = []
+_kernel = ber_analytic.analytic_ber
+
+def counted(*args, **kw):
+    calls.append(1)
+    return _kernel(*args, **kw)
+
+ber_analytic.analytic_ber = counted
 """
 
 
@@ -39,51 +55,49 @@ def _fresh(code: str) -> str:
 
 
 def test_import_leaves_scipy_special_unloaded():
-    assert _fresh("import sys, hetnetsim; print('scipy.special' in sys.modules)") == "False"
+    assert _fresh(_SPECS + "import hetnetsim\nprint(scipy_modules())") == "[]"
 
 
 def test_an_empirical_rate_sweep_leaves_scipy_special_unloaded():
     assert _fresh(_SPECS + """
-import sys
 from hetnetsim.experiments import run_sweep
 run_sweep(spec("rate", "empirical"), threads=1)
-print('scipy.special' in sys.modules)
-""") == "False"
+print(scipy_modules(), len(calls))
+""") == "[] 0"
 
 
-def test_an_analytic_nmse_sweep_loads_scipy_special_and_returns_finite_rows():
-    assert _fresh(_SPECS + """
-import math, sys
+@pytest.mark.parametrize("metric", ["nmse", "ber"])
+def test_an_analytic_sweep_leaves_scipy_unloaded_and_returns_finite_rows(metric):
+    # the BER sweep scores every detector, mmse among them
+    assert _fresh(_SPECS + f"""
+import math
 from hetnetsim.experiments import run_sweep
-rows = run_sweep(spec("nmse", "analytic"), threads=1).rows
-print('scipy.special' in sys.modules, bool(rows), all(math.isfinite(r.mean) for r in rows))
-""") == "True True True"
+rows = run_sweep(spec({metric!r}, "analytic"), threads=1).rows
+print(scipy_modules(), bool(calls), bool(rows), all(math.isfinite(r.mean) for r in rows))
+""") == "[] True True True"
 
 
 def test_a_ber_sweep_without_mmse_leaves_scipy_special_unloaded():
     # the analytic rows score the MMSE detector alone
     assert _fresh(_SPECS + """
-import math, sys
+import math
 from hetnetsim.experiments import run_sweep
 rows = run_sweep(spec("ber", "analytic", topologies=3, detectors=("mrc", "zf")), threads=1).rows
-print('scipy.special' in sys.modules, bool(rows), all(math.isfinite(r.mean) for r in rows))
-""") == "False True True"
+print(scipy_modules(), len(calls), bool(rows), all(math.isfinite(r.mean) for r in rows))
+""") == "[] 0 True True"
 
 
-@pytest.mark.parametrize("metric,ber_source,preloaded", [
-    ("ber", "analytic", True), ("rate", "empirical", False)])
-def test_a_pool_starts_with_scipy_special_loaded_only_where_the_sweep_needs_it(
-        metric, ber_source, preloaded):
+@pytest.mark.parametrize("metric,ber_source", [("ber", "analytic"), ("rate", "empirical")])
+def test_a_pooled_sweep_leaves_scipy_unloaded(metric, ber_source):
     # a forked worker inherits what the parent has loaded when the pool starts
     assert _fresh(_SPECS + f"""
-import sys
 from hetnetsim import experiments
 
-loaded = []
+at_start = []
 
 class Inline:
     def __init__(self, max_workers):
-        loaded.append('scipy.special' in sys.modules)
+        at_start.append(scipy_modules())
 
     def __enter__(self):
         return self
@@ -97,5 +111,5 @@ class Inline:
 experiments._usable_cpus = lambda: 2
 experiments.concurrent.futures.ProcessPoolExecutor = Inline
 experiments.run_sweep(spec({metric!r}, {ber_source!r}, topologies=2), threads=2)
-print(loaded)
-""") == str([preloaded])
+print(at_start, scipy_modules(), bool(calls))
+""") == f"[[]] [] {ber_source == 'analytic'}"
