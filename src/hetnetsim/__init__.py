@@ -60,7 +60,6 @@ from .ber_analytic import (
     analytic_ber,
     ber_lower_bound,
     effective_rho,
-    sinr_gamma_params,
     stieltjes_moments,
 )
 from .data_aided import (

@@ -102,19 +102,6 @@ def stieltjes_moments(n_antennas, interferer_gains, tolerance: float = 1e-12):
     return m, sigma2
 
 
-def sinr_gamma_params(
-    n_antennas: int, rho_v: float, beta_hat: float, mu: float, sigma2: float
-) -> SinrGammaModel:
-    """Moment-match a Gamma(alpha, xi) law to the SINR approximations
-    E[SINR] = N rho beta_hat mu and Var[SINR] = N (rho beta_hat)^2 sigma2.
-    Array arguments give a model whose fields are arrays, elementwise."""
-    if not (np.all(0.0 < mu) and np.all(mu <= 1.0)
-            and np.all(0.0 < sigma2) and np.all(sigma2 <= 1.0)):
-        raise ValueError("moments must lie in (0, 1]")
-    return SinrGammaModel(alpha=n_antennas * mu ** 2 / sigma2,
-                          xi=rho_v * beta_hat * sigma2 / mu)
-
-
 def analytic_ber(model: SinrGammaModel, c2: float = 1.0):
     """Ergodic BER of a Gamma(alpha, xi) SINR X under the Q(sqrt(c2 X))
     kernel; c2 turns the SINR into the decision-point SNR (2 for BPSK).
@@ -131,9 +118,11 @@ def analytic_ber(model: SinrGammaModel, c2: float = 1.0):
 
 
 def ber_lower_bound(model: SinrGammaModel, c2: float = 1.0):
-    """Jensen bound Q(sqrt(c2 E[SINR])); the BER kernel is strictly convex."""
+    """Jensen bound Q(sqrt(c2 E[SINR])); the BER kernel is strictly convex.
+    A zero scale is SINR = 0 whatever the shape, so an infinite shape there
+    gives 1/2, as ``analytic_ber`` does."""
     alpha, scale = _gamma_params(model, c2)
-    return q_function(np.sqrt(alpha * scale))
+    return q_function(np.sqrt(np.where(scale > 0, alpha, 0.0) * scale))
 
 
 def _gamma_params(model: SinrGammaModel, c2: float):
@@ -198,27 +187,16 @@ def _lentz(p: float, q: float, z: float) -> float:
         f"incomplete beta continued fraction: no convergence after {_MAX_CF_TERMS} terms")
 
 
-def gamma_model_for_ue(
-    n_antennas: int,
-    betas,
-    k: int,
-    p_t: float,
-    tau_t: int,
-    noise_power: float,
-    p_d: float,
-) -> SinrGammaModel:
-    """Convenience composition for UE ``k`` at a BS seeing gains ``betas``."""
-    return sinr_gamma_models(n_antennas, effective_rho(betas, p_t, tau_t, noise_power, p_d),
-                             mmse_error_stats(betas, p_t, tau_t, noise_power).estimate_var, k)
-
-
-def sinr_gamma_models(n_antennas, rho_v, beta_hats, k) -> SinrGammaModel:
+def gamma_model_for_ue(n_antennas, rho_v, beta_hats, k) -> SinrGammaModel:
     """Gamma models of UEs ``k`` from their serving BSs' effective inverse
     noise ``rho_v`` and estimate variances ``beta_hats`` (one per UE).
 
-    Every UE but the target interferes.  With a leading axis, (R, K)
-    ``beta_hats`` and R-long ``n_antennas``, ``rho_v`` and ``k``, one
-    fixed point solve covers all R targets; a model of arrays comes back.
+    Every UE but the target interferes.  The deterministic-equivalent
+    moments (mu, sigma2) of its SINR, E[SINR] = N rho beta_hat mu and
+    Var[SINR] = N (rho beta_hat)^2 sigma2, fix alpha and xi.  With a
+    leading axis, (R, K) ``beta_hats`` and R-long ``n_antennas``, ``rho_v``
+    and ``k``, one fixed point solve covers all R targets; a model of
+    arrays comes back.
     """
     beta_hats = np.asarray(beta_hats, dtype=float)
     rho_v = np.asarray(rho_v, dtype=float)
@@ -227,5 +205,8 @@ def sinr_gamma_models(n_antennas, rho_v, beta_hats, k) -> SinrGammaModel:
     np.put_along_axis(gains, target, 0.0, axis=-1)
     mu, sigma2 = stieltjes_moments(n_antennas, gains)
     own = np.take_along_axis(beta_hats, target, axis=-1)[..., 0]
-    return sinr_gamma_params(n_antennas, rho_v[()], own[()], mu, sigma2)
-
+    if not (np.all(0.0 < mu) and np.all(mu <= 1.0)
+            and np.all(0.0 < sigma2) and np.all(sigma2 <= 1.0)):
+        raise ValueError("moments must lie in (0, 1]")
+    return SinrGammaModel(alpha=n_antennas * mu ** 2 / sigma2,
+                          xi=rho_v[()] * own[()] * sigma2 / mu)

@@ -98,7 +98,10 @@ def _parse_sweep(text: str):
     lo, hi, step = (float(x) for x in grid.split(":"))
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ValueError(f"bad sweep grid {grid!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    steps = (hi - lo) / step
+    if not math.isfinite(steps):
+        raise ValueError(f"bad sweep grid {grid!r}: its point count is not finite")
+    count = int(math.floor(steps + 1e-9)) + 1
     return name.strip(), tuple(lo + i * step for i in range(count))
 
 

@@ -204,7 +204,7 @@ def analytic_ber_vector(cfgs, topo, assoc) -> tuple:
         rho.append(ber_analytic.effective_rho(betas, *args, cfg.p_data_mw)[v])
         bh.append(estimators.mmse_error_stats(betas, *args).estimate_var[v])
         n_ant.append(np.where(v == 0, cfg.mbs_antennas, cfg.sbs_antennas))
-    model = ber_analytic.sinr_gamma_models(
+    model = ber_analytic.gamma_model_for_ue(
         np.concatenate(n_ant), np.concatenate(rho), np.concatenate(bh),
         np.tile(np.arange(topo.num_ue), len(cfgs)))
     shape = (len(cfgs), topo.num_ue)

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, special
 
 from . import ber_analytic, data_aided, detectors, estimators, phy, scenario
 from .data_aided import BerSource
@@ -217,6 +216,8 @@ def oracle_ber_numeric(alpha: float, xi: float) -> float:
         raise ValueError("Gamma parameters must be positive")
     if xi == 0.0:
         return 0.5
+    # imported here, so that only this check loads scipy
+    from scipy import integrate, special
 
     # Q(x) = erfc(x/sqrt(2))/2 from scipy: the oracle shares no code with the
     # closed form.  Substitute x = xi * t so the Gamma mass sits near t = alpha for any xi
@@ -300,7 +301,7 @@ def check_lemma1_moments() -> list:
     n, k_total = cfg.sbs_antennas, cfg.num_ue
     bh = estimators.mmse_error_stats(betas, pt, cfg.tau_t, n0).estimate_var
     rho_v = ber_analytic.effective_rho(betas, pt, cfg.tau_t, n0, pd)
-    model = ber_analytic.sinr_gamma_models(n, rho_v, bh, k)
+    model = ber_analytic.gamma_model_for_ue(n, rho_v, bh, k)
     rng = phy.stream(_LEMMA1_TOPOLOGY_SEED, _TAG_C5, 1)
     sinr = np.empty(_LEMMA1_DRAWS)
     chunk = 1000

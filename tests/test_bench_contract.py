@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import hetnetsim
@@ -24,18 +25,33 @@ PERFBENCH = ROOT / "perfbench"
 _UNTRACED_METRICS = {"experiments.parallel_efficiency", "trace_overhead"}
 
 
-def test_traced_sweep_yields_every_declared_per_layer_metric(monkeypatch):
+def _traced_ber_sweep(monkeypatch):
+    """The tracer of a one-topology, one-trial desk BER sweep."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    import run as bench_run
     import tracing
 
     spec = ExperimentSpec(base=desk_config(), sweep_param="p_data_dbm", sweep_values=(3.0,),
                           metric=Metric.BER, trials=1, topologies=1)
     with tracing.Tracer() as tracer:
         tracer.call(tracing.ROOT, run_sweep, spec, threads=1)
+    return tracer
+
+
+def test_traced_sweep_yields_every_declared_per_layer_metric(monkeypatch):
+    tracer = _traced_ber_sweep(monkeypatch)
+    import run as bench_run
+
     produced = set(bench_run.layer_metrics([tracer.summary()])) | _UNTRACED_METRICS
     declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     assert declared <= produced, sorted(declared - produced)
+
+
+def test_the_sweep_builds_each_sinr_law_through_the_traced_builder(monkeypatch):
+    # ber_analytic.gamma_model.calls counts these spans: a sweep that built
+    # its Gamma models through another function would leave it at 0
+    spans = Counter(span[0] for span in _traced_ber_sweep(monkeypatch).spans)
+    builds = spans["ber_analytic.gamma_model_for_ue"]
+    assert builds >= 1 and builds == spans["ber_analytic.analytic_ber_vector"]
 
 
 def test_import_leaves_scipy_integrate_unloaded():

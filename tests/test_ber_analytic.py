@@ -13,8 +13,6 @@ from hetnetsim.ber_analytic import (
     effective_rho,
     gamma_model_for_ue,
     q_function,
-    sinr_gamma_models,
-    sinr_gamma_params,
     stieltjes_moments,
 )
 from hetnetsim.estimators import mmse_error_stats
@@ -98,7 +96,8 @@ def test_stieltjes_rejects_negative_gains():
 
 
 def test_gamma_params_formula_values():
-    model = sinr_gamma_params(8, 2.0, 1.0, 1.0, 1.0)
+    # a lone UE has no interferer: mu = sigma2 = 1
+    model = gamma_model_for_ue(8, 2.0, [1.0], 0)
     assert model.mean == 16.0
     assert model.variance == 32.0
     assert model.alpha == 8.0
@@ -108,17 +107,20 @@ def test_gamma_params_formula_values():
 @given(
     n=st.integers(1, 256),
     rb=st.floats(1e-6, 1e4),
-    mu=st.floats(0.01, 1.0),
+    interferer=st.floats(0.0, 10.0),
 )
-def test_gamma_mean_identity(n, rb, mu):
-    sigma2 = mu * mu      # any admissible pair works; use the Jensen floor
-    model = sinr_gamma_params(n, rb, 1.0, mu, sigma2)
+def test_gamma_mean_identity(n, rb, interferer):
+    model = gamma_model_for_ue(n, rb, [1.0, interferer], 0)
+    mu, _ = stieltjes_moments(n, [rb * interferer])
     assert model.mean == pytest.approx(n * rb * mu, rel=1e-12)
 
 
-def test_gamma_params_reject_bad_moments():
-    with pytest.raises(ValueError):
-        sinr_gamma_params(8, 1.0, 1.0, 1.5, 1.0)
+def test_gamma_params_reject_bad_moments(monkeypatch):
+    from hetnetsim import ber_analytic
+
+    monkeypatch.setattr(ber_analytic, "stieltjes_moments", lambda n, gains: (1.5, 1.0))
+    with pytest.raises(ValueError, match="moments"):
+        gamma_model_for_ue(8, 1.0, [1.0, 1.0], 0)
 
 
 def test_analytic_ber_exponential_closed_form():
@@ -183,11 +185,12 @@ def test_a_batched_call_gives_each_element_its_bits_alone():
 
 
 def test_kernel_edge_values():
-    # s = 0 is a BER of 1/2; an infinite shape or scale is 0
-    model = SinrGammaModel(np.array([3.0, 3.0, math.inf, 0.5]),
-                           np.array([0.0, math.inf, 2.0, math.inf]))
+    # a zero scale is a BER of 1/2, whatever the shape; otherwise an
+    # infinite shape or scale is 0
+    model = SinrGammaModel(np.array([math.inf, 3.0, 3.0, math.inf, 0.5]),
+                           np.array([0.0, 0.0, math.inf, 2.0, math.inf]))
     for kernel in (analytic_ber, ber_lower_bound):
-        assert kernel(model).tolist() == [0.5, 0.0, 0.0, 0.0]
+        assert kernel(model).tolist() == [0.5, 0.5, 0.0, 0.0, 0.0]
         empty = kernel(SinrGammaModel(np.array([]), np.array([])))
         assert empty.shape == (0,) and empty.dtype == float
 
@@ -221,9 +224,9 @@ def test_decision_scale_two_is_the_kernel_at_doubled_xi_bit_for_bit():
 
 def test_gamma_model_for_ue_composes():
     betas = np.array([1e-9, 3e-10, 5e-11])
-    model = gamma_model_for_ue(8, betas, 0, 2.0, 30, 8e-11, 200.0)
     bh = mmse_error_stats(betas, 2.0, 30, 8e-11).estimate_var
     rho = effective_rho(betas, 2.0, 30, 8e-11, 200.0)
+    model = gamma_model_for_ue(8, rho, bh, 0)
     mu, sigma2 = stieltjes_moments(8, rho * bh[1:])
     assert model.mean == pytest.approx(8 * rho * bh[0] * mu)
     assert model.variance == pytest.approx(8 * (rho * bh[0]) ** 2 * sigma2)
@@ -304,11 +307,12 @@ def test_gamma_models_of_many_ues_equal_one_ue_at_a_time():
     args = (2.0, 30, 8e-11, 200.0)
     n_ant = np.array([256, 8, 8])
     serving = rng.integers(0, 3, size=12)
-    rho = effective_rho(betas, *args[:3], args[3])
+    rho = effective_rho(betas, *args)
     bh = mmse_error_stats(betas, *args[:3]).estimate_var
-    many = sinr_gamma_models(n_ant[serving], rho[serving], bh[serving], np.arange(12))
+    many = gamma_model_for_ue(n_ant[serving], rho[serving], bh[serving], np.arange(12))
     for k in range(12):
-        one = gamma_model_for_ue(n_ant[serving[k]], betas[serving[k]], k, *args)
+        v = serving[k]
+        one = gamma_model_for_ue(n_ant[v], rho[v], bh[v], k)
         for field in ("alpha", "xi"):
             assert getattr(many, field)[k] == pytest.approx(getattr(one, field), rel=1e-12)
         assert analytic_ber(many)[k] == pytest.approx(analytic_ber(one), rel=1e-12)

@@ -56,7 +56,9 @@ def test_malformed_sweep_rejected(tiny_config, tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("grid", ["0:inf:1", "-inf:1:1", "0:1:inf", "nan:1:1"])
+@pytest.mark.parametrize("grid", ["0:inf:1", "-inf:1:1", "0:1:inf", "nan:1:1",
+                                  # finite ends whose point count overflows
+                                  "0:1e300:1e-300", "-1e308:1e308:1"])
 def test_non_finite_sweep_grid_is_a_config_error(tiny_config, tmp_path, capsys, grid):
     out = tmp_path / "never.csv"
     assert cli.main(["nmse-sweep", "--config", str(tiny_config), "--sweep",

@@ -295,7 +295,9 @@ def test_closed_form_ber_matches_quadrature_oracle(alpha, xi):
 def test_oracle_raises_below_the_jensen_bound(monkeypatch):
     # a quadrature that misses the Gamma peak returns a tiny value with a
     # tiny error estimate; the oracle must not pass it on
-    monkeypatch.setattr(validation.integrate, "quad", lambda *a, **k: (4.3e-32, 1e-40))
+    import scipy.integrate
+
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (4.3e-32, 1e-40))
     with pytest.raises(RuntimeError, match="Jensen bound"):
         oracle_ber_numeric(250.0, 0.05)
 
@@ -363,12 +365,14 @@ def test_analytic_ber_vector_equals_one_gamma_model_per_ue():
     assoc = scenario.associate(topo, cfg)
     (bers,), (bounds,) = experiments.analytic_ber_vector([cfg], topo, assoc)
     assert len(set(assoc.ul_serving.tolist())) > 1
+    args = (cfg.p_train_mw, cfg.tau_t, cfg.noise_power_mw)
     for k in range(cfg.num_ue):
         v = int(assoc.ul_serving[k])
         n_ant, betas = ((cfg.mbs_antennas, topo.beta_mbs) if v == 0
                         else (cfg.sbs_antennas, topo.beta_sbs[v - 1]))
         model = ber_analytic.gamma_model_for_ue(
-            n_ant, betas, k, cfg.p_train_mw, cfg.tau_t, cfg.noise_power_mw, cfg.p_data_mw)
+            n_ant, ber_analytic.effective_rho(betas, *args, cfg.p_data_mw),
+            estimators.mmse_error_stats(betas, *args).estimate_var, k)
         assert bers[k] == pytest.approx(analytic_ber(model, 2.0), rel=1e-12)
         assert bounds[k] == pytest.approx(ber_lower_bound(model, 2.0), rel=1e-12)
 

@@ -1,6 +1,6 @@
 """What ``import hetnetsim`` and a sweep load: no sweep imports scipy, whose
-``scipy.special`` alone adds about 22 MB of resident memory; only
-``hetnetsim.validation`` does.
+``scipy.special`` alone adds about 22 MB of resident memory; only the
+quadrature oracle in ``hetnetsim.validation`` does, when it runs.
 
 Each test runs in a fresh interpreter, since this one has long since
 imported scipy for the other tests.  Sweeps that should solve the analytic
@@ -56,6 +56,15 @@ def _fresh(code: str) -> str:
 
 def test_import_leaves_scipy_special_unloaded():
     assert _fresh(_SPECS + "import hetnetsim\nprint(scipy_modules())") == "[]"
+
+
+def test_validation_loads_scipy_only_when_the_oracle_runs():
+    assert _fresh(_SPECS + """
+from hetnetsim import validation
+print(scipy_modules())
+validation.oracle_ber_numeric(2.0, 1.0)
+print('scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)
+""").split("\n") == ["[]", "True True"]
 
 
 def test_an_empirical_rate_sweep_leaves_scipy_special_unloaded():
