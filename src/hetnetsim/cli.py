@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import decimal
 import errno
 import json
 import math
@@ -91,6 +92,10 @@ def _parse_override(item: str):
     return key.strip(), value
 
 
+# exact for grids whose texts span the float range with a few hundred digits
+_GRID_DECIMALS = decimal.Context(prec=1000)
+
+
 def _parse_sweep(text: str):
     if "=" not in text or text.count(":") != 2:
         raise ValueError(f"malformed sweep {text!r}, expected NAME=MIN:MAX:STEP")
@@ -98,11 +103,14 @@ def _parse_sweep(text: str):
     lo, hi, step = (float(x) for x in grid.split(":"))
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ValueError(f"bad sweep grid {grid!r}")
-    steps = (hi - lo) / step
-    if not math.isfinite(steps):
+    if not math.isfinite((hi - lo) / step):
         raise ValueError(f"bad sweep grid {grid!r}: its point count is not finite")
-    count = int(math.floor(steps + 1e-9)) + 1
-    return name.strip(), tuple(lo + i * step for i in range(count))
+    # count and points in decimal from the text, so each point is the float
+    # nearest MIN + i*STEP exactly and a MAX on the grid is its last point
+    with decimal.localcontext(_GRID_DECIMALS):
+        lo, hi, step = (decimal.Decimal(x) for x in grid.split(":"))
+        count = int((hi - lo) // step) + 1
+        return name.strip(), tuple(float(lo + i * step) for i in range(count))
 
 
 # config files are flat JSON objects whose keys mirror the dataclass fields

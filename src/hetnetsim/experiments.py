@@ -77,6 +77,9 @@ class ExperimentSpec:
     ber_source: BerSource = BerSource.ANALYTIC_PROP1
 
     def __post_init__(self):
+        # a list or array spec equals and hashes like its tuple spec
+        for name in ("sweep_values", "detectors", "estimators"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.sweep_values:
             raise ValueError("sweep value list must be non-empty")
         for name, least in (("trials", 1), ("topologies", 1), ("master_seed", 0)):
@@ -338,7 +341,8 @@ class _TrialMemo:
         keep = ("pilot" if phase == PH_NOISE_TRAIN else "data") not in self._shared
         key = (phase, tuple(int(v) for v in ids), tuple(shape), noise_power)
         return self._get(key, lambda: phy.awgn(
-            [[s(phase, v) for v in ids] for s in self._streams], shape, noise_power), keep)
+            [s(phase, v) for s in self._streams for v in ids], shape, noise_power
+        ).reshape(len(self._streams), len(ids), *shape), keep)
 
 
 def _group_channels(run: _TopologyRun, channels):

@@ -70,14 +70,10 @@ class Observation:
     noise_power: float
 
 
-def draw_channels(topology: Topology, config: SystemConfig, seed) -> ChannelSet:
-    """i.i.d. Rayleigh small-scale fading scaled by the large-scale gains.
-
-    A list of seeds draws one channel set per seed, stacked along a leading
-    trial axis, set t from ``seed[t]`` as a call with that seed would.
-    """
-    stacked = isinstance(seed, (list, tuple))
-    seeds = seed if stacked else [seed]
+def draw_channels(topology: Topology, config: SystemConfig, seeds) -> ChannelSet:
+    """i.i.d. Rayleigh small-scale fading scaled by the large-scale gains:
+    one channel set per seed of the list ``seeds``, stacked along a leading
+    axis, set t drawn into place from ``seeds[t]``."""
     k = topology.num_ue
     h = np.empty((len(seeds), config.mbs_antennas, k), dtype=complex)
     g = np.empty((len(seeds), topology.num_sbs, config.sbs_antennas, k), dtype=complex)
@@ -88,7 +84,7 @@ def draw_channels(topology: Topology, config: SystemConfig, seed) -> ChannelSet:
             complex_gaussian(rng, g.shape[2:], out=g[t, s_idx])
     h *= np.sqrt(topology.beta_mbs)
     g *= np.sqrt(topology.beta_sbs)[:, None, :]
-    return ChannelSet(h_mbs=h, g_sbs=g) if stacked else ChannelSet(h_mbs=h[0], g_sbs=g[0])
+    return ChannelSet(h_mbs=h, g_sbs=g)
 
 
 def make_pilots(k: int, tau_t: int, p_t: float) -> PilotMatrix:
@@ -103,17 +99,14 @@ def make_pilots(k: int, tau_t: int, p_t: float) -> PilotMatrix:
 
 def awgn(seeds, shape, noise_power: float) -> np.ndarray:
     """Complex AWGN of per-element variance noise_power: one block of
-    ``shape`` from a seed, or one block per seed of a (nested) list of
-    seeds, stacked along leading axes of the list's shape.  Each block is
-    drawn straight into place; zero noise power draws nothing."""
-    grid = np.array(seeds, dtype=object) if isinstance(seeds, (list, tuple)) else None
-    lead = () if grid is None else grid.shape
+    ``shape`` per seed of the list ``seeds``, stacked along a leading axis.
+    Each block is drawn straight into place; zero noise power draws
+    nothing."""
     if noise_power <= 0:
-        return np.zeros((*lead, *shape), dtype=complex)
-    noise = np.empty((*lead, *shape), dtype=complex)
-    for index in np.ndindex(lead):
-        seed = seeds if grid is None else grid[index]
-        complex_gaussian(as_rng(seed), shape, noise_power, out=noise[index])
+        return np.zeros((len(seeds), *shape), dtype=complex)
+    noise = np.empty((len(seeds), *shape), dtype=complex)
+    for i, seed in enumerate(seeds):
+        complex_gaussian(as_rng(seed), shape, noise_power, out=noise[i])
     return noise
 
 

@@ -53,6 +53,16 @@ def is_number(value, whole: bool) -> bool:
         or math.isfinite(value) and (not whole or float(value).is_integer()))
 
 
+# each linear power and the configured fields it derives from
+_MW_SOURCES = (
+    ("p_mbs_mw", ("p_mbs_dbm",)),
+    ("p_sbs_mw", ("p_sbs_dbm",)),
+    ("p_train_mw", ("p_train_dbm",)),
+    ("p_data_mw", ("p_data_dbm",)),
+    ("noise_power_mw", ("noise_density_dbm_hz", "bandwidth_hz")),
+)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static system parameters.  Powers are stored in dBm as configured;
@@ -97,6 +107,16 @@ class SystemConfig:
             raise ValueError("cell_radius_m must be positive")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth_hz must be positive")
+        # a finite dBm value can still over- or underflow in milliwatts
+        for mw_name, fields in _MW_SOURCES:
+            try:
+                mw = getattr(self, mw_name)
+            except OverflowError:
+                mw = math.inf
+            if not 0.0 < mw < math.inf:
+                given = ", ".join(f"{f}={getattr(self, f)!r}" for f in fields)
+                raise ValueError(f"{mw_name}={mw!r} from {given}: "
+                                 f"every power must be positive and finite in mW")
         # accept plain strings from config files
         object.__setattr__(self, "pathloss_model", PathLossModel(self.pathloss_model))
 

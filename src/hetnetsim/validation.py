@@ -367,16 +367,16 @@ def check_saturation_limits(master_seed: int = 1) -> list:
     k_total = cfg.num_ue
     n0 = cfg.noise_power_mw
     pilots = phy.make_pilots(k_total, cfg.tau_t, cfg.p_train_mw)
-    channels = phy.draw_channels(topo, cfg, phy.stream(master_seed, _TAG_C8, 1))
-    train = phy.observe(channels.h_mbs, pilots.s, n0,
-                        phy.awgn(phy.stream(master_seed, _TAG_C8, 2),
-                                 (cfg.mbs_antennas, cfg.tau_t), n0), Phase.TRAINING)
+    h = phy.draw_channels(topo, cfg, [phy.stream(master_seed, _TAG_C8, 1)]).h_mbs[0]
+    train = phy.observe(h, pilots.s, n0,
+                        phy.awgn([phy.stream(master_seed, _TAG_C8, 2)],
+                                 (cfg.mbs_antennas, cfg.tau_t), n0)[0], Phase.TRAINING)
     bits = detectors.random_bits(k_total, cfg.tau_d, Modulation.BPSK,
                                  phy.stream(master_seed, _TAG_C8, 3))
     block = detectors.modulate(bits, Modulation.BPSK, cfg.p_data_mw)
-    data = phy.observe(channels.h_mbs, block.symbols, n0,
-                       phy.awgn(phy.stream(master_seed, _TAG_C8, 4),
-                                (cfg.mbs_antennas, cfg.tau_d), n0), Phase.DATA)
+    data = phy.observe(h, block.symbols, n0,
+                       phy.awgn([phy.stream(master_seed, _TAG_C8, 4)],
+                                (cfg.mbs_antennas, cfg.tau_d), n0)[0], Phase.DATA)
     pilot_only = estimators.mmse_estimate_matrix(train, pilots, topo.beta_mbs, n0)
 
     side_half = data_aided.DecodedSideInfo(
@@ -459,20 +459,19 @@ def check_detector_ordering(master_seed: int = 1) -> list:
 
     # toy single-served-UE instance: ZF must reduce to MRC bit for bit
     cfg = desk_config(num_ue=3, num_sbs=1, tau_t=8)
-    rng = phy.stream(master_seed, 910)
     topo = scenario.topology_from_positions(
         cfg, [(50.0, 0.0)], [(60.0, 0.0), (400.0, 300.0), (-500.0, 100.0)])
-    channels = phy.draw_channels(topo, cfg, rng)
+    g = phy.draw_channels(topo, cfg, [phy.stream(master_seed, 910)]).g_sbs[0, 0]
     pilots = phy.make_pilots(3, cfg.tau_t, cfg.p_train_mw)
     n0 = cfg.noise_power_mw
-    train = phy.observe(channels.g_sbs[0], pilots.s, n0,
-                        phy.awgn(phy.stream(master_seed, 911),
-                                 (cfg.sbs_antennas, cfg.tau_t), n0), Phase.TRAINING)
+    train = phy.observe(g, pilots.s, n0,
+                        phy.awgn([phy.stream(master_seed, 911)],
+                                 (cfg.sbs_antennas, cfg.tau_t), n0)[0], Phase.TRAINING)
     est = estimators.mmse_estimate_matrix(train, pilots, topo.beta_sbs[0], n0)
     bits = detectors.random_bits(3, 64, Modulation.BPSK, phy.stream(master_seed, 912))
     block = detectors.modulate(bits, Modulation.BPSK, cfg.p_data_mw)
-    data = phy.observe(channels.g_sbs[0], block.symbols, n0,
-                       phy.awgn(phy.stream(master_seed, 913), (cfg.sbs_antennas, 64), n0),
+    data = phy.observe(g, block.symbols, n0,
+                       phy.awgn([phy.stream(master_seed, 913)], (cfg.sbs_antennas, 64), n0)[0],
                        Phase.DATA)
     args = (est[:, :1], topo.beta_sbs[0], cfg.p_train_mw, cfg.tau_t, cfg.p_data_mw, n0)
     comb_zf = detectors.build_combiner(CombinerKind.ZF, *args)

@@ -1,4 +1,7 @@
 import json
+import math
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,31 @@ def test_readme_example_config_loads(capsys):
     assert cli.main(["floor", "--config", str(path), "--dump-config"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data.items() >= json.loads(path.read_text()).items()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_cli_commands():
+    """The ``hetnetsim ...`` lines of the README's CLI example block (the
+    shell block whose commands write ``--out`` files), continuations joined."""
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    [block] = [b for b in blocks if "--out" in b]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("hetnetsim ")]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_commands(), ids=lambda argv: argv[0])
+def test_readme_cli_example_runs(argv, tmp_path, monkeypatch, capsys):
+    # as written, at one trial and two topologies, each writing under tmp_path
+    monkeypatch.chdir(ROOT)
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        argv = [*argv[:i], str(tmp_path / argv[i]), *argv[i + 1:]]
+    assert cli.main([*argv, "--set", "trials=1", "--set", "topologies=2"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    if "--out" in argv:
+        assert read_csv(argv[argv.index("--out") + 1]).rows
 
 
 def test_help_exits_zero(capsys):
@@ -97,6 +125,17 @@ def test_a_bad_base_value_is_a_config_error(tiny_config, tmp_path, capsys, comma
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert f"config error: {override.split('=')[0]} takes" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_power_that_overflows_in_mw_is_a_config_error(tiny_config, tmp_path, capsys):
+    # this once passed the config and died partway through the sweep with exit 1
+    out = tmp_path / "never.csv"
+    argv = ["nmse-sweep", "--config", str(tiny_config), "--set", "p_data_dbm=4000",
+            "--sweep", "p_train_dbm=3:8:5", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: p_data_mw=inf from p_data_dbm=4000" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -246,6 +285,24 @@ def test_nmse_sweep_grid_and_rows(tiny_config, tmp_path, capsys):
     values = sorted({r.sweep_value for r in table.rows})
     assert len(values) == 16 and values[0] == -7.0 and values[-1] == 23.0
     assert {r.method for r in table.rows} == {"ls", "mmse", "da"}
+
+
+@pytest.mark.parametrize("grid,points", [
+    ("0:1:0.1", [i / 10 for i in range(11)]),
+    ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),                 # once ended above MAX
+    ("-7:23:2", range(-7, 24, 2)),
+])
+def test_sweep_points_are_the_nearest_floats_to_the_decimal_grid(grid, points):
+    # once lo + i*step in floats: 0.30000000000000004, 0.6000000000000001, ...
+    assert cli._parse_sweep(f"p_data_dbm={grid}") == ("p_data_dbm", tuple(map(float, points)))
+
+
+def test_a_decimal_grid_point_is_found_by_its_value(tiny_config, tmp_path):
+    out = tmp_path / "nmse.csv"
+    assert cli.main(["nmse-sweep", "--config", str(tiny_config), "--set", "trials=1",
+                     "--sweep", "p_train_dbm=0:0.3:0.1", "--out", str(out)]) == 0
+    assert "\np_train_dbm,0.3,ls," in out.read_text()
+    assert math.isfinite(read_csv(out).value(sweep_value=0.3, method="ls", ue_class="decoupled"))
 
 
 def test_cli_runs_are_byte_identical(tiny_config, tmp_path):

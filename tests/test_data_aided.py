@@ -27,8 +27,8 @@ def _setup(k=2, m=4, tau_t=2, tau_d=8, betas=(1.0, 0.4), n0=0.2,
     pilots = make_pilots(k, tau_t, p_t)
     bits = random_bits(k, tau_d, Modulation.BPSK, rng)
     block = modulate(bits, Modulation.BPSK, p_d)
-    train = observe(h, pilots.s, n0, phy.awgn(rng, (m, tau_t), n0), Phase.TRAINING)
-    data = observe(h, block.symbols, n0, phy.awgn(rng, (m, tau_d), n0), Phase.DATA)
+    train = observe(h, pilots.s, n0, phy.awgn([rng], (m, tau_t), n0)[0], Phase.TRAINING)
+    data = observe(h, block.symbols, n0, phy.awgn([rng], (m, tau_d), n0)[0], Phase.DATA)
     side = DecodedSideInfo(x_hat=block.symbols, ber=np.asarray(bers, dtype=float), power=p_d)
     return h, pilots, block, train, data, side, betas, n0
 
@@ -232,7 +232,7 @@ def test_empirical_nmse_tracks_ls_closed_form():
     err = power = 0.0
     for _ in range(800):
         g = phy.complex_gaussian(rng, (8, 1))
-        obs = observe(g, pilots.s, 1.0, phy.awgn(rng, (8, 4), 1.0), Phase.TRAINING)
+        obs = observe(g, pilots.s, 1.0, phy.awgn([rng], (8, 4), 1.0)[0], Phase.TRAINING)
         est = obs.y @ pilots.s.conj().T / (4 * 25.0)
         err += float(np.sum(np.abs(g[:, 0] - est[:, 0]) ** 2))
         power += float(np.sum(np.abs(g[:, 0]) ** 2))

@@ -181,7 +181,7 @@ def test_noiseless_single_ue_detection_is_error_free():
     est = _toy_estimates(4, [1.0], 5)
     bits = random_bits(1, 128, Modulation.BPSK, 6)
     block = modulate(bits, Modulation.BPSK, 1.0)
-    obs = observe(est, block.symbols, 0.0, phy.awgn(7, (4, 128), 0.0), Phase.DATA)
+    obs = observe(est, block.symbols, 0.0, phy.awgn([7], (4, 128), 0.0)[0], Phase.DATA)
     comb = build_combiner(CombinerKind.MRC, est, [1.0], 1.0, 4, 1.0, 1e-9)
     decoded, ber = detect(obs, comb, block, 0)
     assert ber == 0.0
@@ -191,7 +191,7 @@ def test_noiseless_single_ue_detection_is_error_free():
 def test_detect_requires_data_phase():
     est = _toy_estimates(2, [1.0], 8)
     block = modulate(random_bits(1, 4, Modulation.BPSK, 1), Modulation.BPSK, 1.0)
-    obs = observe(est, block.symbols, 0.0, phy.awgn(1, (2, 4), 0.0), Phase.TRAINING)
+    obs = observe(est, block.symbols, 0.0, phy.awgn([1], (2, 4), 0.0)[0], Phase.TRAINING)
     comb = build_combiner(CombinerKind.MRC, est, [1.0], 1.0, 2, 1.0, 0.1)
     with pytest.raises(ValueError, match="data"):
         detect(obs, comb, block, 0)
@@ -201,7 +201,7 @@ def test_pure_noise_detection_is_coin_flip():
     channel = np.zeros((2, 1), dtype=complex)
     bits = random_bits(1, 10_000, Modulation.BPSK, 9)
     block = modulate(bits, Modulation.BPSK, 1.0)
-    obs = observe(channel, block.symbols, 1.0, phy.awgn(10, (2, 10_000), 1.0), Phase.DATA)
+    obs = observe(channel, block.symbols, 1.0, phy.awgn([10], (2, 10_000), 1.0)[0], Phase.DATA)
     fake_est = np.ones((2, 1), dtype=complex)
     comb = build_combiner(CombinerKind.MRC, fake_est, [1.0], 1.0, 2, 1.0, 1.0)
     _, ber = detect(obs, comb, block, 0)
@@ -215,7 +215,7 @@ def test_awgn_bpsk_ber_matches_q_function():
     channel = np.ones((1, 1), dtype=complex)
     bits = random_bits(1, 200_000, Modulation.BPSK, 11)
     block = modulate(bits, Modulation.BPSK, p_d)
-    obs = observe(channel, block.symbols, n0, phy.awgn(12, (1, 200_000), n0), Phase.DATA)
+    obs = observe(channel, block.symbols, n0, phy.awgn([12], (1, 200_000), n0)[0], Phase.DATA)
     comb = build_combiner(CombinerKind.MRC, channel, [1.0], 1.0, 1, p_d, n0)
     _, ber = detect(obs, comb, block, 0)
     expected = float(q_function(np.sqrt(2 * gamma)))
@@ -226,7 +226,7 @@ def test_bpsk_decisions_scale_invariant():
     est = _toy_estimates(4, [1.0, 0.5], 13)
     bits = random_bits(2, 64, Modulation.BPSK, 14)
     block = modulate(bits, Modulation.BPSK, 1.0)
-    obs = observe(est, block.symbols, 0.5, phy.awgn(15, (4, 64), 0.5), Phase.DATA)
+    obs = observe(est, block.symbols, 0.5, phy.awgn([15], (4, 64), 0.5)[0], Phase.DATA)
     comb = build_combiner(CombinerKind.MMSE, est, [1.0, 0.5], 1.0, 4, 1.0, 0.2)
     scaled = Combiner(c=3.7 * comb.c, ue_indices=comb.ue_indices)
     for k in range(2):
@@ -239,7 +239,7 @@ def test_detect_all_matches_detect():
     est = _toy_estimates(4, [1.0, 0.5, 0.2], 16)
     bits = random_bits(3, 32, Modulation.QAM4, 17)
     block = modulate(bits, Modulation.QAM4, 2.0)
-    obs = observe(est, block.symbols, 0.05, phy.awgn(18, (4, 32), 0.05), Phase.DATA)
+    obs = observe(est, block.symbols, 0.05, phy.awgn([18], (4, 32), 0.05)[0], Phase.DATA)
     comb = build_combiner(CombinerKind.MMSE, est, [1.0, 0.5, 0.2], 1.0, 4, 2.0, 0.05)
     all_bits, _, all_ber = detect_all(obs, comb, block)
     for k in range(3):

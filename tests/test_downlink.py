@@ -103,11 +103,17 @@ def test_rate_monotone_in_noise():
     assert low > high
 
 
+def _one_set(topo, cfg, seed) -> ChannelSet:
+    """The channel set ``seed`` draws: block 0 of a one-seed stack."""
+    stack = draw_channels(topo, cfg, [seed])
+    return ChannelSet(h_mbs=stack.h_mbs[0], g_sbs=stack.g_sbs[0])
+
+
 def test_multi_bs_interference_accounting():
     cfg = desk_config(num_ue=2, num_sbs=1, tau_t=2)
     topo = topology_from_positions(cfg, [(300.0, 0.0)], [(50.0, 0.0), (310.0, 0.0)])
     assoc = associate(topo, cfg)
-    channels = draw_channels(topo, cfg, 4)
+    channels = _one_set(topo, cfg, 4)
     mbs_ue = np.where(assoc.dl_serving == 0)[0]
     sbs_ue = np.where(assoc.dl_serving == 1)[0]
     precoders = {}
@@ -163,7 +169,7 @@ def test_dl_rate_matches_triple_loop():
     topo = topology_from_positions(cfg, sbs, ues)
     assoc = associate(topo, cfg)
     assert 4 not in assoc.dl_serving
-    channels = draw_channels(topo, cfg, 6)
+    channels = _one_set(topo, cfg, 6)
     precoders = {}
     for bs in sorted(set(assoc.dl_serving.tolist())):
         ues = np.flatnonzero(assoc.dl_serving == bs)

@@ -19,7 +19,7 @@ def _training_setup(betas, tau_t, p_t, n0, n_ant, rng):
     betas = np.asarray(betas, dtype=float)
     g = phy.complex_gaussian(rng, (n_ant, len(betas))) * np.sqrt(betas)[None, :]
     pilots = make_pilots(len(betas), tau_t, p_t)
-    obs = observe(g, pilots.s, n0, phy.awgn(rng, (n_ant, tau_t), n0), Phase.TRAINING)
+    obs = observe(g, pilots.s, n0, phy.awgn([rng], (n_ant, tau_t), n0)[0], Phase.TRAINING)
     return g, pilots, obs
 
 
@@ -57,7 +57,8 @@ def test_ls_error_variance_monte_carlo():
 
 
 def test_estimators_reject_data_phase():
-    obs = observe(np.zeros((2, 3)), np.zeros((3, 4)), 0.0, phy.awgn(1, (2, 4), 0.0), Phase.DATA)
+    obs = observe(np.zeros((2, 3)), np.zeros((3, 4)), 0.0, phy.awgn([1], (2, 4), 0.0)[0],
+                  Phase.DATA)
     pilots = make_pilots(3, 4, 1.0)
     with pytest.raises(ValueError, match="training"):
         ls_estimate_matrix(obs, pilots)
@@ -187,7 +188,7 @@ def test_stacked_mmse_estimates_equal_per_bs_calls():
     obs = observe(channels, pilots.s, 0.3, phy.awgn([11, 12, 13], (5, 6), 0.3), Phase.TRAINING)
     stacked = mmse_estimate_matrix(obs, pilots, betas, 0.3)
     for b in range(3):
-        alone = observe(channels[b], pilots.s, 0.3, phy.awgn(11 + b, (5, 6), 0.3),
+        alone = observe(channels[b], pilots.s, 0.3, phy.awgn([11 + b], (5, 6), 0.3)[0],
                         Phase.TRAINING)
         np.testing.assert_allclose(stacked[b], mmse_estimate_matrix(alone, pilots, betas[b], 0.3),
                                    rtol=1e-12)

@@ -60,6 +60,20 @@ def test_spec_validation():
         _tiny_spec(detectors=("mrc", "foo"))
 
 
+@pytest.mark.parametrize("as_sequence", [list, np.array])
+def test_a_list_or_array_spec_equals_hashes_and_runs_like_the_tuple_spec(as_sequence):
+    # an array once raised numpy's ambiguous truth value, and a list spec
+    # could not be hashed
+    tuple_spec = _tiny_spec(detectors=("mrc", "mmse"), estimators=("ls", "da"))
+    spec = _tiny_spec(sweep_values=as_sequence([3.0, 13.0]),
+                      detectors=as_sequence(["mrc", "mmse"]),
+                      estimators=as_sequence(["ls", "da"]))
+    assert spec == tuple_spec and hash(spec) == hash(tuple_spec)
+    assert all(type(getattr(spec, f)) is tuple
+               for f in ("sweep_values", "detectors", "estimators"))
+    assert run_sweep(spec).rows == run_sweep(tuple_spec).rows
+
+
 def test_spec_rejects_repeated_sweep_values():
     # a repeated point would emit every row twice and break ResultTable.value
     with pytest.raises(ValueError, match="distinct"):
@@ -210,8 +224,8 @@ def test_pilot_only_nmse_run_equals_its_trial_by_trial_loop():
     pilots = phy.make_pilots(cfg.num_ue, cfg.tau_t, cfg.p_train_mw)
     num, den = {"ls": 0.0, "mmse": 0.0}, 0.0
     for t in range(5):
-        h = phy.draw_channels(topo, cfg, phy.stream(5, 9, 2, t, 0)).h_mbs
-        noise = phy.awgn(phy.stream(5, 9, 2, t, 1), (cfg.mbs_antennas, cfg.tau_t), n0)
+        h = phy.draw_channels(topo, cfg, [phy.stream(5, 9, 2, t, 0)]).h_mbs[0]
+        noise = phy.awgn([phy.stream(5, 9, 2, t, 1)], (cfg.mbs_antennas, cfg.tau_t), n0)[0]
         obs = phy.observe(h, pilots.s, n0, noise, phy.Phase.TRAINING)
         for m, est in (("ls", estimators.ls_estimate_matrix(obs, pilots)),
                        ("mmse", estimators.mmse_estimate_matrix(obs, pilots, topo.beta_mbs, n0))):
@@ -691,13 +705,26 @@ def test_shared_draws_are_read_only_and_reused():
     assert draws.noise(experiments.PH_NOISE_DATA, [1, 4], (8, cfg.tau_d), 0.7) is not noise
     # trial t of the stack is what its own substreams give
     for i, t in enumerate((3, 4)):
-        fresh = phy.draw_channels(topo, cfg, phy.stream(1, 0, t, experiments.PH_CHANNELS))
-        assert np.array_equal(channels.h_mbs[i], fresh.h_mbs)
-        assert np.array_equal(channels.g_sbs[i], fresh.g_sbs)
+        fresh = phy.draw_channels(topo, cfg, [phy.stream(1, 0, t, experiments.PH_CHANNELS)])
+        assert np.array_equal(channels.h_mbs[i], fresh.h_mbs[0])
+        assert np.array_equal(channels.g_sbs[i], fresh.g_sbs[0])
         assert np.array_equal(noise[i, 1], phy.awgn(
-            phy.stream(1, 0, t, experiments.PH_NOISE_DATA, 4), (8, cfg.tau_d), 0.5))
+            [phy.stream(1, 0, t, experiments.PH_NOISE_DATA, 4)], (8, cfg.tau_d), 0.5)[0])
         assert np.array_equal(bits[i], detectors.random_bits(
             cfg.num_ue, cfg.tau_d, Modulation.QAM4, phy.stream(1, 0, t, experiments.PH_BITS)))
+
+
+def test_memo_noise_draws_each_trial_and_bs_block_from_its_own_substream():
+    # the flat trial-major, BS-minor draw reshapes to (T, B, ...) without a copy
+    memo = experiments._TrialMemo(2, 0, range(3))
+    noise = memo.noise(experiments.PH_NOISE_TRAIN, [0, 5], (5, 7), 0.4)
+    assert noise.shape == (3, 2, 5, 7) and noise.base is not None
+    for t in range(3):
+        for b, v in enumerate((0, 5)):
+            assert np.array_equal(noise[t, b], phy.awgn(
+                [phy.stream(2, 0, t, experiments.PH_NOISE_TRAIN, v)], (5, 7), 0.4)[0])
+    assert memo.noise(experiments.PH_NOISE_TRAIN, [1, 2], (5, 0), 0.4).shape == (3, 2, 5, 0)
+    assert not np.any(memo.noise(experiments.PH_NOISE_TRAIN, [1, 2], (5, 7), 0.0))
 
 
 def test_stages_are_kept_only_when_points_share_them():

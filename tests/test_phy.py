@@ -58,12 +58,12 @@ def small_topology():
 
 def test_draw_channels_shapes_and_determinism(small_topology):
     cfg, topo = small_topology
-    a = draw_channels(topo, cfg, 5)
-    b = draw_channels(topo, cfg, 5)
-    assert a.h_mbs.shape == (cfg.mbs_antennas, 4)
-    assert len(a.g_sbs) == 2 and a.g_sbs[0].shape == (cfg.sbs_antennas, 4)
-    assert np.array_equal(a.h_mbs, b.h_mbs)
-    assert np.array_equal(a.g_sbs[1], b.g_sbs[1])
+    a = draw_channels(topo, cfg, [5])
+    b = draw_channels(topo, cfg, [5])
+    assert a.h_mbs[0].shape == (cfg.mbs_antennas, 4)
+    assert len(a.g_sbs[0]) == 2 and a.g_sbs[0][0].shape == (cfg.sbs_antennas, 4)
+    assert np.array_equal(a.h_mbs[0], b.h_mbs[0])
+    assert np.array_equal(a.g_sbs[0][1], b.g_sbs[0][1])
 
 
 def test_channel_column_variance_tracks_beta(small_topology):
@@ -71,8 +71,8 @@ def test_channel_column_variance_tracks_beta(small_topology):
     rng = np.random.default_rng(0)
     samples = []
     for _ in range(200):
-        ch = draw_channels(topo, cfg, rng)
-        samples.append(np.mean(np.abs(ch.h_mbs) ** 2, axis=0))
+        h = draw_channels(topo, cfg, [rng]).h_mbs[0]
+        samples.append(np.mean(np.abs(h) ** 2, axis=0))
     measured = np.mean(samples, axis=0)
     # 200 draws x 64 antennas = 12800 samples per UE
     assert measured == pytest.approx(topo.beta_mbs, rel=0.05)
@@ -86,9 +86,9 @@ def test_zero_gain_gives_zero_column():
         beta_mbs=np.array([0.0, 1e-8]),
         beta_sbs=np.zeros((0, 2)),
     )
-    ch = draw_channels(topo, cfg, 1)
-    assert np.all(ch.h_mbs[:, 0] == 0)
-    assert np.any(ch.h_mbs[:, 1] != 0)
+    h = draw_channels(topo, cfg, [1]).h_mbs[0]
+    assert np.all(h[:, 0] == 0)
+    assert np.any(h[:, 1] != 0)
 
 
 def test_unit_variance_complex_gaussian():
@@ -100,24 +100,24 @@ def test_unit_variance_complex_gaussian():
 def test_observe_noiseless_is_exact_product():
     channel = np.arange(6, dtype=complex).reshape(2, 3)
     signal = np.eye(3, dtype=complex)
-    obs = observe(channel, signal, 0.0, phy.awgn(1, (2, 3), 0.0))
+    obs = observe(channel, signal, 0.0, phy.awgn([1], (2, 3), 0.0)[0])
     assert np.array_equal(obs.y, channel)
 
 
 def test_observe_noise_variance():
     channel = np.zeros((50, 1), dtype=complex)
     signal = np.zeros((1, 2000), dtype=complex)
-    obs = observe(channel, signal, 1.0, phy.awgn(9, (50, 2000), 1.0))
+    obs = observe(channel, signal, 1.0, phy.awgn([9], (50, 2000), 1.0)[0])
     assert np.mean(np.abs(obs.y) ** 2) == pytest.approx(1.0, rel=0.02)
 
 
 def test_observe_shape_and_mismatch():
     pilots = make_pilots(3, 6, 1.0)
     channel = phy.complex_gaussian(np.random.default_rng(0), (4, 3))
-    obs = observe(channel, pilots.s, 1e-3, phy.awgn(2, (4, 6), 1e-3), Phase.TRAINING)
+    obs = observe(channel, pilots.s, 1e-3, phy.awgn([2], (4, 6), 1e-3)[0], Phase.TRAINING)
     assert obs.y.shape == (4, 6)
     with pytest.raises(ValueError, match="mismatch"):
-        observe(channel, np.zeros((4, 6)), 1e-3, phy.awgn(2, (4, 6), 1e-3))
+        observe(channel, np.zeros((4, 6)), 1e-3, phy.awgn([2], (4, 6), 1e-3)[0])
 
 
 def test_joint_rejects_wrong_phases():
@@ -125,8 +125,9 @@ def test_joint_rejects_wrong_phases():
     # takes only a (training, data) pair: blocks swapped or doubled are refused
     pilots = make_pilots(2, 2, 1.0)
     side = DecodedSideInfo(x_hat=np.zeros((2, 2)), ber=np.zeros(2), power=1.0)
-    train = observe(np.zeros((2, 2)), pilots.s, 0.0, phy.awgn(1, (2, 2), 0.0), Phase.TRAINING)
-    data = observe(np.zeros((2, 2)), np.zeros((2, 2)), 0.0, phy.awgn(1, (2, 2), 0.0), Phase.DATA)
+    train = observe(np.zeros((2, 2)), pilots.s, 0.0, phy.awgn([1], (2, 2), 0.0)[0], Phase.TRAINING)
+    data = observe(np.zeros((2, 2)), np.zeros((2, 2)), 0.0, phy.awgn([1], (2, 2), 0.0)[0],
+                   Phase.DATA)
     for first, second in ((data, train), (train, train), (data, data)):
         with pytest.raises(ValueError, match=r"\(training, data\) pair"):
             da_estimate_matrix(first, second, pilots, side, (1.0, 1.0), 0.1)
@@ -142,10 +143,10 @@ def test_observation_energy_balance():
     n0 = 1.0
     total, signal = [], []
     for _ in range(400):
-        ch = draw_channels(topo, cfg, rng)
-        obs = observe(ch.h_mbs, pilots.s, n0, phy.awgn(rng, (16, 4), n0))
+        h = draw_channels(topo, cfg, [rng]).h_mbs[0]
+        obs = observe(h, pilots.s, n0, phy.awgn([rng], (16, 4), n0)[0])
         total.append(np.sum(np.abs(obs.y) ** 2))
-        signal.append(np.sum(np.abs(ch.h_mbs @ pilots.s) ** 2))
+        signal.append(np.sum(np.abs(h @ pilots.s) ** 2))
     expected = np.mean(signal) + 16 * 4 * n0
     assert np.mean(total) == pytest.approx(expected, rel=0.05)
 
@@ -167,7 +168,7 @@ def test_stacked_observe_hears_what_each_bs_hears_alone():
     stacked = observe(channels, signal, 0.2, phy.awgn(seeds, (6, 9), 0.2), Phase.DATA)
     assert stacked.y.shape == (3, 6, 9)
     for b in range(3):
-        alone = observe(channels[b], signal, 0.2, phy.awgn(stream(1, 2, b), (6, 9), 0.2),
+        alone = observe(channels[b], signal, 0.2, phy.awgn([stream(1, 2, b)], (6, 9), 0.2)[0],
                         Phase.DATA)
         assert np.array_equal(stacked.y[b], alone.y)
     with pytest.raises(ValueError, match="noise is"):
@@ -181,14 +182,6 @@ def test_trial_stacked_draws_equal_per_seed_draws():
     stacked = draw_channels(topo, cfg, [stream(1, t) for t in range(3)])
     assert stacked.h_mbs.shape == (3, 6, 4) and stacked.g_sbs.shape == (3, 3, 2, 4)
     for t in range(3):
-        alone = draw_channels(topo, cfg, stream(1, t))
-        assert np.array_equal(stacked.h_mbs[t], alone.h_mbs)
-        assert np.array_equal(stacked.g_sbs[t], alone.g_sbs)
-    # a nested list of seeds stacks trials, then BSs
-    noise = phy.awgn([[stream(2, t, b) for b in range(2)] for t in range(3)], (5, 7), 0.4)
-    assert noise.shape == (3, 2, 5, 7)
-    for t in range(3):
-        for b in range(2):
-            assert np.array_equal(noise[t, b], phy.awgn(stream(2, t, b), (5, 7), 0.4))
-    assert phy.awgn([[1, 2]] * 3, (5, 0), 0.4).shape == (3, 2, 5, 0)
-    assert not np.any(phy.awgn([[1, 2]] * 3, (5, 7), 0.0))
+        alone = draw_channels(topo, cfg, [stream(1, t)])
+        assert np.array_equal(stacked.h_mbs[t], alone.h_mbs[0])
+        assert np.array_equal(stacked.g_sbs[t], alone.g_sbs[0])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,23 @@ def test_config_float_field_rejects_a_non_finite_or_non_numeric_value(field, val
 def test_config_stores_an_integral_float_as_an_int(field, value, as_float):
     cfg = SystemConfig(**{"num_ue": 1, "tau_t": 8, field: as_float(value)})
     assert getattr(cfg, field) == value and type(getattr(cfg, field)) is int
+
+
+@pytest.mark.parametrize("field,value,mw_name", [
+    ("p_data_dbm", 4000.0, "p_data_mw"),               # overflows
+    ("p_mbs_dbm", 4000.0, "p_mbs_mw"),
+    ("p_data_dbm", -10000.0, "p_data_mw"),             # underflows to 0 mW
+    ("p_train_dbm", -10000.0, "p_train_mw"),
+    ("p_sbs_dbm", -10000.0, "p_sbs_mw"),
+    ("noise_density_dbm_hz", -10000.0, "noise_power_mw"),
+    ("noise_density_dbm_hz", 4000.0, "noise_power_mw"),
+    ("bandwidth_hz", 1e-320, "noise_power_mw"),
+])
+def test_config_rejects_a_power_that_is_not_positive_and_finite_in_mw(field, value, mw_name):
+    # each of these once passed the config and failed partway through a sweep
+    given = re.escape(f"{field}={value!r}")
+    with pytest.raises(ValueError, match=rf"{mw_name}=.* from .*{given}"):
+        SystemConfig(**{field: value})
 
 
 def test_noise_power_is_density_times_bandwidth():
