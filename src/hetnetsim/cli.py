@@ -225,27 +225,29 @@ def main(argv=None) -> int:
         sys.stdout.write(dump_config(cfg, experiment))
         return 0
 
-    if args.command == "floor":
+    floor = args.command == "floor"
+    if floor:
         for key, only, why in _FLOOR_ONLY:
             if experiment.get(key, only) != only:
                 print(f"config error: {why}, got {key}={experiment[key]!r}", file=sys.stderr)
                 return 2
-        return _run_floor(cfg, args.seed)
-
-    metric = _SWEEP_COMMANDS[args.command]
     try:
-        name, values = _parse_sweep(args.sweep)
+        # the floor is one NMSE point at the configured data power, and its
+        # keys pass the same checks as every sweep's
+        name, values = ("p_data_dbm", (cfg.p_data_dbm,)) if floor else _parse_sweep(args.sweep)
         spec = ExperimentSpec(
             base=cfg,
             sweep_param=name,
             sweep_values=values,
-            metric=metric,
+            metric=_SWEEP_COMMANDS.get(args.command, Metric.NMSE),
             master_seed=args.seed,
             **experiment,
         )
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if floor:
+        return _run_floor(cfg, args.seed)
     try:
         _check_out(args.out)    # before the sweep, not after hours of it
         table = run_sweep(spec, threads=args.threads)

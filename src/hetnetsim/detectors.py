@@ -105,9 +105,10 @@ def random_bits(num_ue: int, tau_d: int, scheme: Modulation, seed) -> np.ndarray
 def zf_rows(estimates: np.ndarray) -> np.ndarray:
     """Zero-forcing rows (G^H G)^-1 G^H of an estimated channel matrix G,
     (antennas, n), or of each matrix in a stack (..., antennas, n): row i
-    passes column i and nulls the others.  The ZF combiner is these rows;
-    the ZF precoder is their conjugate transpose, column-normalised.  ZF
-    needs no more columns than antennas, and a full-rank G.
+    passes column i and nulls the others.  The n x n inverse is applied
+    by a product.  The ZF combiner is these rows; the ZF precoder is their
+    conjugate transpose, column-normalised.  ZF needs no more columns than
+    antennas, and a full-rank G.
     """
     est = np.asarray(estimates)
     if est.ndim < 2:
@@ -117,9 +118,19 @@ def zf_rows(estimates: np.ndarray) -> np.ndarray:
         raise ValueError(f"ZF cannot separate {n_ue} UEs with {n_ant} antennas")
     est_h = est.conj().swapaxes(-1, -2)
     try:
-        return np.linalg.solve(est_h @ est, est_h)
+        return np.linalg.inv(est_h @ est) @ est_h
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("rank-deficient estimate matrix for ZF") from exc
+
+
+def _take(a: np.ndarray, keep, axis: int) -> np.ndarray:
+    """The columns (axis -1) or rows (axis -2) ``keep`` of each matrix of
+    the stack ``a``: (m,) positions for all, or one row of positions per
+    matrix along the stack's trailing lead axes; ``a`` itself for None."""
+    if keep is None:
+        return a
+    idx = keep[..., None, :] if axis == -1 else keep[..., :, None]
+    return np.take_along_axis(a, idx.reshape((1,) * (a.ndim - idx.ndim) + idx.shape), axis)
 
 
 def build_combiner(
@@ -130,6 +141,8 @@ def build_combiner(
     tau_t: int,
     p_d: float,
     noise_power: float,
+    keep=None,
+    ue_indices=None,
 ) -> Combiner:
     """Linear receive combiner from estimated channels.
 
@@ -139,32 +152,48 @@ def build_combiner(
     A leading BS axis, (B, antennas, n) estimates with (B, K) ``betas``,
     builds B combiners at once; ``c`` then carries that axis.  A trial
     axis may lead the BS axis, (T, B, antennas, n): each trial then gets
-    what a call on its own slice would.  Every row is scaled to unit gain
-    on its own column, which for MRC is the whole normalisation.
+    what a call on its own slice would.
+
+    Only the rows of the columns ``keep`` are built: (m,) positions, or
+    (B, m) with one row of positions per BS; all n by default.
+    ``ue_indices`` names the UE of each built row, as ``Combiner`` keeps
+    it: 0..n-1 by default, and needed with ``keep``, whose positions
+    index the columns given, not UEs.  MMSE works from the n x n Gram
+    matrix while n is below the antenna count, and from the antenna
+    covariance with one right-hand side per kept column otherwise.  Every
+    row is scaled to unit gain on its own column, which for MRC is the
+    whole normalisation; a kept column with zero gain is a ``ValueError``.
     """
     kind = CombinerKind(kind)
     est = np.asarray(estimates)
     n_ant, n_ue = est.shape[-2:]
+    if keep is not None:
+        keep = np.asarray(keep, dtype=int)
+        if ue_indices is None:
+            raise ValueError("keep needs the ue_indices of the rows it keeps")
+    kept = _take(est, keep, -1)
 
-    est_h = est.conj().swapaxes(-1, -2)
     if kind is CombinerKind.MRC:
-        rows = est_h
+        rows = kept.conj().swapaxes(-1, -2)
     elif kind is CombinerKind.ZF:
-        rows = zf_rows(est)
+        rows = _take(zf_rows(est), keep, -2)
     else:
         reg = 1.0 / np.asarray(effective_rho(betas, p_t, tau_t, noise_power, p_d))
-        # rows G^H (G G^H + r I)^-1 = (G^H G + r I)^-1 G^H: solve in the
+        # rows G^H (G G^H + r I)^-1 = (G^H G + r I)^-1 G^H: invert in the
         # smaller of the two dimensions
         if n_ue < n_ant:
-            rows = np.linalg.solve(est_h @ est + reg[..., None, None] * np.eye(n_ue), est_h)
+            est_h = est.conj().swapaxes(-1, -2)
+            inv = np.linalg.inv(est_h @ est + reg[..., None, None] * np.eye(n_ue))
+            rows = _take(inv, keep, -2) @ est_h
         else:
-            cov = est @ est_h + reg[..., None, None] * np.eye(n_ant)
-            rows = np.linalg.solve(cov, est).conj().swapaxes(-1, -2)
+            cov = est @ est.conj().swapaxes(-1, -2) + reg[..., None, None] * np.eye(n_ant)
+            rows = np.linalg.solve(cov, kept).conj().swapaxes(-1, -2)
 
-    gain = np.einsum("...ij,...ji->...i", rows, est)
+    gain = np.einsum("...ij,...ji->...i", rows, kept)
     if np.any(gain == 0):
         raise ValueError(f"{kind.name} needs non-zero channel estimates")
-    return Combiner(c=rows / gain[..., None], ue_indices=tuple(range(n_ue)))
+    ue_indices = tuple(range(n_ue)) if ue_indices is None else ue_indices
+    return Combiner(c=rows / gain[..., None], ue_indices=ue_indices)
 
 
 def _slice(symbols: np.ndarray, scheme: Modulation, p_d: float):

@@ -408,9 +408,9 @@ def _detect(run: _TopologyRun, memo: _TrialMemo, pilot, data, block):
             est = pilot[part.group].est[:, part.rows]
             if part.cols is not None:
                 est = np.take_along_axis(est, part.cols[None, :, None], -1)
-            comb = detectors.build_combiner(part.kind, est, layout.betas[ids], *args)
-            bs = np.arange(len(part.pick))[:, None]
-            return detectors.Combiner(c=comb.c[..., bs, part.pick, :], ue_indices=part.ues)
+            return detectors.build_combiner(part.kind, est, layout.betas[ids], *args,
+                                            keep=part.pick,
+                                            ue_indices=tuple(map(tuple, part.ues.tolist())))
         if part.kind is CombinerKind.MMSE:         # reads the data power
             comb = build()
         else:

@@ -116,17 +116,22 @@ def observe(channel: np.ndarray, signal: np.ndarray, noise_power: float, noise,
     variance noise_power.
 
     ``channel`` may carry leading axes, such as trials and BSs,
-    (T, B, antennas, K); ``signal`` may carry leading axes that broadcast
-    against them, and ``noise`` carries the product's.  Each slice hears
-    what a 2-D call on its own noise block would.
+    (T, B, antennas, K); ``signal`` is shared across the BS axis, (K, n)
+    or (..., 1, K, n), and ``noise`` carries the product's shape.  The B
+    channel matrices meet the signal stacked as one (T, B * antennas, K)
+    product; each slice hears what a 2-D call on its own noise block
+    would.
     """
     channel = np.asarray(channel)
     signal = np.asarray(signal)
-    if channel.shape[-1] != signal.shape[-2]:
+    if channel.shape[-1] != signal.shape[-2] or (signal.ndim > 2 and signal.shape[-3] != 1):
         raise ValueError(
             f"dimension mismatch: channel is {channel.shape}, signal is {signal.shape}"
         )
-    y = (channel @ signal).astype(complex, copy=False)
+    shared = signal if signal.ndim == 2 else signal[..., 0, :, :]
+    y = channel.reshape(*channel.shape[:-3], -1, channel.shape[-1]) @ shared
+    y = y.reshape(*y.shape[:-2], *channel.shape[-3:-1], y.shape[-1])
+    y = y.astype(complex, copy=False)
     if np.shape(noise) != y.shape:
         raise ValueError(f"noise is {np.shape(noise)}, the observation {y.shape}")
     y += noise

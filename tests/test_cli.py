@@ -375,6 +375,22 @@ def test_floor_takes_a_shared_config_with_sweep_keys(tiny_config, capsys):
     assert "saturation limit" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("override", ["trials=-5", "topologies=0", 'detectors=["foo"]',
+                                      'estimators=["ls","ls"]'])
+def test_floor_rejects_the_shared_keys_every_sweep_rejects(tiny_config, tmp_path, capsys,
+                                                           override):
+    # these once printed the floor and exited 0, where nmse-sweep exits 2
+    out = tmp_path / "never.csv"
+    assert cli.main(["nmse-sweep", "--config", str(tiny_config), "--set", override,
+                     "--sweep", "p_train_dbm=3:8:5", "--out", str(out)]) == 2
+    sweep_err = capsys.readouterr().err
+    assert cli.main(["floor", "--config", str(tiny_config), "--set", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == sweep_err and sweep_err.startswith("config error: ")
+    assert "Traceback" not in captured.err and "saturation limit" not in captured.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [["--config", "cfg"], ["--set", "tau_d=32"], ["--dump-config"]])
 def test_validate_rejects_config_options(tiny_config, monkeypatch, capsys, extra):
     # validate runs fixed checks; these options were once parsed and ignored

@@ -359,7 +359,7 @@ def test_stacked_detection_takes_one_row_set_per_bs():
 
 def _biased_rows(kind, est, betas, args):
     """The rows before any unit-gain scaling: MRC normalised by its column
-    norms, ZF's solve, and MMSE in the smaller of its two dimensions."""
+    norms, the ZF rows, and MMSE solved in the smaller of its two dimensions."""
     est_h = est.conj().swapaxes(-1, -2)
     if kind is CombinerKind.MRC:
         return est_h / np.sum(np.abs(est) ** 2, axis=-2)[..., None]
@@ -416,6 +416,82 @@ def test_mmse_rows_equal_the_antenna_domain_solve(n_ant, k_total):
     np.testing.assert_allclose(comb.c, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
+# (B, m) columns each BS keeps; the last BS repeats a column, as the sweep
+# pads shorter row sets with their last UE
+_KEEP = np.array([[4, 1], [0, 2], [3, 3]])
+
+
+@pytest.mark.parametrize("kind,n_ant,k_total", [
+    (CombinerKind.MRC, 16, 5), (CombinerKind.ZF, 16, 5),
+    (CombinerKind.MMSE, 16, 5), (CombinerKind.MMSE, 4, 6),     # K x K, then N x N
+])
+def test_kept_rows_equal_the_full_combiners_rows_and_decide_alike(kind, n_ant, k_total):
+    # a (T, B) stack of trials and BSs: building only the kept rows gives
+    # the full combiner's rows ``keep`` of each BS, and the same decisions
+    rng = np.random.default_rng(29)
+    args = (1.3, 8, 2.0, 0.05)
+    betas = rng.uniform(0.2, 2.0, size=(3, k_total))
+    est = phy.complex_gaussian(rng, (2, 3, n_ant, k_total)) * np.sqrt(betas)[..., None, :]
+    full = build_combiner(kind, est, betas, *args)
+    thin = build_combiner(kind, est, betas, *args, keep=_KEEP, ue_indices=_KEEP)
+    want = np.take_along_axis(full.c, _KEEP[None, ..., None], axis=-2)
+    assert thin.c.shape == want.shape
+    np.testing.assert_allclose(thin.c, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    with pytest.raises(ValueError, match="^keep needs the ue_indices of the rows it keeps$"):
+        build_combiner(kind, est, betas, *args, keep=_KEEP)
+
+    bits = rng.integers(0, 2, size=(2, 1, k_total, 4 * 40))
+    block = modulate(bits, Modulation.QAM16, args[2])
+    channel = est + 0.1 * phy.complex_gaussian(rng, est.shape)
+    y = channel @ block.symbols + phy.complex_gaussian(rng, est.shape[:-1] + (40,), var=0.05)
+    obs = Observation(y, Phase.DATA, 0.05)
+    got = detect_all(obs, thin, block)
+    picked = detect_all(obs, Combiner(c=want, ue_indices=_KEEP), block)
+    for a, b in zip(got, picked):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(6, 3), (4, 6, 3), (2, 3, 6, 4), (8, 8)])
+def test_zf_rows_match_the_solve_form(shape):
+    # the K x K inverse applied by a product against one solve with a
+    # right-hand side per antenna
+    est = phy.complex_gaussian(np.random.default_rng(31), shape)
+    est_h = est.conj().swapaxes(-1, -2)
+    want = np.linalg.solve(est_h @ est, est_h)
+    np.testing.assert_allclose(zf_rows(est), want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("keep", [None, np.array([0])])
+def test_zf_errors_are_unchanged(keep):
+    args = (np.ones(3), 1.0, 4, 1.0, 0.1)
+    with pytest.raises(ValueError, match="^ZF cannot separate 3 UEs with 2 antennas$"):
+        zf_rows(np.ones((2, 3), dtype=complex))
+    with pytest.raises(ValueError, match="^ZF cannot separate 3 UEs with 2 antennas$"):
+        build_combiner(CombinerKind.ZF, np.ones((2, 3), dtype=complex), *args, keep=keep,
+                       ue_indices=keep)
+    with pytest.raises(ValueError, match="matrix or a stack"):
+        zf_rows(np.ones(3, dtype=complex))
+    twin = np.ones((4, 3), dtype=complex)          # identical columns
+    with pytest.raises(np.linalg.LinAlgError, match="^rank-deficient estimate matrix for ZF$"):
+        zf_rows(twin)
+    with pytest.raises(np.linalg.LinAlgError, match="^rank-deficient estimate matrix for ZF$"):
+        build_combiner(CombinerKind.ZF, twin, *args, keep=keep, ue_indices=keep)
+
+
+@pytest.mark.parametrize("kind,n_ant", [(CombinerKind.MRC, 4), (CombinerKind.MMSE, 4),
+                                        (CombinerKind.MMSE, 2)])
+def test_an_all_zero_kept_column_is_refused_and_an_unkept_one_is_not(kind, n_ant):
+    # the unit-gain check reads the kept columns only, in both MMSE regimes
+    betas = np.array([1.0, 0.5, 0.8])
+    est = np.stack([_toy_estimates(n_ant, betas, 2), _toy_estimates(n_ant, betas, 3)])
+    est[1, :, 1] = 0.0
+    args = (np.stack([betas, betas]), 1.0, 4, 1.0, 0.1)
+    with pytest.raises(ValueError, match="non-zero channel estimates"):
+        build_combiner(kind, est, *args, keep=np.array([[0], [1]]), ue_indices=((0,), (1,)))
+    comb = build_combiner(kind, est, *args, keep=np.array([[1], [2]]), ue_indices=((1,), (2,)))
+    assert np.all(np.isfinite(comb.c))
+
+
 # served sets of four BSs with 4 antennas, of lengths 1, 3, 4 and 2
 _SERVED = [(2,), (0, 5, 7), (1, 3, 4, 8), (6, 9)]
 
@@ -443,9 +519,8 @@ def _sweep_combiners(est, betas, ul_serving, n_ant, args, scored=None):
     out = []
     for part in experiments._parts(assoc, scored, ("zf",), groups):
         heard = np.take_along_axis(est[:, part.rows], part.cols[None, :, None], -1)
-        comb = build_combiner(part.kind, heard, betas[part.rows], *args)
-        bs = np.arange(len(part.pick))[:, None]
-        out.append((part, Combiner(c=comb.c[..., bs, part.pick, :], ue_indices=part.ues)))
+        out.append((part, build_combiner(part.kind, heard, betas[part.rows], *args,
+                                         keep=part.pick, ue_indices=part.ues)))
     return out
 
 

@@ -175,6 +175,26 @@ def test_stacked_observe_hears_what_each_bs_hears_alone():
         observe(channels, signal, 0.2, phy.awgn(seeds[:2], (6, 9), 0.2), Phase.DATA)
 
 
+@pytest.mark.parametrize("shared", ["pilots", "per-trial"])
+def test_a_signal_shared_across_bss_is_heard_as_the_per_bs_2d_products(shared):
+    # (T, B, antennas, K) channels and one signal for every BS, (K, n) or
+    # (T, 1, K, n): one stacked product, bit for bit the 2-D product of
+    # each trial and BS plus its own noise block
+    rng = np.random.default_rng(6)
+    channels = phy.complex_gaussian(rng, (2, 5, 8, 4))
+    signal = phy.complex_gaussian(rng, (4, 7) if shared == "pilots" else (2, 1, 4, 7))
+    noise = phy.awgn([stream(3, v) for v in range(10)], (8, 7), 0.2).reshape(2, 5, 8, 7)
+    obs = observe(channels, signal, 0.2, noise, Phase.DATA)
+    assert obs.y.shape == (2, 5, 8, 7)
+    for t in range(2):
+        sig = signal if shared == "pilots" else signal[t, 0]
+        for b in range(5):
+            assert np.array_equal(obs.y[t, b], channels[t, b] @ sig + noise[t, b])
+    per_bs = phy.complex_gaussian(rng, (2, 5, 4, 7))           # one block per BS
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        observe(channels, per_bs, 0.2, noise, Phase.DATA)
+
+
 def test_trial_stacked_draws_equal_per_seed_draws():
     cfg = desk_config(num_sbs=3, num_ue=4, mbs_antennas=6, sbs_antennas=2)
     topo = topology_from_positions(cfg, [(300.0, 0.0), (0.0, 300.0), (-300.0, 0.0)],
