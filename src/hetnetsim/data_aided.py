@@ -1,10 +1,10 @@
 """Data-aided MMSE channel estimation at the macro BS.
 
 Decoded uplink payloads act as extra quasi-pilots: the training and data
-blocks, joined, are combined with a BER-aware MMSE filter whose error model
-shrinks each decoded row by (1 - 2 BER) and adds a residual-interference
-diagonal on the data block.  The wide solve collapses to a K x K system
-through the Woodbury identity.
+blocks are combined with a BER-aware MMSE filter whose error model shrinks
+each decoded row by (1 - 2 BER) and adds a residual-interference diagonal
+on the data block.  The wide solve collapses to a K x K system through the
+Woodbury identity.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import mmse_estimate_matrix, pilot_snr
+from .estimators import mmse_shrinkage, pilot_snr
 from .phy import Observation, Phase, PilotMatrix
 
 
@@ -49,37 +49,8 @@ def delta_s_x(bers, betas, p_d: float) -> float | np.ndarray:
     return p_d * np.sum(betas * (1.0 - (1.0 - 2.0 * bers) ** 2), axis=-1)
 
 
-def da_combiner_matrix(
-    pilots: PilotMatrix, side: DecodedSideInfo, betas, noise_power: float
-) -> np.ndarray:
-    """Columns are the per-UE combiners applied to the joint observation.
-
-    Solved in the K x K Woodbury form: with D the diagonal regulariser
-    (N0 on pilots, Delta_S + N0 on data) and Wbar the shrunk joint rows,
-    C = D^-1 Wbar^H (diag(1/beta) + Wbar D^-1 Wbar^H)^-1.
-
-    Side information with a leading trial axis, x_hat (T, K, tau_d) and
-    BERs (K,) or (T, K), gives one combiner, and one Delta_S, per trial.
-    """
-    betas = np.asarray(betas, dtype=float)
-    bers = fold_ber(side.ber)
-    tau_t = pilots.tau_t
-    decoded = side.x_hat * (1.0 - 2.0 * bers)[..., None]
-    lead = decoded.shape[:-2]
-    w_bar = np.concatenate([np.broadcast_to(pilots.s, (*lead, *pilots.s.shape)), decoded],
-                           axis=-1)
-    ds = delta_s_x(bers, betas, side.power)
-    d_inv = np.concatenate(
-        [np.full((*lead, tau_t), 1.0 / noise_power),
-         np.full((*lead, decoded.shape[-1]), (1.0 / (ds + noise_power))[..., None])], axis=-1)
-    w_bar_h = w_bar.conj().swapaxes(-1, -2)
-    a = (w_bar * d_inv[..., None, :]) @ w_bar_h
-    middle = np.linalg.solve(np.diag(1.0 / betas) + a, np.eye(len(betas)))
-    return (d_inv[..., :, None] * w_bar_h) @ middle
-
-
 def da_estimate_matrix(
-    train: Observation,
+    z: np.ndarray,
     data: Observation,
     pilots: PilotMatrix,
     side: DecodedSideInfo,
@@ -87,22 +58,37 @@ def da_estimate_matrix(
     noise_power: float,
 ) -> np.ndarray:
     """Data-aided estimates of every UE's channel to this BS (one column
-    each) from the training and data blocks it recorded back to back.  A
-    leading trial axis on the observations and the side information gives
-    one estimate matrix per trial."""
-    if train.phase is not Phase.TRAINING or data.phase is not Phase.DATA:
-        raise ValueError("data-aided estimation needs a (training, data) pair of blocks")
-    if train.y.shape[:-1] != data.y.shape[:-1]:
+    each) from its despread training block ``z`` (``estimators.despread``)
+    and the data block it recorded next.  A leading trial axis on the
+    blocks and the side information, x_hat (T, K, tau_d) and BERs (K,) or
+    (T, K), gives one estimate matrix, and one Delta_S, per trial.
+
+    With D the diagonal regulariser (N0 on pilots, Delta_S + N0 on data)
+    and Wbar = [S, Xd] the pilots beside the decoded rows shrunk by
+    (1 - 2 BER), the MMSE combiner of the joined block [Y_t, Y_d] is
+    D^-1 Wbar^H M with the K x K Woodbury core
+    M = (diag(1/beta) + Wbar D^-1 Wbar^H)^-1, so the estimate is the pilot
+    term plus the decoded-data increment, (z/N0 + Y_d Xd^H/(Delta_S + N0)) M.
+    """
+    if data.phase is not Phase.DATA:
+        raise ValueError("data-aided estimation needs a data-phase block")
+    if z.shape[:-1] != data.y.shape[:-1]:
         raise ValueError("training and data blocks disagree on antenna count")
+    betas = np.asarray(betas, dtype=float)
     tau_d = side.x_hat.shape[-1]
-    if (train.y.shape[-1], data.y.shape[-1]) != (pilots.tau_t, tau_d):
-        raise ValueError(f"blocks have {train.y.shape[-1]} + {data.y.shape[-1]} columns, "
-                         f"expected tau_t + tau_d = {pilots.tau_t} + {tau_d}")
+    if (z.shape[-1], data.y.shape[-1]) != (len(betas), tau_d):
+        raise ValueError(f"blocks have {z.shape[-1]} despread + {data.y.shape[-1]} data "
+                         f"columns, expected K + tau_d = {len(betas)} + {tau_d}")
     if tau_d == 0:
         # no data columns: the scheme is exactly the pilot-only MMSE estimator
-        return mmse_estimate_matrix(train, pilots, betas, noise_power)
-    c = da_combiner_matrix(pilots, side, betas, noise_power)
-    return np.concatenate([train.y, data.y], axis=-1) @ c
+        return z * mmse_shrinkage(betas, pilots.power, pilots.tau_t, noise_power)[..., None, :]
+    bers = fold_ber(side.ber)
+    decoded = side.x_hat * (1.0 - 2.0 * bers)[..., None]
+    decoded_h = decoded.conj().swapaxes(-1, -2)
+    data_reg = (delta_s_x(bers, betas, side.power) + noise_power)[..., None, None]
+    gram = pilots.s @ pilots.s.conj().T / noise_power + decoded @ decoded_h / data_reg
+    core = np.linalg.inv(np.diag(1.0 / betas) + gram)
+    return (z / noise_power + data.y @ decoded_h / data_reg) @ core
 
 
 def rho_data_aided(

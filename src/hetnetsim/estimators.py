@@ -28,21 +28,18 @@ class EstimateStats:
     error_var: float | np.ndarray
 
 
-def _require_training(obs: Observation):
-    if obs.phase is not Phase.TRAINING:
-        raise ValueError("pilot-only estimators need a training-phase observation")
-
-
-def _despread(obs: Observation, pilots: PilotMatrix) -> np.ndarray:
+def despread(obs: Observation, pilots: PilotMatrix) -> np.ndarray:
     """The training block correlated with each pilot, y S^H: tau_t*P_T*g_k
-    plus N s_k^H in column k.  Both pilot-only estimators scale it."""
-    _require_training(obs)
+    plus N s_k^H in column k.  The pilot-only estimators scale it, and the
+    data-aided estimate takes it as its pilot term."""
+    if obs.phase is not Phase.TRAINING:
+        raise ValueError("despreading needs a training-phase observation")
     return obs.y @ pilots.s.conj().T
 
 
 def ls_estimate_matrix(obs: Observation, pilots: PilotMatrix) -> np.ndarray:
     """LS estimates of all UEs at once, one column per UE."""
-    return _despread(obs, pilots) / (pilots.tau_t * pilots.power)
+    return despread(obs, pilots) / (pilots.tau_t * pilots.power)
 
 
 def mmse_estimate_matrix(
@@ -54,8 +51,8 @@ def mmse_estimate_matrix(
     An observation with leading axes, such as (T, B, antennas, tau_t),
     takes one row of ``betas`` per BS, (B, K), and gives (T, B, antennas, K).
     """
-    shrink = mmse_shrinkage(betas, pilots.power, pilots.tau_t, noise_power)
-    return _despread(obs, pilots) * shrink[..., None, :]
+    return despread(obs, pilots) * mmse_shrinkage(
+        betas, pilots.power, pilots.tau_t, noise_power)[..., None, :]
 
 
 def mmse_shrinkage(betas, p_t: float, tau_t: int, noise_power: float) -> np.ndarray:

@@ -355,23 +355,26 @@ def _group_channels(run: _TopologyRun, channels):
 class _Pilot:
     """The pilot side of one listener group, stacked (T, B, ...)."""
 
-    train: phy.Observation
+    z: np.ndarray                      # despread training blocks
     est: np.ndarray                    # MMSE estimates
 
 
 def _pilot_side(run: _TopologyRun, memo: _TrialMemo, channels) -> list:
-    """Stage 1, pilot side: training observations and MMSE estimates at
-    every listener, one stacked call per antenna group (the MBS, then the
-    SBSs).  It reads neither p_data_dbm nor tau_d."""
+    """Stage 1, pilot side: the despread training blocks and MMSE
+    estimates at every listener, one stacked call per antenna group (the
+    MBS, then the SBSs).  It reads neither p_data_dbm nor tau_d."""
     cfg, n0, betas = run.cfg, run.cfg.noise_power_mw, run.layout.betas
 
     def make():
         out = []
         for ids, chan in _group_channels(run, channels):
             noise = memo.noise(PH_NOISE_TRAIN, ids, (chan.shape[-2], cfg.tau_t), n0)
-            train = phy.observe(chan, run.pilots.s, n0, noise, Phase.TRAINING)
-            est = estimators.mmse_estimate_matrix(train, run.pilots, betas[ids], n0)
-            out.append(_Pilot(train, est))
+            z = estimators.despread(
+                phy.observe(chan, run.pilots.s, n0, noise, Phase.TRAINING), run.pilots)
+            # mmse_estimate_matrix's operations, so the estimates keep its bits
+            est = z * estimators.mmse_shrinkage(
+                betas[ids], run.pilots.power, run.pilots.tau_t, n0)[..., None, :]
+            out.append(_Pilot(z, est))
         return out
     return memo.stage("pilot", "pilot", make)
 
@@ -589,9 +592,8 @@ def _uplink(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, channels,
     else:
         side_ber = emp_bers.get("mmse", zeros)
     side = data_aided.DecodedSideInfo(x_hat=x_hat, ber=side_ber, power=cfg.p_data_mw)
-    train = pilot[0].train
     return emp_bers, data_aided.da_estimate_matrix(
-        dataclasses.replace(train, y=train.y[:, 0]), dataclasses.replace(data, y=data.y[:, 0]),
+        pilot[0].z[:, 0], dataclasses.replace(data, y=data.y[:, 0]),
         run.pilots, side, run.layout.topo.beta_mbs, cfg.noise_power_mw)
 
 
@@ -617,7 +619,7 @@ def _trial(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo) -> None:
             if "mmse" in spec.estimators:
                 errors["mmse"] = np.sum(np.abs(pilot[0].est[:, 0] - truth) ** 2, axis=-2)
             if "ls" in spec.estimators:
-                h_ls = estimators.ls_estimate_matrix(pilot[0].train, run.pilots)[:, 0]
+                h_ls = pilot[0].z[:, 0] / (run.pilots.tau_t * run.pilots.power)
                 errors["ls"] = np.sum(np.abs(h_ls - truth) ** 2, axis=-2)
             return errors
         errors = memo.stage("pilot", "nmse", pilot_only)

@@ -378,10 +378,11 @@ def check_saturation_limits(master_seed: int = 1) -> list:
                        phy.awgn([phy.stream(master_seed, _TAG_C8, 4)],
                                 (cfg.mbs_antennas, cfg.tau_d), n0)[0], Phase.DATA)
     pilot_only = estimators.mmse_estimate_matrix(train, pilots, topo.beta_mbs, n0)
+    z = estimators.despread(train, pilots)
 
     side_half = data_aided.DecodedSideInfo(
         x_hat=block.symbols, ber=np.full(k_total, 0.5), power=cfg.p_data_mw)
-    da_half = data_aided.da_estimate_matrix(train, data, pilots, side_half, topo.beta_mbs, n0)
+    da_half = data_aided.da_estimate_matrix(z, data, pilots, side_half, topo.beta_mbs, n0)
     rel_half = float(
         np.linalg.norm(da_half - pilot_only) / np.linalg.norm(pilot_only))
 
@@ -389,7 +390,7 @@ def check_saturation_limits(master_seed: int = 1) -> list:
         x_hat=np.zeros((k_total, 0)), ber=np.zeros(k_total), power=cfg.p_data_mw)
     data_empty = phy.Observation(y=data.y[:, :0], phase=Phase.DATA, noise_power=n0)
     da_empty = data_aided.da_estimate_matrix(
-        train, data_empty, pilots, side_empty, topo.beta_mbs, n0)
+        z, data_empty, pilots, side_empty, topo.beta_mbs, n0)
     tau_d_zero_exact = np.array_equal(da_empty, pilot_only)
 
     rho = data_aided.rho_data_aided(

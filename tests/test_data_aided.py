@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from hetnetsim import phy
 from hetnetsim.data_aided import (
     DecodedSideInfo,
-    da_combiner_matrix,
     da_estimate_matrix,
     da_power_floor,
     delta_s_x,
@@ -15,7 +14,7 @@ from hetnetsim.data_aided import (
     rho_data_aided,
 )
 from hetnetsim.detectors import Modulation, modulate, random_bits
-from hetnetsim.estimators import EstMethod, analytic_nmse, mmse_estimate_matrix
+from hetnetsim.estimators import EstMethod, analytic_nmse, despread, mmse_estimate_matrix
 from hetnetsim.phy import Observation, Phase, make_pilots, observe
 
 
@@ -36,6 +35,42 @@ def _setup(k=2, m=4, tau_t=2, tau_d=8, betas=(1.0, 0.4), n0=0.2,
 def _joined(train, data):
     """The training and data blocks side by side, as the MBS recorded them."""
     return np.concatenate([train.y, data.y], axis=-1)
+
+
+def _woodbury_combiner(pilots, side, betas, n0):
+    """Joined-form reference: the combiner C of the joined block [Y_t, Y_d],
+    C = D^-1 Wbar^H (diag(1/beta) + Wbar D^-1 Wbar^H)^-1, with D the
+    diagonal regulariser (N0 on pilots, Delta_S + N0 on data) and Wbar the
+    pilots beside the shrunk decoded rows; one per trial on a leading axis."""
+    betas = np.asarray(betas, dtype=float)
+    bers = fold_ber(side.ber)
+    decoded = side.x_hat * (1.0 - 2.0 * bers)[..., None]
+    lead = decoded.shape[:-2]
+    w_bar = np.concatenate([np.broadcast_to(pilots.s, (*lead, *pilots.s.shape)), decoded],
+                           axis=-1)
+    ds = delta_s_x(bers, betas, side.power)
+    d_inv = np.concatenate(
+        [np.full((*lead, pilots.tau_t), 1.0 / n0),
+         np.full((*lead, decoded.shape[-1]), (1.0 / (ds + n0))[..., None])], axis=-1)
+    w_bar_h = w_bar.conj().swapaxes(-1, -2)
+    middle = np.linalg.inv(np.diag(1.0 / betas) + (w_bar * d_inv[..., None, :]) @ w_bar_h)
+    return (d_inv[..., :, None] * w_bar_h) @ middle
+
+
+def _combiner(pilots, side, betas, n0):
+    """The combiner read off ``da_estimate_matrix``: with the identity as the
+    joined block [Y_t, Y_d], the estimate is the combiner itself."""
+    tau_t = pilots.tau_t
+    eye = np.eye(tau_t + side.x_hat.shape[-1])
+    train = Observation(eye[:, :tau_t], Phase.TRAINING, n0)
+    return da_estimate_matrix(despread(train, pilots), Observation(eye[:, tau_t:], Phase.DATA, n0),
+                              pilots, side, betas, n0)
+
+
+def _assert_rel(got, want, rel=1e-12):
+    """``got`` within ``rel`` of ``want``'s largest entry."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
 def test_fold_ber():
@@ -89,7 +124,7 @@ def _assemble_direct_combiner(pilots, side, betas, n0):
 
 def test_da_combiner_matches_covariance_assembly_oracle():
     _, pilots, _, _, _, side, betas, n0 = _setup()
-    fast = da_combiner_matrix(pilots, side, betas, n0)
+    fast = _combiner(pilots, side, betas, n0)
     slow = _assemble_direct_combiner(pilots, side, betas, n0)
     assert np.allclose(fast, slow, rtol=1e-9, atol=1e-12)
 
@@ -97,7 +132,7 @@ def test_da_combiner_matches_covariance_assembly_oracle():
 def test_da_estimate_toy_instance_matches_oracle():
     h, pilots, _, train, data, side, betas, n0 = _setup(seed=3)
     oracle = _joined(train, data) @ _assemble_direct_combiner(pilots, side, betas, n0)
-    fast = da_estimate_matrix(train, data, pilots, side, betas, n0)
+    fast = da_estimate_matrix(despread(train, pilots), data, pilots, side, betas, n0)
     assert np.allclose(fast, oracle, rtol=1e-9)
 
 
@@ -111,7 +146,7 @@ def test_woodbury_equals_direct_solve_on_random_instances():
             betas=tuple(rng.uniform(0.1, 2.0, size=k)),
             bers=tuple(rng.uniform(0.0, 0.5, size=k)),
             n0=float(rng.uniform(0.01, 1.0)), seed=100 + trial)
-        fast = da_combiner_matrix(pilots, side, betas, n0)
+        fast = _combiner(pilots, side, betas, n0)
         slow = _assemble_direct_combiner(pilots, side, betas, n0)
         assert np.allclose(fast, slow, rtol=1e-9, atol=1e-12)
 
@@ -119,7 +154,7 @@ def test_woodbury_equals_direct_solve_on_random_instances():
 def test_da_without_data_reduces_to_pilot_only():
     h, pilots, _, train, data, _, betas, n0 = _setup(tau_d=0)
     side = DecodedSideInfo(x_hat=np.zeros((2, 0)), ber=np.zeros(2), power=2.0)
-    da = da_estimate_matrix(train, data, pilots, side, betas, n0)
+    da = da_estimate_matrix(despread(train, pilots), data, pilots, side, betas, n0)
     po = mmse_estimate_matrix(train, pilots, betas, n0)
     assert np.array_equal(da, po)
 
@@ -127,28 +162,28 @@ def test_da_without_data_reduces_to_pilot_only():
 def test_da_with_half_ber_degrades_to_pilot_only():
     h, pilots, _, train, data, side, betas, n0 = _setup(seed=5)
     side_half = DecodedSideInfo(x_hat=side.x_hat, ber=np.full(2, 0.5), power=side.power)
-    da = da_estimate_matrix(train, data, pilots, side_half, betas, n0)
+    da = da_estimate_matrix(despread(train, pilots), data, pilots, side_half, betas, n0)
     po = mmse_estimate_matrix(train, pilots, betas, n0)
     assert np.linalg.norm(da - po) / np.linalg.norm(po) < 1e-9
 
 
 def test_da_estimate_is_the_joined_blocks_times_the_da_combiner():
     h, pilots, _, train, data, side, betas, n0 = _setup(seed=6)
-    expected = _joined(train, data) @ da_combiner_matrix(pilots, side, betas, n0)
-    assert np.array_equal(da_estimate_matrix(train, data, pilots, side, betas, n0), expected)
+    expected = _joined(train, data) @ _woodbury_combiner(pilots, side, betas, n0)
+    _assert_rel(da_estimate_matrix(despread(train, pilots), data, pilots, side, betas, n0),
+                expected)
 
 
 def test_da_rejects_bad_joint_shape():
     _, pilots, _, train, data, side, betas, n0 = _setup()
+    z = despread(train, pilots)
     with pytest.raises(ValueError, match="columns"):
-        da_estimate_matrix(train, Observation(data.y[:, :-1], Phase.DATA, n0),
+        da_estimate_matrix(z, Observation(data.y[:, :-1], Phase.DATA, n0),
                            pilots, side, betas, n0)
     with pytest.raises(ValueError, match="columns"):
-        da_estimate_matrix(Observation(train.y[:, :-1], Phase.TRAINING, n0), data,
-                           pilots, side, betas, n0)
+        da_estimate_matrix(z[:, :-1], data, pilots, side, betas, n0)
     with pytest.raises(ValueError, match="antenna count"):
-        da_estimate_matrix(Observation(train.y[:-1], Phase.TRAINING, n0), data,
-                           pilots, side, betas, n0)
+        da_estimate_matrix(z[:-1], data, pilots, side, betas, n0)
 
 
 def test_rho_da_zero_ber_is_total_energy():
@@ -249,11 +284,10 @@ def test_da_estimates_take_one_ber_per_trial():
     data = Observation(y=np.stack([s[4].y for s in setups]), phase=Phase.DATA, noise_power=n0)
     side = DecodedSideInfo(x_hat=np.stack([s[5].x_hat for s in setups]),
                            ber=np.stack([s[5].ber for s in setups]), power=setups[0][5].power)
-    stacked = da_estimate_matrix(train, data, pilots, side, betas, n0)
-    assert np.array_equal(stacked,
-                          _joined(train, data) @ da_combiner_matrix(pilots, side, betas, n0))
+    stacked = da_estimate_matrix(despread(train, pilots), data, pilots, side, betas, n0)
+    _assert_rel(stacked, _joined(train, data) @ _woodbury_combiner(pilots, side, betas, n0))
     for t, (_, _, _, train_t, data_t, side_t, _, _) in enumerate(setups):
-        assert np.array_equal(stacked[t],
-                              da_estimate_matrix(train_t, data_t, pilots, side_t, betas, n0))
+        assert np.array_equal(stacked[t], da_estimate_matrix(despread(train_t, pilots), data_t,
+                                                             pilots, side_t, betas, n0))
         assert delta_s_x(side.ber, betas, side.power)[t] == delta_s_x(side_t.ber, betas,
                                                                       side.power)

@@ -236,6 +236,50 @@ def test_pilot_only_nmse_run_equals_its_trial_by_trial_loop():
         assert np.array_equal(got[m], 10.0 * np.log10(num[m] / den))
 
 
+def test_the_shared_despread_keeps_the_estimators_bits(monkeypatch):
+    # the pilot side despreads each training block once, and the MMSE
+    # estimates and the LS row read that block: each must be what the
+    # estimators give on the same training observation, bit for bit
+    spec = _tiny_spec(trials=2, topologies=1)
+    layout, run = _point(spec, 3.0)
+    memo = experiments._TrialMemo(spec.master_seed, 0, range(2))
+    channels = memo.channels(layout.topo, run.cfg)
+    trains, observe = [], phy.observe
+
+    def spy(*args):
+        trains.append(observe(*args))
+        return trains[-1]
+    monkeypatch.setattr(phy, "observe", spy)
+    pilot = experiments._pilot_side(run, memo, channels)
+    n0 = run.cfg.noise_power_mw
+    assert len(trains) == len(pilot) == len(layout.groups)
+    for (ids, _), train, heard in zip(layout.groups, trains, pilot):
+        assert train.phase is phy.Phase.TRAINING
+        assert np.array_equal(heard.est, estimators.mmse_estimate_matrix(
+            train, run.pilots, layout.betas[ids], n0))
+
+    monkeypatch.setattr(phy, "observe", observe)
+    experiments._trial(spec, run, memo)
+    truth = channels.h_mbs
+    h_ls = estimators.ls_estimate_matrix(trains[0], run.pilots)[:, 0]
+    want = {}
+    experiments._add(want, "ls", np.sum(np.abs(h_ls - truth) ** 2, axis=-2),
+                     np.sum(np.abs(truth) ** 2, axis=-2))
+    assert np.array_equal(run.acc["ls"], want["ls"])
+
+
+def test_da_rows_without_data_are_the_mmse_rows():
+    # with tau_d = 0 the data-aided estimate is the pilot-only MMSE one
+    table = run_sweep(_tiny_spec(base=desk_config(num_sbs=5, num_ue=5, mbs_antennas=16,
+                                                  tau_t=5, tau_d=0)))
+    da = table.filtered(method="da")
+    assert da
+    for row in da:
+        [mmse] = table.filtered(method="mmse", sweep_value=row.sweep_value,
+                                ue_class=row.ue_class)
+        assert (row.mean, row.stderr, row.n) == (mmse.mean, mmse.stderr, mmse.n)
+
+
 def test_write_csv_round_trip(tmp_path):
     table = run_sweep(_tiny_spec())
     path = tmp_path / "out.csv"

@@ -3,6 +3,7 @@ import pytest
 
 from hetnetsim import phy
 from hetnetsim.data_aided import DecodedSideInfo, da_estimate_matrix
+from hetnetsim.estimators import despread
 from hetnetsim.phy import (
     Phase,
     draw_channels,
@@ -121,16 +122,16 @@ def test_observe_shape_and_mismatch():
 
 
 def test_joint_rejects_wrong_phases():
-    # the training-then-data join happens inside da_estimate_matrix, which
-    # takes only a (training, data) pair: blocks swapped or doubled are refused
+    # the despread takes only a training block and da_estimate_matrix only a
+    # data block beside it: blocks swapped or doubled are refused
     pilots = make_pilots(2, 2, 1.0)
     side = DecodedSideInfo(x_hat=np.zeros((2, 2)), ber=np.zeros(2), power=1.0)
     train = observe(np.zeros((2, 2)), pilots.s, 0.0, phy.awgn([1], (2, 2), 0.0)[0], Phase.TRAINING)
     data = observe(np.zeros((2, 2)), np.zeros((2, 2)), 0.0, phy.awgn([1], (2, 2), 0.0)[0],
                    Phase.DATA)
     for first, second in ((data, train), (train, train), (data, data)):
-        with pytest.raises(ValueError, match=r"\(training, data\) pair"):
-            da_estimate_matrix(first, second, pilots, side, (1.0, 1.0), 0.1)
+        with pytest.raises(ValueError, match=r"(training|data)-phase"):
+            da_estimate_matrix(despread(first, pilots), second, pilots, side, (1.0, 1.0), 0.1)
 
 
 def test_observation_energy_balance():
