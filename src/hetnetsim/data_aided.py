@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import mmse_shrinkage, pilot_snr
+from .estimators import mmse_estimate_matrix, pilot_snr
 from .phy import Observation, Phase, PilotMatrix
 
 
@@ -81,7 +81,7 @@ def da_estimate_matrix(
                          f"columns, expected K + tau_d = {len(betas)} + {tau_d}")
     if tau_d == 0:
         # no data columns: the scheme is exactly the pilot-only MMSE estimator
-        return z * mmse_shrinkage(betas, pilots.power, pilots.tau_t, noise_power)[..., None, :]
+        return mmse_estimate_matrix(z, pilots, betas, noise_power)
     bers = fold_ber(side.ber)
     decoded = side.x_hat * (1.0 - 2.0 * bers)[..., None]
     decoded_h = decoded.conj().swapaxes(-1, -2)

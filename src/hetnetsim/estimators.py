@@ -30,29 +30,26 @@ class EstimateStats:
 
 def despread(obs: Observation, pilots: PilotMatrix) -> np.ndarray:
     """The training block correlated with each pilot, y S^H: tau_t*P_T*g_k
-    plus N s_k^H in column k.  The pilot-only estimators scale it, and the
-    data-aided estimate takes it as its pilot term."""
+    plus N s_k^H in column k.  Every estimator takes it as its input."""
     if obs.phase is not Phase.TRAINING:
         raise ValueError("despreading needs a training-phase observation")
     return obs.y @ pilots.s.conj().T
 
 
-def ls_estimate_matrix(obs: Observation, pilots: PilotMatrix) -> np.ndarray:
-    """LS estimates of all UEs at once, one column per UE."""
-    return despread(obs, pilots) / (pilots.tau_t * pilots.power)
+def ls_estimate_matrix(z: np.ndarray, pilots: PilotMatrix) -> np.ndarray:
+    """LS estimates of all UEs at once, one column per UE, from the despread block ``z``."""
+    return z / (pilots.tau_t * pilots.power)
 
 
-def mmse_estimate_matrix(
-    obs: Observation, pilots: PilotMatrix, betas, noise_power: float
-) -> np.ndarray:
+def mmse_estimate_matrix(z: np.ndarray, pilots: PilotMatrix, betas,
+                         noise_power: float) -> np.ndarray:
     """Per-UE MMSE estimates for orthogonal pilots: a scalar shrinkage
-    beta/(N0 + beta*tau_t*P_T) applied to the despread observation.
+    beta/(N0 + beta*tau_t*P_T) applied to the despread training block ``z``.
 
-    An observation with leading axes, such as (T, B, antennas, tau_t),
-    takes one row of ``betas`` per BS, (B, K), and gives (T, B, antennas, K).
+    A block with leading axes, such as (T, B, antennas, K), takes one row
+    of ``betas`` per BS, (B, K), and gives (T, B, antennas, K).
     """
-    return despread(obs, pilots) * mmse_shrinkage(
-        betas, pilots.power, pilots.tau_t, noise_power)[..., None, :]
+    return z * mmse_shrinkage(betas, pilots.power, pilots.tau_t, noise_power)[..., None, :]
 
 
 def mmse_shrinkage(betas, p_t: float, tau_t: int, noise_power: float) -> np.ndarray:

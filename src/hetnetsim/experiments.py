@@ -371,10 +371,7 @@ def _pilot_side(run: _TopologyRun, memo: _TrialMemo, channels) -> list:
             noise = memo.noise(PH_NOISE_TRAIN, ids, (chan.shape[-2], cfg.tau_t), n0)
             z = estimators.despread(
                 phy.observe(chan, run.pilots.s, n0, noise, Phase.TRAINING), run.pilots)
-            # mmse_estimate_matrix's operations, so the estimates keep its bits
-            est = z * estimators.mmse_shrinkage(
-                betas[ids], run.pilots.power, run.pilots.tau_t, n0)[..., None, :]
-            out.append(_Pilot(z, est))
+            out.append(_Pilot(z, estimators.mmse_estimate_matrix(z, run.pilots, betas[ids], n0)))
         return out
     return memo.stage("pilot", "pilot", make)
 
@@ -619,7 +616,7 @@ def _trial(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo) -> None:
             if "mmse" in spec.estimators:
                 errors["mmse"] = np.sum(np.abs(pilot[0].est[:, 0] - truth) ** 2, axis=-2)
             if "ls" in spec.estimators:
-                h_ls = pilot[0].z[:, 0] / (run.pilots.tau_t * run.pilots.power)
+                h_ls = estimators.ls_estimate_matrix(pilot[0].z[:, 0], run.pilots)
                 errors["ls"] = np.sum(np.abs(h_ls - truth) ** 2, axis=-2)
             return errors
         errors = memo.stage("pilot", "nmse", pilot_only)

@@ -82,10 +82,10 @@ def _pilot_only_nmse_run(cfg, topo, master_seed, tag, point, trials):
     n0 = cfg.noise_power_mw
     keys = [(master_seed, tag, point, t) for t in range(trials)]
     h = phy.draw_channels(topo, cfg, [phy.stream(*k, 0) for k in keys]).h_mbs
-    obs = phy.observe(h, pilots.s, n0, phy.awgn(
-        [phy.stream(*k, 1) for k in keys], (cfg.mbs_antennas, cfg.tau_t), n0), Phase.TRAINING)
-    estimates = {"ls": estimators.ls_estimate_matrix(obs, pilots),
-                 "mmse": estimators.mmse_estimate_matrix(obs, pilots, topo.beta_mbs, n0)}
+    noise = phy.awgn([phy.stream(*k, 1) for k in keys], (cfg.mbs_antennas, cfg.tau_t), n0)
+    z = estimators.despread(phy.observe(h, pilots.s, n0, noise, Phase.TRAINING), pilots)
+    estimates = {"ls": estimators.ls_estimate_matrix(z, pilots),
+                 "mmse": estimators.mmse_estimate_matrix(z, pilots, topo.beta_mbs, n0)}
     # summing each trial's per-UE sums over axis 0 adds the trials in order
     den = np.sum(np.sum(np.abs(h) ** 2, axis=-2), axis=0)
     return {m: 10.0 * np.log10(np.sum(np.sum(np.abs(est - h) ** 2, axis=-2), axis=0) / den)
@@ -377,8 +377,8 @@ def check_saturation_limits(master_seed: int = 1) -> list:
     data = phy.observe(h, block.symbols, n0,
                        phy.awgn([phy.stream(master_seed, _TAG_C8, 4)],
                                 (cfg.mbs_antennas, cfg.tau_d), n0)[0], Phase.DATA)
-    pilot_only = estimators.mmse_estimate_matrix(train, pilots, topo.beta_mbs, n0)
     z = estimators.despread(train, pilots)
+    pilot_only = estimators.mmse_estimate_matrix(z, pilots, topo.beta_mbs, n0)
 
     side_half = data_aided.DecodedSideInfo(
         x_hat=block.symbols, ber=np.full(k_total, 0.5), power=cfg.p_data_mw)
@@ -465,10 +465,9 @@ def check_detector_ordering(master_seed: int = 1) -> list:
     g = phy.draw_channels(topo, cfg, [phy.stream(master_seed, 910)]).g_sbs[0, 0]
     pilots = phy.make_pilots(3, cfg.tau_t, cfg.p_train_mw)
     n0 = cfg.noise_power_mw
-    train = phy.observe(g, pilots.s, n0,
-                        phy.awgn([phy.stream(master_seed, 911)],
-                                 (cfg.sbs_antennas, cfg.tau_t), n0)[0], Phase.TRAINING)
-    est = estimators.mmse_estimate_matrix(train, pilots, topo.beta_sbs[0], n0)
+    noise = phy.awgn([phy.stream(master_seed, 911)], (cfg.sbs_antennas, cfg.tau_t), n0)[0]
+    z = estimators.despread(phy.observe(g, pilots.s, n0, noise, Phase.TRAINING), pilots)
+    est = estimators.mmse_estimate_matrix(z, pilots, topo.beta_sbs[0], n0)
     bits = detectors.random_bits(3, 64, Modulation.BPSK, phy.stream(master_seed, 912))
     block = detectors.modulate(bits, Modulation.BPSK, cfg.p_data_mw)
     data = phy.observe(g, block.symbols, n0,

@@ -154,16 +154,18 @@ def test_woodbury_equals_direct_solve_on_random_instances():
 def test_da_without_data_reduces_to_pilot_only():
     h, pilots, _, train, data, _, betas, n0 = _setup(tau_d=0)
     side = DecodedSideInfo(x_hat=np.zeros((2, 0)), ber=np.zeros(2), power=2.0)
-    da = da_estimate_matrix(despread(train, pilots), data, pilots, side, betas, n0)
-    po = mmse_estimate_matrix(train, pilots, betas, n0)
+    z = despread(train, pilots)
+    da = da_estimate_matrix(z, data, pilots, side, betas, n0)
+    po = mmse_estimate_matrix(z, pilots, betas, n0)
     assert np.array_equal(da, po)
 
 
 def test_da_with_half_ber_degrades_to_pilot_only():
     h, pilots, _, train, data, side, betas, n0 = _setup(seed=5)
     side_half = DecodedSideInfo(x_hat=side.x_hat, ber=np.full(2, 0.5), power=side.power)
-    da = da_estimate_matrix(despread(train, pilots), data, pilots, side_half, betas, n0)
-    po = mmse_estimate_matrix(train, pilots, betas, n0)
+    z = despread(train, pilots)
+    da = da_estimate_matrix(z, data, pilots, side_half, betas, n0)
+    po = mmse_estimate_matrix(z, pilots, betas, n0)
     assert np.linalg.norm(da - po) / np.linalg.norm(po) < 1e-9
 
 

@@ -6,6 +6,7 @@ from hetnetsim import phy
 from hetnetsim.estimators import (
     EstMethod,
     analytic_nmse,
+    despread,
     ls_estimate_matrix,
     mmse_error_stats,
     mmse_estimate_matrix,
@@ -42,7 +43,7 @@ def _mmse_normal_equations(obs, pilots, betas, n0):
 def test_ls_noiseless_recovers_channel():
     rng = np.random.default_rng(1)
     g, pilots, obs = _training_setup([1.0, 0.5], 4, 2.0, 0.0, 8, rng)
-    est = ls_estimate_matrix(obs, pilots)
+    est = ls_estimate_matrix(despread(obs, pilots), pilots)
     assert np.allclose(est[:, 0], g[:, 0], atol=1e-12)
 
 
@@ -52,23 +53,25 @@ def test_ls_error_variance_monte_carlo():
     errs = []
     for _ in range(2000):
         g, pilots, obs = _training_setup([1.0], 10, 10.0, 1.0, 8, rng)
-        errs.append(np.mean(np.abs(ls_estimate_matrix(obs, pilots)[:, 0] - g[:, 0]) ** 2))
+        z = despread(obs, pilots)
+        errs.append(np.mean(np.abs(ls_estimate_matrix(z, pilots)[:, 0] - g[:, 0]) ** 2))
     assert np.mean(errs) == pytest.approx(0.01, rel=0.05)
 
 
 def test_estimators_reject_data_phase():
+    # every estimator takes the despread block, and only despread reads the phase
     obs = observe(np.zeros((2, 3)), np.zeros((3, 4)), 0.0, phy.awgn([1], (2, 4), 0.0)[0],
                   Phase.DATA)
     pilots = make_pilots(3, 4, 1.0)
     with pytest.raises(ValueError, match="training"):
-        ls_estimate_matrix(obs, pilots)
+        despread(obs, pilots)
 
 
 def test_mmse_matches_normal_equation_benchmark():
     rng = np.random.default_rng(3)
     betas = [2.0, 0.3, 0.9]
     g, pilots, obs = _training_setup(betas, 6, 1.7, 0.8, 5, rng)
-    fast = mmse_estimate_matrix(obs, pilots, betas, 0.8)
+    fast = mmse_estimate_matrix(despread(obs, pilots), pilots, betas, 0.8)
     slow = _mmse_normal_equations(obs, pilots, betas, 0.8)
     assert np.allclose(fast, slow, rtol=1e-10)
 
@@ -76,14 +79,14 @@ def test_mmse_matches_normal_equation_benchmark():
 def test_mmse_high_energy_limit_recovers_channel():
     rng = np.random.default_rng(5)
     g, pilots, obs = _training_setup([1.0], 8, 1e12, 1e-6, 8, rng)
-    est = mmse_estimate_matrix(obs, pilots, [1.0], 1e-6)
+    est = mmse_estimate_matrix(despread(obs, pilots), pilots, [1.0], 1e-6)
     assert np.allclose(est[:, 0], g[:, 0], rtol=1e-4)
 
 
 def test_mmse_zero_pilot_power_gives_zero_estimate():
     rng = np.random.default_rng(6)
     g, pilots, obs = _training_setup([1.0], 4, 0.0, 1.0, 4, rng)
-    est = mmse_estimate_matrix(obs, pilots, [1.0], 1.0)
+    est = mmse_estimate_matrix(despread(obs, pilots), pilots, [1.0], 1.0)
     assert np.all(est == 0)
     stats = mmse_error_stats(1.0, 0.0, 4, 1.0)
     assert stats.error_var == 1.0 and stats.estimate_var == 0.0
@@ -127,7 +130,7 @@ def test_mmse_estimate_error_orthogonality():
     cross, scale = 0.0, 0.0
     for _ in range(3000):
         g, pilots, obs = _training_setup([1.0], 4, 0.5, 1.0, 2, rng)
-        est = mmse_estimate_matrix(obs, pilots, [1.0], 1.0)[:, 0]
+        est = mmse_estimate_matrix(despread(obs, pilots), pilots, [1.0], 1.0)[:, 0]
         err = g[:, 0] - est
         cross += np.sum(est.conj() * err).real
         scale += np.sum(np.abs(est) ** 2)
@@ -168,9 +171,10 @@ def test_empirical_nmse_tracks_closed_forms():
     den = 0.0
     for _ in range(1000):
         g, pilots, obs = _training_setup([beta], tau_t, p_t, n0, 16, rng)
-        num["ls"] += np.sum(np.abs(ls_estimate_matrix(obs, pilots)[:, 0] - g[:, 0]) ** 2)
+        z = despread(obs, pilots)
+        num["ls"] += np.sum(np.abs(ls_estimate_matrix(z, pilots)[:, 0] - g[:, 0]) ** 2)
         num["mmse"] += np.sum(
-            np.abs(mmse_estimate_matrix(obs, pilots, [beta], n0)[:, 0] - g[:, 0]) ** 2)
+            np.abs(mmse_estimate_matrix(z, pilots, [beta], n0)[:, 0] - g[:, 0]) ** 2)
         den += np.sum(np.abs(g[:, 0]) ** 2)
     for method in ("ls", "mmse"):
         empirical = 10 * np.log10(num[method] / den)
@@ -186,10 +190,11 @@ def test_stacked_mmse_estimates_equal_per_bs_calls():
     pilots = make_pilots(4, 6, 1.5)
     channels = phy.complex_gaussian(rng, (3, 5, 4)) * np.sqrt(betas)[:, None, :]
     obs = observe(channels, pilots.s, 0.3, phy.awgn([11, 12, 13], (5, 6), 0.3), Phase.TRAINING)
-    stacked = mmse_estimate_matrix(obs, pilots, betas, 0.3)
+    stacked = mmse_estimate_matrix(despread(obs, pilots), pilots, betas, 0.3)
     for b in range(3):
         alone = observe(channels[b], pilots.s, 0.3, phy.awgn([11 + b], (5, 6), 0.3)[0],
                         Phase.TRAINING)
-        np.testing.assert_allclose(stacked[b], mmse_estimate_matrix(alone, pilots, betas[b], 0.3),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            stacked[b], mmse_estimate_matrix(despread(alone, pilots), pilots, betas[b], 0.3),
+            rtol=1e-12)
 

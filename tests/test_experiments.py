@@ -207,12 +207,32 @@ def test_mutated_mmse_shrinkage_breaks_validation(monkeypatch):
     # MMSE estimator must trip the closed-form agreement check
     true_fn = estimators.mmse_estimate_matrix
 
-    def tampered(obs, pilots, betas, noise_power):
-        return 2.0 * true_fn(obs, pilots, betas, noise_power)
+    def tampered(z, pilots, betas, noise_power):
+        return 2.0 * true_fn(z, pilots, betas, noise_power)
 
     monkeypatch.setattr(estimators, "mmse_estimate_matrix", tampered)
     [(passed, _, _)] = validation.check_pilot_only_closed_forms(master_seed=1)
     assert not passed
+
+
+@pytest.mark.parametrize("name,row,other", [("mmse_estimate_matrix", "mmse", "ls"),
+                                            ("ls_estimate_matrix", "ls", "mmse")])
+def test_a_doubled_estimator_moves_its_own_sweep_row(monkeypatch, name, row, other):
+    # the sweep's pilot-only rows come from the estimator functions, not
+    # from copies of their formulas: a 2x error in one moves every value of
+    # its row and no value of the other's
+    spec = _tiny_spec(estimators=("ls", "mmse"))
+    before = run_sweep(spec)
+    true_fn = getattr(estimators, name)
+
+    def tampered(*args):
+        return 2.0 * true_fn(*args)
+
+    monkeypatch.setattr(estimators, name, tampered)
+    after = run_sweep(spec)
+    moved = list(zip(before.filtered(method=row), after.filtered(method=row)))
+    assert moved and all(a.mean != b.mean for a, b in moved)
+    assert after.filtered(method=other) == before.filtered(method=other)
 
 
 def test_pilot_only_nmse_run_equals_its_trial_by_trial_loop():
@@ -226,9 +246,9 @@ def test_pilot_only_nmse_run_equals_its_trial_by_trial_loop():
     for t in range(5):
         h = phy.draw_channels(topo, cfg, [phy.stream(5, 9, 2, t, 0)]).h_mbs[0]
         noise = phy.awgn([phy.stream(5, 9, 2, t, 1)], (cfg.mbs_antennas, cfg.tau_t), n0)[0]
-        obs = phy.observe(h, pilots.s, n0, noise, phy.Phase.TRAINING)
-        for m, est in (("ls", estimators.ls_estimate_matrix(obs, pilots)),
-                       ("mmse", estimators.mmse_estimate_matrix(obs, pilots, topo.beta_mbs, n0))):
+        z = estimators.despread(phy.observe(h, pilots.s, n0, noise, phy.Phase.TRAINING), pilots)
+        for m, est in (("ls", estimators.ls_estimate_matrix(z, pilots)),
+                       ("mmse", estimators.mmse_estimate_matrix(z, pilots, topo.beta_mbs, n0))):
             num[m] += np.sum(np.abs(est - h) ** 2, axis=0)
         den += np.sum(np.abs(h) ** 2, axis=0)
     got = validation._pilot_only_nmse_run(cfg, topo, 5, 9, 2, trials=5)
@@ -237,9 +257,8 @@ def test_pilot_only_nmse_run_equals_its_trial_by_trial_loop():
 
 
 def test_the_shared_despread_keeps_the_estimators_bits(monkeypatch):
-    # the pilot side despreads each training block once, and the MMSE
-    # estimates and the LS row read that block: each must be what the
-    # estimators give on the same training observation, bit for bit
+    # the pilot side despreads each group's training block once and keeps
+    # that block beside the MMSE estimates made from it, bit for bit
     spec = _tiny_spec(trials=2, topologies=1)
     layout, run = _point(spec, 3.0)
     memo = experiments._TrialMemo(spec.master_seed, 0, range(2))
@@ -254,18 +273,10 @@ def test_the_shared_despread_keeps_the_estimators_bits(monkeypatch):
     n0 = run.cfg.noise_power_mw
     assert len(trains) == len(pilot) == len(layout.groups)
     for (ids, _), train, heard in zip(layout.groups, trains, pilot):
-        assert train.phase is phy.Phase.TRAINING
+        z = estimators.despread(train, run.pilots)
+        assert np.array_equal(heard.z, z)
         assert np.array_equal(heard.est, estimators.mmse_estimate_matrix(
-            train, run.pilots, layout.betas[ids], n0))
-
-    monkeypatch.setattr(phy, "observe", observe)
-    experiments._trial(spec, run, memo)
-    truth = channels.h_mbs
-    h_ls = estimators.ls_estimate_matrix(trains[0], run.pilots)[:, 0]
-    want = {}
-    experiments._add(want, "ls", np.sum(np.abs(h_ls - truth) ** 2, axis=-2),
-                     np.sum(np.abs(truth) ** 2, axis=-2))
-    assert np.array_equal(run.acc["ls"], want["ls"])
+            z, run.pilots, layout.betas[ids], n0))
 
 
 def test_da_rows_without_data_are_the_mmse_rows():
