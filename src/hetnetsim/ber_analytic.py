@@ -56,7 +56,7 @@ def effective_rho(betas, p_t: float, tau_t: int, noise_power: float, p_d: float)
     return 1.0 / (resid + noise_power / p_d)
 
 
-def stieltjes_moments(n_antennas, interferer_gains, tolerance: float = 1e-12):
+def stieltjes_moments(n_antennas, interferer_gains, tolerance: float = 1e-13):
     """Solve the deterministic-equivalent fixed point at z = -1.
 
     ``interferer_gains`` holds rho_v * beta_hat_i for every interferer. The
@@ -72,7 +72,7 @@ def stieltjes_moments(n_antennas, interferer_gains, tolerance: float = 1e-12):
     In u = 1/m - 1 the condition reads u = R(u) = sum_i g_i (1+u)/(1+u+N g_i),
     with R increasing and concave, so Newton's method started right of the
     root at u = sum_i g_i, an upper bound on R, falls monotonically onto it.
-    Each row stops once its residual |m - F(m)| is within ``tolerance``.
+    Each row stops once its residual |m - F(m)| is within ``tolerance`` * m.
     """
     gains = np.asarray(interferer_gains, dtype=float)
     if np.any(gains < 0):
@@ -84,7 +84,7 @@ def stieltjes_moments(n_antennas, interferer_gains, tolerance: float = 1e-12):
         m = 1.0 / (1.0 + u)
         load = 1.0 + n * rows * m[:, None]
         interference = np.sum(rows / load, axis=1)            # R(u) = F(m)^-1 - 1
-        active = np.abs(m - 1.0 / (1.0 + interference)) > tolerance
+        active = np.abs(m - 1.0 / (1.0 + interference)) > tolerance * m
         # F'(m) of the interference term; sigma2 > mu^2 whenever interferers spread
         f_prime = -np.sum(n * rows ** 2 / load ** 2, axis=1)
         if not np.any(active):

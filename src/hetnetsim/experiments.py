@@ -1,10 +1,10 @@
 """Seeded Monte Carlo sweep harness for the three-stage estimation scheme.
 
 A sweep regenerates topologies and channel realizations from counter-based
-substreams of one master seed, runs training, uplink detection, data-aided
-estimation and (for the rate metric) downlink evaluation, then aggregates
-per UE class into a tidy table.  Results are a pure function of the
-ExperimentSpec; the worker count never changes the output.
+substreams of one master seed, runs the stages its rows read (training,
+uplink detection, data-aided estimation, the downlink for rate), then
+aggregates per UE class into a tidy table.  Results are a pure function of
+the ExperimentSpec; the worker count never changes the output.
 """
 
 from __future__ import annotations
@@ -170,17 +170,26 @@ def _apply_sweep(base: SystemConfig, name: str, value) -> SystemConfig:
     return base.replace(**{name: value})
 
 
-def _uses_analytic_ber(spec: ExperimentSpec) -> bool:
-    """Whether the sweep solves the analytic BER, derived for BPSK only: for
-    the BER metric's analytic rows, which score the MMSE detector, or to
-    feed the data-aided combiner, which otherwise takes the empirical BER."""
-    if spec.modulation is not Modulation.BPSK:
-        if spec.metric is not Metric.BER and spec.ber_source is BerSource.ANALYTIC_PROP1:
-            log.debug("non-binary modulation: combiner falls back to empirical BER")
-        return False
-    if spec.metric is Metric.BER:
-        return "mmse" in spec.detectors
-    return spec.ber_source is BerSource.ANALYTIC_PROP1
+@dataclass(frozen=True)
+class _Plan:
+    """The stages a sweep runs after training: exactly those its rows read."""
+
+    detect: bool                       # detection at the UL serving BSs
+    da: bool                           # the data-aided solve at the MBS
+    analytic: bool                     # the analytic BER, derived for BPSK only
+
+
+def _plan(spec: ExperimentSpec) -> _Plan:
+    """The stages the rows of ``spec`` read.  The BER metric's analytic rows
+    score the MMSE detector; ``zero_error`` feeds the DA solve no decisions."""
+    ber, bpsk = spec.metric is Metric.BER, spec.modulation is Modulation.BPSK
+    da = spec.metric is Metric.RATE or (not ber and "da" in spec.estimators)
+    detect = ber or (da and spec.ber_source is not BerSource.ZERO_ERROR)
+    analytic = ("mmse" in spec.detectors if ber
+                else da and spec.ber_source is BerSource.ANALYTIC_PROP1)
+    if analytic and not (ber or bpsk):
+        log.debug("non-binary modulation: combiner falls back to empirical BER")
+    return _Plan(detect, da, analytic and bpsk)
 
 
 def _bs_betas(topo) -> np.ndarray:
@@ -267,9 +276,10 @@ class _Part:
 @dataclass(frozen=True)
 class _Layout:
     """What a topology's sweep points share unless they differ in a field
-    it reads: the topology, the association, what the trials listen to and
-    the index bookkeeping of their stages."""
+    it reads: the topology, the association, the stage plan, what the
+    trials listen to and the index bookkeeping of their stages."""
 
+    plan: _Plan
     topo: scenario.Topology
     assoc: scenario.Association
     betas: np.ndarray                  # (S + 1, K) gains, row 0 the MBS
@@ -345,9 +355,9 @@ class _TrialMemo:
         ).reshape(len(self._streams), len(ids), *shape), keep)
 
 
-def _group_channels(run: _TopologyRun, channels):
-    """Each listener group's BS ids and channels, (T, B, antennas, K)."""
-    for ids, _ in run.layout.groups:
+def _group_channels(run: _TopologyRun, channels, count=None):
+    """Each listener group's BS ids and channels, (T, B, antennas, K), or the first ``count``'s."""
+    for ids, _ in run.layout.groups[:count]:
         yield ids, (channels.h_mbs[:, None] if ids[0] == 0 else channels.g_sbs[:, ids - 1])
 
 
@@ -377,16 +387,17 @@ def _pilot_side(run: _TopologyRun, memo: _TrialMemo, channels) -> list:
 
 
 def _data_side(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, channels):
-    """Stage 1, data side: the payload and the data observations at every
-    listener.  It reads neither p_train_dbm nor tau_t."""
+    """Stage 1, data side: the payload and its observations at each listener
+    (the MBS alone if nothing is detected); reads no p_train_dbm or tau_t."""
     cfg, n0 = run.cfg, run.cfg.noise_power_mw
+    count = None if run.layout.plan.detect else 1
 
     def make():
         block = detectors.modulate(memo.bits(cfg, spec.modulation), spec.modulation,
                                    cfg.p_data_mw)
         data = [phy.observe(chan, block.symbols[:, None], n0, memo.noise(
                     PH_NOISE_DATA, ids, (chan.shape[-2], cfg.tau_d), n0), Phase.DATA)
-                for ids, chan in _group_channels(run, channels)]
+                for ids, chan in _group_channels(run, channels, count)]
         return block, data
     return memo.stage("data", "data", make)
 
@@ -518,15 +529,15 @@ def sweep_topology(cfg: SystemConfig, master_seed: int, topo_idx: int = 0) -> tu
 
 
 def _layout(spec: ExperimentSpec, cfg: SystemConfig, topo_idx: int) -> _Layout:
-    """The layout of topology ``topo_idx`` at ``cfg``: the topology, what its
-    trials listen to and the index bookkeeping of their stages.  It reads
-    no field of ``_BLIND["layout"]``."""
-    metric = spec.metric
+    """The layout of topology ``topo_idx`` at ``cfg``: the topology, the
+    stage plan, what its trials listen to and the index bookkeeping of
+    their stages.  It reads no field of ``_BLIND["layout"]``."""
+    metric, plan = spec.metric, _plan(spec)
     topo, assoc = sweep_topology(cfg, spec.master_seed, topo_idx)
 
-    # the BER metric scores decoupled UEs only and never listens at the MBS
+    # detection scores decoupled UEs for BER, every UE or none for the DA solve
     labels = scenario.ue_classes(assoc)
-    scored = labels == "decoupled" if metric is Metric.BER else np.full(cfg.num_ue, True)
+    scored = labels == "decoupled" if metric is Metric.BER else np.full(cfg.num_ue, plan.detect)
     dl_sbs = sorted({int(b) for b in assoc.dl_serving if b != 0})
     listeners = {int(v) for v in assoc.ul_serving[scored]}
     if metric is not Metric.BER:
@@ -545,7 +556,7 @@ def _layout(spec: ExperimentSpec, cfg: SystemConfig, topo_idx: int) -> _Layout:
         mbs_idx = np.flatnonzero(assoc.dl_serving == 0)
         if len(mbs_idx):
             dl_sets.append((0, 0, 0, mbs_idx))
-    return _Layout(topo, assoc, _bs_betas(topo), labels, groups,
+    return _Layout(plan, topo, assoc, _bs_betas(topo), labels, groups,
                    _parts(assoc, scored, dets, groups), dl_sets)
 
 
@@ -554,9 +565,8 @@ def _point_runs(spec: ExperimentSpec, layout: _Layout, cfgs) -> list:
     with the analytic BERs of all of them from one solve where the sweep
     uses them.  The sums start with the analytic rows alone; each trial
     adds its own methods."""
-    analytic = [None] * len(cfgs)
-    if _uses_analytic_ber(spec):
-        analytic = list(zip(*analytic_ber_vector(cfgs, layout.topo, layout.assoc)))
+    analytic = (list(zip(*analytic_ber_vector(cfgs, layout.topo, layout.assoc)))
+                if layout.plan.analytic else [None] * len(cfgs))
     runs = []
     for cfg, rows in zip(cfgs, analytic):
         acc = {}
@@ -569,39 +579,26 @@ def _point_runs(spec: ExperimentSpec, layout: _Layout, cfgs) -> list:
     return runs
 
 
-def _uplink(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo, channels, pilot):
-    """The data side, detection at the UL serving BSs and, for every metric
-    but BER, stage 3: the data-aided solve at the MBS.  Returns each
-    combiner's empirical BERs and the data-aided estimates, (T, M, K) or
-    None.  Unless another point shares them, the SBSs' data observations
-    are released before the solve."""
-    cfg = run.cfg
-    block, data = _data_side(spec, run, memo, channels)
-    x_hat, emp_bers = _detect(run, memo, pilot, data, block)
-    if spec.metric is Metric.BER:
-        return emp_bers, None
-    data = data[0]
-    zeros = np.zeros(cfg.num_ue)
-    if spec.ber_source is BerSource.ZERO_ERROR:
-        x_hat, side_ber = block.symbols, zeros
-    elif run.analytic is not None:
-        side_ber = run.analytic[0]
-    else:
-        side_ber = emp_bers.get("mmse", zeros)
-    side = data_aided.DecodedSideInfo(x_hat=x_hat, ber=side_ber, power=cfg.p_data_mw)
-    return emp_bers, data_aided.da_estimate_matrix(
-        pilot[0].z[:, 0], dataclasses.replace(data, y=data.y[:, 0]),
-        run.pilots, side, run.layout.topo.beta_mbs, cfg.noise_power_mw)
-
-
 def _trial(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo) -> None:
-    """One chunk of trials at one sweep point: the stages its metric needs
-    (training at each listening BS, detection at the UL serving BSs, the
-    data-aided solve at the MBS, the downlink), summed into ``run.acc``."""
-    cfg, metric, acc = run.cfg, spec.metric, run.acc
+    """One chunk of trials at one sweep point, summed into ``run.acc``: the
+    stages in order, each run where the layout's plan asks for it."""
+    cfg, metric, acc, plan = run.cfg, spec.metric, run.acc, run.layout.plan
     channels = memo.channels(run.layout.topo, cfg)
+    # stage 1: training at every listener, then the data side
     pilot = _pilot_side(run, memo, channels)
-    emp_bers, h_da = _uplink(spec, run, memo, channels, pilot)
+    if plan.detect or plan.da:
+        block, data = _data_side(spec, run, memo, channels)
+        # stage 2: detection at the UL serving BSs
+        x_hat, emp_bers = (_detect(run, memo, pilot, data, block) if plan.detect
+                           else (block.symbols, {}))
+    # stage 3: the DA solve at the MBS; unless shared, the SBSs' data observations go first
+    if plan.da:
+        data = data[0]
+        ber = run.analytic[0] if plan.analytic else emp_bers.get("mmse", np.zeros(cfg.num_ue))
+        side = data_aided.DecodedSideInfo(x_hat=x_hat, ber=ber, power=cfg.p_data_mw)
+        h_da = data_aided.da_estimate_matrix(
+            pilot[0].z[:, 0], dataclasses.replace(data, y=data.y[:, 0]),
+            run.pilots, side, run.layout.topo.beta_mbs, cfg.noise_power_mw)
     if metric is Metric.BER:
         nbits = cfg.tau_d * spec.modulation.bits_per_symbol
         for label, ber in emp_bers.items():
@@ -624,6 +621,7 @@ def _trial(spec: ExperimentSpec, run: _TopologyRun, memo: _TrialMemo) -> None:
             err = np.sum(np.abs(h_da - truth) ** 2, axis=-2) if m == "da" else errors[m]
             _add(acc, m, err, errors["power"])
         return
+    # stage 4: the downlink
     for mode, rate in _downlink(run, memo, channels, pilot, h_da).items():
         _add(acc, mode, rate, np.ones_like(rate))
 

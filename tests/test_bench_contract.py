@@ -7,6 +7,7 @@ any error, so these tests pin the names from the library's side.  They read
 perfbench/ and BENCHMARK.json and change neither.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from collections import Counter
 from pathlib import Path
 
 import hetnetsim
-from hetnetsim import experiments
+from hetnetsim import data_aided, detectors, experiments
 from hetnetsim.experiments import ExperimentSpec, Metric, run_sweep
 from hetnetsim.scenario import desk_config
 
@@ -72,6 +73,35 @@ def test_the_pilot_stage_runs_through_the_traced_estimators(monkeypatch):
     groups = sum(len(experiments._layout(spec, cfg, 0).groups) for cfg in cfgs)
     assert spans["estimators.mmse_estimate_matrix"] == groups > len(cfgs)
     assert spans["estimators.ls_estimate_matrix"] == len(cfgs)
+
+
+def test_each_workload_runs_every_stage_it_measures(monkeypatch):
+    # the sweep's stage plan skips what a spec's rows do not read, so a plan
+    # edit could drop a stage from a workload and shrink what the benchmark
+    # measures with no error.  One trial of one topology at each spec's
+    # first point runs the spec's plan
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import REFERENCE_SEED, WORKLOADS
+
+    calls = Counter()
+    for module, name in ((data_aided, "da_estimate_matrix"), (detectors, "detect_all"),
+                         (experiments, "analytic_ber_vector")):
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    stages = {
+        "nmse_full": {"da_estimate_matrix", "detect_all", "analytic_ber_vector"},
+        "rate_full": {"da_estimate_matrix", "detect_all"},
+        "ber_topo_full": {"detect_all", "analytic_ber_vector"},
+    }
+    assert set(stages) == set(WORKLOADS)
+    for workload, want in stages.items():
+        spec = WORKLOADS[workload].spec(REFERENCE_SEED)
+        calls.clear()
+        run_sweep(dataclasses.replace(spec, sweep_values=spec.sweep_values[:1],
+                                      trials=1, topologies=1))
+        assert set(calls) == want, workload
 
 
 def test_import_leaves_scipy_integrate_unloaded():

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -88,6 +89,34 @@ def test_stieltjes_residual_within_tolerance():
     mu, _ = stieltjes_moments(4, gains, tolerance=1e-13)
     resid = abs(mu - 1.0 / (1.0 + np.sum(np.asarray(gains) / (1.0 + 4 * np.asarray(gains) * mu))))
     assert resid < 1e-13
+
+
+def _decimal_fixed_point(n, gains):
+    """mu to 40 digits: Newton's method on u = R(u) in decimal arithmetic,
+    from the same start right of the root, with the float gains exactly."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        g, n = [decimal.Decimal(float(x)) for x in gains], decimal.Decimal(n)
+        u = sum(g)
+        for _ in range(100):
+            r = sum(x * (1 + u) / (1 + u + n * x) for x in g)
+            r_prime = sum(n * x * x / (1 + u + n * x) ** 2 for x in g)
+            step = (r - u) / (1 - r_prime)
+            u += step
+            if abs(step) <= decimal.Decimal("1e-38") * u:
+                return 1 / (1 + u)
+    raise AssertionError("the decimal Newton iteration did not converge")
+
+
+@pytest.mark.parametrize("n, gains", [
+    (1, [1000.0] * 2), (1, [300.0] * 4), (3, [1e4] * 3), (16, [1e3] * 30)])
+def test_a_small_mu_is_relatively_as_accurate_as_a_large_one(n, gains):
+    # mu from 7e-5 to 6e-3: an absolute stopping residual of 1e-12 left
+    # these 1e-10 to 3e-9 off relatively
+    mu, _ = stieltjes_moments(n, gains)
+    want = _decimal_fixed_point(n, gains)
+    assert mu < 1e-2
+    assert abs(decimal.Decimal(mu) - want) <= decimal.Decimal("1e-12") * want
 
 
 def test_stieltjes_rejects_negative_gains():

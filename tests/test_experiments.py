@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetnetsim import (
-    ber_analytic, cli, detectors, downlink, estimators, experiments, phy, scenario, validation,
+    ber_analytic, cli, data_aided, detectors, downlink, estimators, experiments, phy, scenario,
+    validation,
 )
 from hetnetsim.ber_analytic import SinrGammaModel, analytic_ber, ber_lower_bound
 from hetnetsim.data_aided import BerSource
@@ -277,6 +278,56 @@ def test_the_shared_despread_keeps_the_estimators_bits(monkeypatch):
         assert np.array_equal(heard.z, z)
         assert np.array_equal(heard.est, estimators.mmse_estimate_matrix(
             z, run.pilots, layout.betas[ids], n0))
+
+
+_STAGES = ("da_estimate_matrix", "detect_all", "data_awgn", "analytic_ber_vector")
+
+
+def _stage_calls(monkeypatch, spec):
+    """The rows of ``spec``'s sweep and its calls of each stage in
+    ``_STAGES``; ``data_awgn`` counts the noise draws of the data phase
+    (blocks of tau_d columns, tau_t != tau_d)."""
+    assert spec.base.tau_t != spec.base.tau_d
+    calls = dict.fromkeys(_STAGES, 0)
+
+    def spy(module, name, stage=None, counts=lambda *args: True):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[stage or name] += counts(*args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    spy(data_aided, "da_estimate_matrix")
+    spy(detectors, "detect_all")
+    spy(phy, "awgn", "data_awgn", lambda seeds, shape, n0: shape[-1] == spec.base.tau_d)
+    spy(experiments, "analytic_ber_vector")
+    return run_sweep(spec).rows, calls
+
+
+@pytest.mark.parametrize("source", [BerSource.ANALYTIC_PROP1, BerSource.EMPIRICAL_ORACLE])
+def test_a_pilot_only_nmse_sweep_runs_no_data_stage(monkeypatch, source):
+    # without a da row nothing reads the payload: no data is drawn, decided
+    # or solved for, and the ls and mmse rows keep their bits
+    spec = _tiny_spec(estimators=("ls", "mmse"), ber_source=source)
+    rows, calls = _stage_calls(monkeypatch, spec)
+    assert calls == dict.fromkeys(_STAGES, 0)
+    with_da, calls = _stage_calls(monkeypatch, dataclasses.replace(
+        spec, estimators=("ls", "mmse", "da")))
+    analytic = source is BerSource.ANALYTIC_PROP1
+    assert all(calls[stage] for stage in _STAGES if analytic or stage != "analytic_ber_vector")
+    assert rows == tuple(row for row in with_da if row.method != "da")
+
+
+@pytest.mark.parametrize("metric", [Metric.NMSE, Metric.RATE])
+def test_a_zero_error_sweep_solves_da_without_detecting(monkeypatch, metric):
+    # zero_error feeds the DA solve the sent symbols, so no UE is decided;
+    # the data side observes the payload at the MBS alone, once per trial
+    # chunk, since every p_train_dbm point shares it
+    spec = _tiny_spec(metric, ber_source=BerSource.ZERO_ERROR)
+    rows, calls = _stage_calls(monkeypatch, spec)
+    chunks = spec.topologies * math.ceil(spec.trials / experiments._CHUNK)
+    assert rows and calls == {"da_estimate_matrix": chunks * len(spec.sweep_values),
+                              "detect_all": 0, "data_awgn": chunks, "analytic_ber_vector": 0}
 
 
 def test_da_rows_without_data_are_the_mmse_rows():
