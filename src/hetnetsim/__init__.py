@@ -68,7 +68,7 @@ from .data_aided import (
     da_power_floor,
     rho_data_aided,
 )
-from .downlink import DownlinkRates, Precoder, dl_rate, zf_precode
+from .downlink import Precoder, dl_rate, zf_precode
 from .experiments import (
     ExperimentSpec,
     Metric,

@@ -21,12 +21,6 @@ class Precoder:
     ue_indices: tuple
 
 
-@dataclass(frozen=True)
-class DownlinkRates:
-    sinr: np.ndarray                   # ([T,] K) linear SINR
-    rate: np.ndarray                   # ([T,] K) log2(1 + SINR)
-
-
 def zf_precode(estimates: np.ndarray, power: float, ue_indices=None) -> Precoder:
     """ZF beamformer from estimated channels: the conjugate transpose of the
     ZF rows, columns rescaled to power/served.  A leading trial axis,
@@ -46,8 +40,8 @@ def dl_rate(
     precoders: Mapping[int, Precoder],
     assoc: Association,
     noise_power: float,
-) -> DownlinkRates:
-    """Per-UE downlink SINR against the true channels.
+) -> np.ndarray:
+    """Per-UE downlink rate, log2(1 + SINR), against the true channels.
 
     Every stream of every BS interferes (full frequency reuse); the desired
     stream is the serving BS's column for that UE.  Channels and precoders
@@ -64,5 +58,4 @@ def dl_rate(
         desired[..., ues[own]] = powers[..., ues[own], cols[own]]
         powers[..., ues[own], cols[own]] = 0.0
         interference += np.sum(powers, axis=-1)
-    sinr = desired / (interference + noise_power)
-    return DownlinkRates(sinr=sinr, rate=np.log2(1.0 + sinr))
+    return np.log2(1.0 + desired / (interference + noise_power))

@@ -447,14 +447,14 @@ def _downlink(run: _TopologyRun, memo: _TrialMemo, channels, pilot, h_da) -> dic
             power = cfg.p_mbs_mw if v == 0 else cfg.p_sbs_mw
             precoders[v] = downlink.zf_precode(pilot[group].est[:, pos][..., idx], power,
                                                ue_indices=idx)
-        return precoders, downlink.dl_rate(channels, precoders, assoc, n0).rate
+        return precoders, downlink.dl_rate(channels, precoders, assoc, n0)
     precoders, po = memo.stage("pilot", "downlink", pilot_only)
     if 0 not in precoders:
         return {"po": po, "da": po}
     idx = np.asarray(precoders[0].ue_indices)
     precoders = {**precoders, 0: downlink.zf_precode(h_da[..., idx], cfg.p_mbs_mw,
                                                      ue_indices=idx)}
-    return {"po": po, "da": downlink.dl_rate(channels, precoders, assoc, n0).rate}
+    return {"po": po, "da": downlink.dl_rate(channels, precoders, assoc, n0)}
 
 
 def _add(acc: dict, method: str, num, den) -> None:

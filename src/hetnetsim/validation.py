@@ -342,7 +342,9 @@ def check_fixed_point() -> list:
 
 
 def check_power_floor(master_seed: int = 1) -> list:
-    """Criterion 7: the DA increment at 60 dBm sits on the analytic floor."""
+    """Criterion 7: the DA increment follows its saturation law,
+    floor * P_D S / (P_D S + N0) with S = Delta_S at unit power, from the
+    paper's data powers to far past saturation."""
     cfg = desk_config(p_train_dbm=-7.0)
     topo = scenario.build_topology(cfg, phy.stream(master_seed, _TAG_C1))
     assoc = scenario.associate(topo, cfg)
@@ -351,12 +353,16 @@ def check_power_floor(master_seed: int = 1) -> list:
         return [(False, "all analytic BERs are zero at the pilot point", "n/a")]
     n0, dec = cfg.noise_power_mw, assoc.decoupled
     rho_con = estimators.pilot_snr(cfg.p_train_mw, cfg.tau_t, n0)
-    rho_60 = data_aided.rho_data_aided(bers, topo.beta_mbs, cfg.p_train_mw,
-                                       scenario.dbm_to_mw(60.0), cfg.tau_t, cfg.tau_d, n0)
     floor = data_aided.da_power_floor(cfg.tau_d, bers, topo.beta_mbs)[dec]
-    worst = np.max(np.abs(rho_60[dec] - rho_con - floor) / floor, initial=0.0)
-    return [(worst <= 0.005, f"worst |increment(60 dBm) - floor| / floor = {100 * worst:.4f}%",
-             "<= 0.5%")]
+    s = data_aided.delta_s_x(bers, topo.beta_mbs, 1.0)
+    worst = 0.0
+    for p_d in map(scenario.dbm_to_mw, (23.0, 40.0, 60.0, 90.0)):
+        rho = data_aided.rho_data_aided(bers, topo.beta_mbs, cfg.p_train_mw, p_d,
+                                        cfg.tau_t, cfg.tau_d, n0)
+        law = floor * (p_d * s / (p_d * s + n0))
+        worst = max(worst, np.max(np.abs(rho[dec] - rho_con - law) / law, initial=0.0))
+    return [(worst <= 1e-12, f"worst |increment - law| / law, law = floor P S/(P S + N0), "
+             f"P_D = 23-90 dBm: {worst:.1e}", "<= 1e-12")]
 
 
 def check_saturation_limits(master_seed: int = 1) -> list:

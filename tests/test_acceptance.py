@@ -27,6 +27,13 @@ def test_release_check(check):
     assert not failed, "; ".join(r.line() for r in failed)
 
 
+def test_the_power_floor_check_holds_where_saturation_is_far_off():
+    # seed 16 draws a topology whose analytic BERs are all small, so at
+    # 60 dBm its DA increments still sit 0.64% below their floor
+    ((passed, measured, _),) = validation.check_power_floor(16)
+    assert passed, measured
+
+
 def test_validation_report_is_complete():
     # the release gate reports at least 12 uniquely named checks
     assert len(validation.ALL_CHECK_NAMES) >= 12

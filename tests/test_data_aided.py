@@ -238,13 +238,25 @@ def test_power_floor_no_errors_signals_unbounded():
 
 
 def test_power_floor_is_rho_increment_limit():
-    betas = np.array([1e-9, 4e-10, 2e-10])
-    bers = np.array([0.02, 0.003, 0.2])
-    n0, p_t, tau_t, tau_d = 8e-11, 2.0, 30, 128
-    floor = da_power_floor(tau_d, bers, betas)[0]
-    increment = rho_data_aided(bers, betas, p_t, 1e6, tau_t, tau_d, n0)[0] \
-        - tau_t * p_t / n0
-    assert increment == pytest.approx(floor, rel=1e-3)
+    # the increment is floor * P_D S / (P_D S + N0), S = Delta_S at unit
+    # power, at every data power, so it rises to the floor as P_D grows
+    rng = np.random.default_rng(9)
+    n0, tau_t, tau_d = 8e-11, 30, 128
+    cases = [(np.array([1e-9, 4e-10, 2e-10]), np.array([0.02, 0.003, 0.2]), 2.0)]
+    for _ in range(20):
+        # BERs in (0, 0.5], one UE at exactly 0.5; with no pilot power rho is
+        # the increment alone, so a BER near 0.5 loses no digits to the
+        # subtraction of a far larger pilot term
+        cases.append((10.0 ** rng.uniform(-12, -8, size=5),
+                      np.append(0.5 - rng.uniform(0.0, 0.5, size=4), 0.5), 0.0))
+    for betas, bers, p_t in cases:
+        s = delta_s_x(bers, betas, 1.0)
+        assert s > 0
+        floor = da_power_floor(tau_d, bers, betas)
+        for p_d in (0.2, 200.0, 1e6, 1e9):
+            increment = rho_data_aided(bers, betas, p_t, p_d, tau_t, tau_d, n0) - tau_t * p_t / n0
+            np.testing.assert_allclose(increment, floor * (p_d * s / (p_d * s + n0)),
+                                       rtol=1e-12, atol=0)
 
 
 def test_per_ue_terms_equal_a_per_ue_loop_bit_for_bit():
