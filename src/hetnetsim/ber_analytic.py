@@ -17,6 +17,7 @@ import numpy as np
 from .estimators import mmse_error_stats
 
 _MAX_FIXED_POINT_ITERS = 10 ** 4
+_FIXED_POINT_RTOL = 1e-13
 _MAX_CF_TERMS = 10 ** 4
 _HALF_LOG_PI = 0.5 * math.log(math.pi)
 
@@ -56,7 +57,7 @@ def effective_rho(betas, p_t: float, tau_t: int, noise_power: float, p_d: float)
     return 1.0 / (resid + noise_power / p_d)
 
 
-def stieltjes_moments(n_antennas, interferer_gains, tolerance: float = 1e-13):
+def stieltjes_moments(n_antennas, interferer_gains):
     """Solve the deterministic-equivalent fixed point at z = -1.
 
     ``interferer_gains`` holds rho_v * beta_hat_i for every interferer. The
@@ -72,7 +73,7 @@ def stieltjes_moments(n_antennas, interferer_gains, tolerance: float = 1e-13):
     In u = 1/m - 1 the condition reads u = R(u) = sum_i g_i (1+u)/(1+u+N g_i),
     with R increasing and concave, so Newton's method started right of the
     root at u = sum_i g_i, an upper bound on R, falls monotonically onto it.
-    Each row stops once its residual |m - F(m)| is within ``tolerance`` * m.
+    Each row stops once its residual |m - F(m)| is within ``_FIXED_POINT_RTOL`` * m.
     """
     gains = np.asarray(interferer_gains, dtype=float)
     if np.any(gains < 0):
@@ -84,7 +85,7 @@ def stieltjes_moments(n_antennas, interferer_gains, tolerance: float = 1e-13):
         m = 1.0 / (1.0 + u)
         load = 1.0 + n * rows * m[:, None]
         interference = np.sum(rows / load, axis=1)            # R(u) = F(m)^-1 - 1
-        active = np.abs(m - 1.0 / (1.0 + interference)) > tolerance * m
+        active = np.abs(m - 1.0 / (1.0 + interference)) > _FIXED_POINT_RTOL * m
         # F'(m) of the interference term; sigma2 > mu^2 whenever interferers spread
         f_prime = -np.sum(n * rows ** 2 / load ** 2, axis=1)
         if not np.any(active):

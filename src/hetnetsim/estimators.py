@@ -67,16 +67,12 @@ def mmse_error_stats(beta, p_t: float, tau_t: int, noise_power: float) -> Estima
     beta/(1 + beta*P_T*tau_t/N0): each rounded step of that form is monotone
     in N0, so the error never shrinks when the noise grows, not even by an
     ulp.  Neither is taken as beta minus the other, which cancels
-    catastrophically for weak links.
+    catastrophically for weak links.  N0 must be positive.
     """
+    if noise_power <= 0:
+        raise ValueError(f"noise power must be positive, got {noise_power!r}")
     beta = np.asarray(beta, dtype=float)
     energy = beta * p_t * tau_t
-    if noise_power == 0.0:
-        # noiseless training: exact wherever the pilots carry energy, and
-        # exactly zero where they carry none
-        exact = energy > 0.0
-        return EstimateStats(estimate_var=np.where(exact, beta, 0.0)[()],
-                             error_var=np.where(exact, 0.0, beta)[()])
     shrink = mmse_shrinkage(beta, p_t, tau_t, noise_power)
     return EstimateStats(estimate_var=energy * shrink,
                          error_var=beta / (1.0 + energy / noise_power))

@@ -111,9 +111,9 @@ def awgn(seeds, shape, noise_power: float) -> np.ndarray:
 
 
 def observe(channel: np.ndarray, signal: np.ndarray, noise_power: float, noise,
-            phase: Phase = Phase.TRAINING) -> Observation:
+            phase: Phase) -> Observation:
     """y = channel @ signal + noise, the AWGN block ``awgn`` drew at
-    variance noise_power.
+    variance noise_power, labelled with its ``phase``.
 
     ``channel`` may carry leading axes, such as trials and BSs,
     (T, B, antennas, K); ``signal`` is shared across the BS axis, (K, n)

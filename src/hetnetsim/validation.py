@@ -365,6 +365,21 @@ def check_power_floor(master_seed: int = 1) -> list:
              f"P_D = 23-90 dBm: {worst:.1e}", "<= 1e-12")]
 
 
+def _link(cfg, channel, streams, tau_d: int) -> tuple:
+    """Pilots, despread training block, BPSK payload of tau_d symbols and data
+    observation of one hand-built uplink frame over ``channel``, (antennas, K);
+    ``streams`` draw the training noise, the payload bits and the data noise."""
+    n0, (n_ant, k) = cfg.noise_power_mw, channel.shape
+    pilots = phy.make_pilots(k, cfg.tau_t, cfg.p_train_mw)
+    train = phy.observe(channel, pilots.s, n0,
+                        phy.awgn([streams[0]], (n_ant, cfg.tau_t), n0)[0], Phase.TRAINING)
+    block = detectors.modulate(detectors.random_bits(k, tau_d, Modulation.BPSK, streams[1]),
+                               Modulation.BPSK, cfg.p_data_mw)
+    data = phy.observe(channel, block.symbols, n0,
+                       phy.awgn([streams[2]], (n_ant, tau_d), n0)[0], Phase.DATA)
+    return pilots, estimators.despread(train, pilots), block, data
+
+
 def check_saturation_limits(master_seed: int = 1) -> list:
     """Criterion 8: BER = 1/2 and tau_d = 0 degrade DA to pilot-only MMSE;
     zero BER reproduces the total-energy SNR-like term exactly."""
@@ -372,18 +387,9 @@ def check_saturation_limits(master_seed: int = 1) -> list:
     topo = scenario.build_topology(cfg, phy.stream(master_seed, _TAG_C8))
     k_total = cfg.num_ue
     n0 = cfg.noise_power_mw
-    pilots = phy.make_pilots(k_total, cfg.tau_t, cfg.p_train_mw)
     h = phy.draw_channels(topo, cfg, [phy.stream(master_seed, _TAG_C8, 1)]).h_mbs[0]
-    train = phy.observe(h, pilots.s, n0,
-                        phy.awgn([phy.stream(master_seed, _TAG_C8, 2)],
-                                 (cfg.mbs_antennas, cfg.tau_t), n0)[0], Phase.TRAINING)
-    bits = detectors.random_bits(k_total, cfg.tau_d, Modulation.BPSK,
-                                 phy.stream(master_seed, _TAG_C8, 3))
-    block = detectors.modulate(bits, Modulation.BPSK, cfg.p_data_mw)
-    data = phy.observe(h, block.symbols, n0,
-                       phy.awgn([phy.stream(master_seed, _TAG_C8, 4)],
-                                (cfg.mbs_antennas, cfg.tau_d), n0)[0], Phase.DATA)
-    z = estimators.despread(train, pilots)
+    pilots, z, block, data = _link(
+        cfg, h, [phy.stream(master_seed, _TAG_C8, i) for i in (2, 3, 4)], cfg.tau_d)
     pilot_only = estimators.mmse_estimate_matrix(z, pilots, topo.beta_mbs, n0)
 
     side_half = data_aided.DecodedSideInfo(
@@ -469,16 +475,10 @@ def check_detector_ordering(master_seed: int = 1) -> list:
     topo = scenario.topology_from_positions(
         cfg, [(50.0, 0.0)], [(60.0, 0.0), (400.0, 300.0), (-500.0, 100.0)])
     g = phy.draw_channels(topo, cfg, [phy.stream(master_seed, 910)]).g_sbs[0, 0]
-    pilots = phy.make_pilots(3, cfg.tau_t, cfg.p_train_mw)
     n0 = cfg.noise_power_mw
-    noise = phy.awgn([phy.stream(master_seed, 911)], (cfg.sbs_antennas, cfg.tau_t), n0)[0]
-    z = estimators.despread(phy.observe(g, pilots.s, n0, noise, Phase.TRAINING), pilots)
+    pilots, z, block, data = _link(
+        cfg, g, [phy.stream(master_seed, tag) for tag in (911, 912, 913)], 64)
     est = estimators.mmse_estimate_matrix(z, pilots, topo.beta_sbs[0], n0)
-    bits = detectors.random_bits(3, 64, Modulation.BPSK, phy.stream(master_seed, 912))
-    block = detectors.modulate(bits, Modulation.BPSK, cfg.p_data_mw)
-    data = phy.observe(g, block.symbols, n0,
-                       phy.awgn([phy.stream(master_seed, 913)], (cfg.sbs_antennas, 64), n0)[0],
-                       Phase.DATA)
     args = (est[:, :1], topo.beta_sbs[0], cfg.p_train_mw, cfg.tau_t, cfg.p_data_mw, n0)
     comb_zf = detectors.build_combiner(CombinerKind.ZF, *args)
     comb_mrc = detectors.build_combiner(CombinerKind.MRC, *args)

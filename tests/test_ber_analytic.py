@@ -86,7 +86,7 @@ def test_stieltjes_matches_bisection_on_random_instances():
 
 def test_stieltjes_residual_within_tolerance():
     gains = [0.3, 10.0, 250.0]
-    mu, _ = stieltjes_moments(4, gains, tolerance=1e-13)
+    mu, _ = stieltjes_moments(4, gains)
     resid = abs(mu - 1.0 / (1.0 + np.sum(np.asarray(gains) / (1.0 + 4 * np.asarray(gains) * mu))))
     assert resid < 1e-13
 

@@ -70,6 +70,13 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "bogus_knob" in capsys.readouterr().err
 
 
+def test_a_config_file_that_is_no_object_rejected(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text('[{"num_ue": 4}]\n')
+    assert cli.main(["floor", "--config", str(path)]) == 2
+    assert "config error: config file must hold a flat JSON object" in capsys.readouterr().err
+
+
 def test_malformed_override_rejected(tiny_config, capsys):
     code = cli.main(["floor", "--config", str(tiny_config), "--set", "tau_d"])
     assert code == 2
@@ -332,6 +339,13 @@ def test_floor_command_reports_limits(tiny_config, capsys):
                      "--set", "p_train_dbm=-7", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "saturation limit" in out
+
+
+def test_floor_without_sbss_reports_no_decoupled_ue(tiny_config, capsys):
+    assert cli.main(["floor", "--config", str(tiny_config), "--set", "num_sbs=0"]) == 0
+    out = capsys.readouterr().out
+    assert "no decoupled UEs in this topology; nothing to report" in out
+    assert "saturation limit" not in out
 
 
 @pytest.mark.parametrize("modulation", ["qam4", "qam16", "qam99", "BPSK"])

@@ -197,6 +197,16 @@ def test_detect_requires_data_phase():
         detect(obs, comb, block, 0)
 
 
+def test_detect_rejects_a_ue_the_combiner_does_not_cover():
+    est = _toy_estimates(4, [1.0, 1.0, 1.0], 8)
+    block = modulate(random_bits(3, 4, Modulation.BPSK, 1), Modulation.BPSK, 1.0)
+    obs = observe(est, block.symbols, 0.0, phy.awgn([1], (4, 4), 0.0)[0], Phase.DATA)
+    comb = build_combiner(CombinerKind.MRC, est, [1.0] * 3, 1.0, 3, 1.0, 0.1,
+                          keep=[0, 2], ue_indices=(0, 2))
+    with pytest.raises(IndexError, match="UE 1 is not covered by this combiner"):
+        detect(obs, comb, block, 1)
+
+
 def test_pure_noise_detection_is_coin_flip():
     channel = np.zeros((2, 1), dtype=complex)
     bits = random_bits(1, 10_000, Modulation.BPSK, 9)

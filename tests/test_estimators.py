@@ -92,6 +92,12 @@ def test_mmse_zero_pilot_power_gives_zero_estimate():
     assert stats.error_var == 1.0 and stats.estimate_var == 0.0
 
 
+@pytest.mark.parametrize("n0", [0.0, -1.0])
+def test_mmse_error_stats_rejects_a_noise_power_that_is_not_positive(n0):
+    with pytest.raises(ValueError, match="noise power must be positive"):
+        mmse_error_stats(1.0, 1.0, 4, n0)
+
+
 @pytest.mark.parametrize("beta,pt_taut,n0,expected", [
     (1.0, 1.0, 1.0, (0.5, 0.5)),
     (2.0, 3.0, 1.0, (12.0 / 7.0, 2.0 / 7.0)),

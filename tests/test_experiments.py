@@ -180,6 +180,33 @@ def test_rate_rows_have_both_modes():
     assert "all" in {r.ue_class for r in table.rows}
 
 
+def test_rate_rows_without_an_mbs_served_ue_read_da_as_po():
+    # an MBS too weak to win any UE's downlink precodes nobody, so the DA
+    # estimate reaches no rate and the da rows are the po rows, bit for bit
+    spec = _tiny_spec(metric=Metric.RATE, trials=2,
+                      base=desk_config(num_sbs=5, num_ue=5, mbs_antennas=16, tau_t=5,
+                                       tau_d=16, p_mbs_dbm=-30.0))
+    for t in range(spec.topologies):
+        assert np.all(experiments.sweep_topology(spec.base, spec.master_seed, t)[1].dl_serving != 0)
+    rows = {(r.method, r.sweep_value, r.ue_class): r for r in run_sweep(spec).rows}
+    po = {key[1:]: r for key, r in rows.items() if key[0] == "po"}
+    da = {key[1:]: r for key, r in rows.items() if key[0] == "da"}
+    assert po.keys() == da.keys() and po
+    for key, row in po.items():
+        assert (da[key].mean, da[key].stderr, da[key].n) == (row.mean, row.stderr, row.n)
+
+
+def test_table_value_needs_exactly_one_matching_row():
+    row = ResultRow(sweep_param="p_train_dbm", sweep_value=3.0, method="mmse",
+                    ue_class="all", metric="nmse", mean=-1.0, stderr=0.0, n=1)
+    table = ResultTable(rows=(row, dataclasses.replace(row, ue_class="mue")))
+    assert table.value(ue_class="mue") == -1.0
+    with pytest.raises(KeyError, match="found 0"):
+        table.value(method="ls")
+    with pytest.raises(KeyError, match="found 2"):
+        table.value(method="mmse")
+
+
 def test_zero_error_mode_beats_empirical_side_info():
     noisy = run_sweep(_tiny_spec(ber_source=BerSource.EMPIRICAL_ORACLE,
                                  base=desk_config(p_train_dbm=-7.0)))

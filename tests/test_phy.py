@@ -101,14 +101,14 @@ def test_unit_variance_complex_gaussian():
 def test_observe_noiseless_is_exact_product():
     channel = np.arange(6, dtype=complex).reshape(2, 3)
     signal = np.eye(3, dtype=complex)
-    obs = observe(channel, signal, 0.0, phy.awgn([1], (2, 3), 0.0)[0])
+    obs = observe(channel, signal, 0.0, phy.awgn([1], (2, 3), 0.0)[0], Phase.TRAINING)
     assert np.array_equal(obs.y, channel)
 
 
 def test_observe_noise_variance():
     channel = np.zeros((50, 1), dtype=complex)
     signal = np.zeros((1, 2000), dtype=complex)
-    obs = observe(channel, signal, 1.0, phy.awgn([9], (50, 2000), 1.0)[0])
+    obs = observe(channel, signal, 1.0, phy.awgn([9], (50, 2000), 1.0)[0], Phase.TRAINING)
     assert np.mean(np.abs(obs.y) ** 2) == pytest.approx(1.0, rel=0.02)
 
 
@@ -118,7 +118,7 @@ def test_observe_shape_and_mismatch():
     obs = observe(channel, pilots.s, 1e-3, phy.awgn([2], (4, 6), 1e-3)[0], Phase.TRAINING)
     assert obs.y.shape == (4, 6)
     with pytest.raises(ValueError, match="mismatch"):
-        observe(channel, np.zeros((4, 6)), 1e-3, phy.awgn([2], (4, 6), 1e-3)[0])
+        observe(channel, np.zeros((4, 6)), 1e-3, phy.awgn([2], (4, 6), 1e-3)[0], Phase.TRAINING)
 
 
 def test_joint_rejects_wrong_phases():
@@ -145,7 +145,7 @@ def test_observation_energy_balance():
     total, signal = [], []
     for _ in range(400):
         h = draw_channels(topo, cfg, [rng]).h_mbs[0]
-        obs = observe(h, pilots.s, n0, phy.awgn([rng], (16, 4), n0)[0])
+        obs = observe(h, pilots.s, n0, phy.awgn([rng], (16, 4), n0)[0], Phase.TRAINING)
         total.append(np.sum(np.abs(obs.y) ** 2))
         signal.append(np.sum(np.abs(h @ pilots.s) ** 2))
     expected = np.mean(signal) + 16 * 4 * n0

@@ -31,6 +31,21 @@ def test_config_rejects_short_pilots():
         SystemConfig(num_ue=31, tau_t=30)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("num_ue", 0, "UE count must be >= 1 and SBS count >= 0"),
+    ("num_sbs", -1, "UE count must be >= 1 and SBS count >= 0"),
+    ("mbs_antennas", 0, "antenna and symbol counts must be >= 1"),
+    ("sbs_antennas", 0, "antenna and symbol counts must be >= 1"),
+    ("tau_t", 0, "antenna and symbol counts must be >= 1"),
+    ("tau_d", -1, "tau_d must be >= 0"),
+    ("cell_radius_m", 0.0, "cell_radius_m must be positive"),
+    ("bandwidth_hz", 0.0, "bandwidth_hz must be positive"),
+])
+def test_config_rejects_a_count_or_size_out_of_range(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SystemConfig(**{field: value})
+
+
 _INT_FIELDS = [f.name for f in dataclasses.fields(SystemConfig) if f.type == "int"]
 _FLOAT_FIELDS = [f.name for f in dataclasses.fields(SystemConfig) if f.type == "float"]
 _NOT_A_NUMBER = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]),
