@@ -69,7 +69,7 @@ def mmse_error_stats(beta, p_t: float, tau_t: int, noise_power: float) -> Estima
     ulp.  Neither is taken as beta minus the other, which cancels
     catastrophically for weak links.  N0 must be positive.
     """
-    if noise_power <= 0:
+    if not noise_power > 0:
         raise ValueError(f"noise power must be positive, got {noise_power!r}")
     beta = np.asarray(beta, dtype=float)
     energy = beta * p_t * tau_t

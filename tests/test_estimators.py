@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -92,7 +94,7 @@ def test_mmse_zero_pilot_power_gives_zero_estimate():
     assert stats.error_var == 1.0 and stats.estimate_var == 0.0
 
 
-@pytest.mark.parametrize("n0", [0.0, -1.0])
+@pytest.mark.parametrize("n0", [0.0, -1.0, math.nan])
 def test_mmse_error_stats_rejects_a_noise_power_that_is_not_positive(n0):
     with pytest.raises(ValueError, match="noise power must be positive"):
         mmse_error_stats(1.0, 1.0, 4, n0)

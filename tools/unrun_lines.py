@@ -9,7 +9,7 @@ only in a subprocess (a test that runs Python or ``hetnetsim`` as a child
 process) or in a forked pool worker is not seen, so it is listed as unrun.
 The script exits with pytest's exit code: non-zero only when pytest fails.
 
-    PYTHONPATH=src python3 tools/unrun_lines.py --out unrun-lines.txt [pytest args]
+    PYTHONPATH=src python3 tools/unrun_lines.py --out unrun-lines.txt
 """
 
 from __future__ import annotations
@@ -89,10 +89,10 @@ def report(package_dir, unrun: dict) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="also write the report to this file")
-    args, pytest_args = parser.parse_known_args(argv)
+    args = parser.parse_args(argv)
     sys.path.insert(0, str(PACKAGE.parent))     # trace this checkout's package
     code, unrun = collect(PACKAGE, lambda: pytest.main(
-        pytest_args or ["-q", "--continue-on-collection-errors", str(ROOT / "tests")]))
+        ["-q", "--continue-on-collection-errors", str(ROOT / "tests")]))
     text = report(PACKAGE, unrun)
     print(text, end="")
     if args.out:
